@@ -69,7 +69,6 @@ from .verify import (
 )
 from .isolab import (
     LinearMap,
-    SplitSpace,
     is_isometric_embedding,
     two_projection_violation,
     find_one_dim_two_summand,

@@ -22,23 +22,23 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import jsonschema
 import numpy as np
 
 from . import __version__, geomconst, isolab
-from . import nakano as nk
 from . import verify as vf
 from .nakano import (
     BlockVector,
     FormulaExponents,
-    NakanoSpec,
+    _exponents_from_dict,
     nakano_norm,
     nakano_condition_terms,
     nakano_condition_verdict,
     spec_from_dict,
 )
-from .spaces import space_from_dict
+from .spaces import Schatten, space_from_dict
 
 ENV_OUT = "MODBANACH_OUT"
 
@@ -82,34 +82,10 @@ def _plain(obj):
     return obj
 
 
-def _space(desc, where: str):
-    try:
-        return space_from_dict(desc)
-    except (ValueError, KeyError, TypeError) as e:
-        raise ConfigError(f"{where}: {e}") from None
-
-
-def _nakano_spec(desc, where: str) -> NakanoSpec:
-    try:
-        return spec_from_dict(desc)
-    except (ValueError, KeyError, TypeError) as e:
-        raise ConfigError(f"{where}: {e}") from None
-
-
-def _exponents(desc, where: str):
-    try:
-        return nk._exponents_from_dict(desc)
-    except (ValueError, KeyError, TypeError) as e:
-        raise ConfigError(f"{where}: {e}") from None
-
-
 def _block_vector(obj, where: str) -> BlockVector:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: block vector must map block indices to coordinate lists")
-    try:
-        return BlockVector(tuple((int(k), np.asarray(v, dtype=float)) for k, v in obj.items()))
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{where}: {e}") from None
+    return BlockVector(tuple((int(k), np.asarray(v, dtype=float)) for k, v in obj.items()))
 
 
 def _need(sub: dict, key: str, where: str):
@@ -151,7 +127,9 @@ class CampaignResult:
 
 
 # ---------------------------------------------------------------------------
-# command runners; each returns (payload, passed, violated, numerical_failure)
+# command runners; each returns (payload, passed, violated, numerical_failure).
+# A ValueError, KeyError or TypeError a runner raises is a rejected parameter:
+# run_campaign turns it into a ConfigError.
 
 
 def _run_norm(sub: dict, seed: int, jobs: int):
@@ -160,17 +138,16 @@ def _run_norm(sub: dict, seed: int, jobs: int):
         raise ConfigError(f"{where}: give exactly one of 'space' or 'nakano'")
     vectors = _need(sub, "vectors", where)
     if "space" in sub:
-        space = _space(sub["space"], where + ".space")
+        space = space_from_dict(sub["space"])
         norms = [space.norm(np.asarray(v, dtype=float)) for v in vectors]
     else:
-        spec = _nakano_spec(sub["nakano"], where + ".nakano")
+        spec = spec_from_dict(sub["nakano"])
         norms = [nakano_norm(spec, _block_vector(v, where + ".vectors")) for v in vectors]
     return {"norms": norms}, True, False, False
 
 
 def _run_jvn(sub: dict, seed: int, jobs: int):
-    where = "jvn"
-    space = _space(_need(sub, "space", where), where + ".space")
+    space = space_from_dict(_need(sub, "space", "jvn"))
     budget = int(sub.get("budget", 64))
     est = geomconst.jvn_lower_bound(space, budget=budget, seed=seed)
     upper = None
@@ -193,82 +170,73 @@ def _run_jvn(sub: dict, seed: int, jobs: int):
     return payload, ok, False, False
 
 
+# verify keys every pair check shares; the rest go to the check's params builder
+_PAIR_KEYS = ("check", "samples", "tolerance", "space", "d")
+
+
+def _pair_space(sub: dict, where: str):
+    # schatten_inf configs name the operator-norm space by its size d alone
+    if "space" not in sub and "d" in sub:
+        return Schatten(math.inf, int(sub["d"]))
+    return space_from_dict(_need(sub, "space", where))
+
+
 def _run_verify(sub: dict, seed: int, jobs: int):
     where = "verify"
     check = _need(sub, "check", where)
-    tol = sub.get("tolerance")
-    samples = int(sub.get("samples", 10000))
-    kw = {"samples": samples, "seed": seed, "jobs": jobs}
-    if tol is not None:
-        kw["tolerance"] = float(tol)
-    try:
-        if check == "clarkson_lower":
-            rep = vf.verify_clarkson_lower(_space(_need(sub, "space", where), where + ".space"), **kw)
-        elif check == "clarkson_upper":
-            rep = vf.verify_clarkson_upper(_space(_need(sub, "space", where), where + ".space"), **kw)
-        elif check == "two_smooth":
-            rep = vf.verify_2smooth(
-                _space(_need(sub, "space", where), where + ".space"),
-                c=sub.get("c"), **kw,
-            )
-        elif check == "parallelogram":
-            rep = vf.verify_parallelogram(_space(_need(sub, "space", where), where + ".space"), **kw)
-        elif check == "endpoint_2":
-            rep = vf.verify_endpoint_2(_space(_need(sub, "space", where), where + ".space"), **kw)
-        elif check == "schatten_inf":
-            rep = vf.verify_schatten_inf(int(_need(sub, "d", where)), **kw)
-        elif check == "beckner":
-            rep = vf.verify_beckner(
-                float(_need(sub, "p", where)),
-                grid=int(sub.get("grid", 401)),
-                extent=float(sub.get("extent", 2.0)),
-                tolerance=float(tol) if tol is not None else 1e-12,
-            )
-        elif check == "lp_pair":
-            space = _space(_need(sub, "space", where), where + ".space")
-            rep = vf.verify_lp_pair(
-                space,
-                np.asarray(_need(sub, "x", where), dtype=float),
-                np.asarray(_need(sub, "y", where), dtype=float),
-                p=sub.get("p"),
-                lambdas=sub.get("lambdas"),
-                tolerance=float(tol) if tol is not None else 1e-10,
-            )
-        elif check == "far_block_limit":
-            spec = _nakano_spec(_need(sub, "nakano", where), where + ".nakano")
-            x = _block_vector(_need(sub, "x", where), where + ".x")
-            schedule = [int(n) for n in _need(sub, "schedule", where)]
-            gaps = vf.far_block_limit_gaps(spec, x, float(sub.get("t", 1.0)), schedule)
-            slack = 1e-12
-            holds = bool(np.all(np.diff(gaps) <= slack))
-            payload = {
-                "check": check,
-                "schedule": schedule,
-                "gaps": gaps.tolist(),
-                "verdict": "holds" if holds else "violated",
-                "max_violation": float(max(0.0, np.max(np.diff(gaps)))) if len(gaps) > 1 else 0.0,
-            }
-            return payload, holds, not holds, False
-        else:
-            raise ConfigError(f"{where}.check: unknown check {check!r}")
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from None
-    payload = rep.to_dict()
-    return payload, not rep.violated, rep.violated, False
+    tol = {} if sub.get("tolerance") is None else {"tolerance": float(sub["tolerance"])}
+    if check in vf.PAIR_CHECKS:
+        options = {k: v for k, v in sub.items() if k not in _PAIR_KEYS}
+        rep = vf.verify_pair(
+            check, _pair_space(sub, where), samples=int(sub.get("samples", 10000)),
+            seed=seed, jobs=jobs, **tol, **options,
+        )
+    elif check == "beckner":
+        rep = vf.verify_beckner(
+            float(_need(sub, "p", where)),
+            grid=int(sub.get("grid", 401)),
+            extent=float(sub.get("extent", 2.0)),
+            **tol,
+        )
+    elif check == "lp_pair":
+        rep = vf.verify_lp_pair(
+            space_from_dict(_need(sub, "space", where)),
+            np.asarray(_need(sub, "x", where), dtype=float),
+            np.asarray(_need(sub, "y", where), dtype=float),
+            p=sub.get("p"),
+            lambdas=sub.get("lambdas"),
+            **tol,
+        )
+    elif check == "far_block_limit":
+        spec = spec_from_dict(_need(sub, "nakano", where))
+        x = _block_vector(_need(sub, "x", where), where + ".x")
+        schedule = [int(n) for n in _need(sub, "schedule", where)]
+        gaps = vf.far_block_limit_gaps(spec, x, float(sub.get("t", 1.0)), schedule)
+        slack = 1e-12
+        holds = bool(np.all(np.diff(gaps) <= slack))
+        payload = {
+            "check": check,
+            "schedule": schedule,
+            "gaps": gaps.tolist(),
+            "verdict": "holds" if holds else "violated",
+            "max_violation": float(max(0.0, np.max(np.diff(gaps)))) if len(gaps) > 1 else 0.0,
+        }
+        return payload, holds, not holds, False
+    else:
+        raise ConfigError(f"{where}.check: unknown check {check!r}")
+    numerical_failure = rep.verdict == "numerical_failure"
+    return rep.to_dict(), rep.verdict == "holds", rep.violated, numerical_failure
 
 
 def _run_nakano(sub: dict, seed: int, jobs: int):
     where = "nakano"
-    exponents = _exponents(_need(sub, "exponents", where), where + ".exponents")
+    exponents = _exponents_from_dict(_need(sub, "exponents", where))
     c_grid = [float(c) for c in _need(sub, "c_grid", where)]
     window = tuple(int(w) for w in sub.get("window", (1000, 1000000)))
     count = int(sub.get("count", 60))
     margin = float(sub.get("margin", 0.1))
-    try:
-        report = nakano_condition_verdict(exponents, c_grid, count=count, window=window, margin=margin)
-        terms = nakano_condition_terms(exponents, c_grid[0], count=int(sub.get("terms_count", 64)))
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from None
+    report = nakano_condition_verdict(exponents, c_grid, count=count, window=window, margin=margin)
+    terms = nakano_condition_terms(exponents, c_grid[0], count=int(sub.get("terms_count", 64)))
     payload = {
         "verdicts": [
             {"c": v.c, "slope": v.slope, "verdict": v.verdict} for v in report.verdicts
@@ -288,25 +256,22 @@ def _run_nakano(sub: dict, seed: int, jobs: int):
 
 def _run_asymptotics(sub: dict, seed: int, jobs: int):
     where = "asymptotics"
-    exponents = _exponents(_need(sub, "exponents", where), where + ".exponents")
+    exponents = _exponents_from_dict(_need(sub, "exponents", where))
     start = int(sub.get("start", 1))
     horizon = int(_need(sub, "horizon", where))
     if horizon < start:
         raise ConfigError(f"{where}: horizon must be >= start")
     ns = np.arange(start, horizon + 1)
-    try:
-        ps = exponents.values(ns)
-        source = sub.get("jvn_values", "clarkson")
-        if source == "clarkson":
-            avals = np.array([geomconst.jvn_upper_bound_clarkson(p) for p in ps])
-        else:
-            avals = np.asarray(source, dtype=float)
-        tail = None
-        if isinstance(exponents, FormulaExponents) and source == "clarkson":
-            tail = geomconst.clarkson_alpha_tail_bound(exponents, horizon)
-        rep = geomconst.alpha_beta(ps, avals, tail_bound=tail)
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from None
+    ps = exponents.values(ns)
+    source = sub.get("jvn_values", "clarkson")
+    if source == "clarkson":
+        avals = np.array([geomconst.jvn_upper_bound_clarkson(p) for p in ps])
+    else:
+        avals = np.asarray(source, dtype=float)
+    tail = None
+    if isinstance(exponents, FormulaExponents) and source == "clarkson":
+        tail = geomconst.clarkson_alpha_tail_bound(exponents, horizon)
+    rep = geomconst.alpha_beta(ps, avals, tail_bound=tail)
     payload = {
         "n": ns.tolist(),
         "exponent": ps.tolist(),
@@ -319,7 +284,7 @@ def _run_asymptotics(sub: dict, seed: int, jobs: int):
 
 def _run_summand(sub: dict, seed: int, jobs: int):
     where = "summand"
-    space = _space(_need(sub, "space", where), where + ".space")
+    space = space_from_dict(_need(sub, "space", where))
     budget = int(sub.get("budget", 16))
     result = isolab.find_one_dim_two_summand(space, budget=budget, seed=seed)
     payload = {
@@ -348,10 +313,10 @@ def _build_embedding(desc: dict, where: str) -> isolab.LinearMap:
     kind = _need(desc, "kind", where)
     h_dim = int(desc.get("h_dim", 4))
     if kind == "counterexample":
-        e1 = _space(_need(desc, "e1", where), where + ".e1")
+        e1 = space_from_dict(_need(desc, "e1", where))
         return isolab.build_counterexample_embedding(e1, h_dim=h_dim)
     if kind == "inclusion":
-        e0 = _space(_need(desc, "e0", where), where + ".e0")
+        e0 = space_from_dict(_need(desc, "e0", where))
         return isolab.build_inclusion_embedding(e0, h_dim=h_dim)
     raise ConfigError(f"{where}.kind: unknown embedding kind {kind!r}")
 
@@ -396,14 +361,19 @@ def _run_iterate(sub: dict, seed: int, jobs: int):
     return payload, passed, False, numerical_failure
 
 
+class _Command(NamedTuple):
+    run: Callable      # (sub-config, seed, jobs) -> (payload, passed, violated, numerical_failure)
+    metric: Callable   # payload -> the headline number of the CSV summary
+
+
 _RUNNERS = {
-    "norm": _run_norm,
-    "jvn": _run_jvn,
-    "verify": _run_verify,
-    "nakano": _run_nakano,
-    "asymptotics": _run_asymptotics,
-    "summand": _run_summand,
-    "iterate": _run_iterate,
+    "norm": _Command(_run_norm, lambda p: p["norms"][0] if p["norms"] else 0.0),
+    "jvn": _Command(_run_jvn, lambda p: p["lower_bound"]),
+    "verify": _Command(_run_verify, lambda p: p.get("max_violation", 0.0)),
+    "nakano": _Command(_run_nakano, lambda p: p["verdicts"][0]["slope"] if p["verdicts"] else 0.0),
+    "asymptotics": _Command(_run_asymptotics, lambda p: p["beta"][0] if p["beta"] else 0.0),
+    "summand": _Command(_run_summand, lambda p: p.get("grid_floor", p["residual"])),
+    "iterate": _Command(_run_iterate, lambda p: max(p["trace"]["defect"], default=0.0)),
 }
 
 
@@ -415,7 +385,12 @@ def run_campaign(config: dict) -> CampaignResult:
     jobs = int(config.get("jobs", 1))
     name = config.get("name", "campaign")
     t0 = time.perf_counter()
-    payload, passed, violated, numfail = _RUNNERS[cmd](config[cmd], seed, jobs)
+    try:
+        payload, passed, violated, numfail = _RUNNERS[cmd].run(config[cmd], seed, jobs)
+    except ConfigError:
+        raise
+    except (ValueError, KeyError, TypeError) as e:
+        raise ConfigError(f"{cmd}: {e}") from None
     wall = time.perf_counter() - t0
     return CampaignResult(
         name=name, config=config, payload=payload, passed=passed,
@@ -434,27 +409,6 @@ def _f17(x) -> str:
     return str(x)
 
 
-def _headline_metric(result: CampaignResult) -> float:
-    p = result.payload
-    cmd = result.config["command"]
-    if cmd == "norm":
-        return p["norms"][0] if p["norms"] else 0.0
-    if cmd == "jvn":
-        return p["lower_bound"]
-    if cmd == "verify":
-        return p.get("max_violation", 0.0)
-    if cmd == "nakano":
-        return p["verdicts"][0]["slope"] if p["verdicts"] else 0.0
-    if cmd == "asymptotics":
-        return p["beta"][0] if p["beta"] else 0.0
-    if cmd == "summand":
-        return p.get("grid_floor", p["residual"])
-    if cmd == "iterate":
-        d = p["trace"]["defect"]
-        return max(d) if d else 0.0
-    return 0.0
-
-
 def write_summary_csv(result: CampaignResult, path: Path) -> None:
     """One-row campaign summary; floats carry 17 significant digits."""
     row = {
@@ -463,7 +417,7 @@ def write_summary_csv(result: CampaignResult, path: Path) -> None:
         "passed": result.passed,
         "violated": result.violated,
         "numerical_failure": result.numerical_failure,
-        "metric": _f17(float(_headline_metric(result))),
+        "metric": _f17(float(_RUNNERS[result.config["command"]].metric(result.payload))),
         "seed": result.config["seed"],
         "version": result.version,
     }

@@ -24,7 +24,6 @@ from .spaces import Euclid, TwoSum, as_real_vector, norm_batch
 
 __all__ = [
     "LinearMap",
-    "SplitSpace",
     "IsometryCheck",
     "is_isometric_embedding",
     "TwoProjectionCandidate",
@@ -43,34 +42,6 @@ __all__ = [
     "block_diag_map",
     "block_sum_complement_check",
 ]
-
-
-@dataclass(frozen=True)
-class SplitSpace:
-    """Hilbertian sum E0 + H with the split remembered; H is Euclidean."""
-
-    e0: object
-    h: Euclid
-
-    @property
-    def dim(self) -> int:
-        return self.e0.dim + self.h.dim
-
-    def split(self, x) -> tuple:
-        arr = as_real_vector(x, self.dim)
-        k = self.e0.dim
-        return arr[:k], arr[k:]
-
-    def norm(self, x) -> float:
-        xe, xh = self.split(x)
-        return math.hypot(self.e0.norm(xe), float(np.linalg.norm(xh)))
-
-    def norm_batch(self, xs) -> np.ndarray:
-        arr = np.asarray(xs, dtype=float)
-        k = self.e0.dim
-        ne = norm_batch(self.e0, arr[:, :k])
-        nh = np.linalg.norm(arr[:, k:], axis=1)
-        return np.sqrt(ne ** 2 + nh ** 2)
 
 
 @dataclass(frozen=True)
@@ -315,9 +286,16 @@ def two_summand_grid_floor(space, n_xi: int = 720, n_phi: int = 720,
 # embeddings and the compression iteration
 
 
+def _two_part_space(space):
+    """The first part E of a two-part sum E + F, which fixes the split."""
+    if not (isinstance(space, TwoSum) and len(space.parts) == 2):
+        raise ValueError(f"expected a two-part TwoSum with a distinguished split, got {space!r}")
+    return space.parts[0]
+
+
 def build_inclusion_embedding(e0, h_dim: int = 4) -> LinearMap:
     """The honest inclusion of E0 into E0 + H (zero H-component)."""
-    codomain = SplitSpace(e0, Euclid(h_dim))
+    codomain = TwoSum((e0, Euclid(h_dim)))
     m = np.zeros((codomain.dim, e0.dim))
     m[:e0.dim, :e0.dim] = np.eye(e0.dim)
     return LinearMap(m, e0, codomain)
@@ -332,7 +310,7 @@ def build_counterexample_embedding(e1, h_dim: int = 4) -> LinearMap:
     one-dimensional subspace and the compression P T kills the line.
     """
     e0 = TwoSum((e1, Euclid(1)))
-    codomain = SplitSpace(e0, Euclid(h_dim))
+    codomain = TwoSum((e0, Euclid(h_dim)))
     d0 = e0.dim
     m = np.zeros((codomain.dim, d0))
     m[:e1.dim, :e1.dim] = np.eye(e1.dim)
@@ -363,9 +341,7 @@ class IterationTrace:
 
 def pt_iterate(t: LinearMap, x, n_max: int = 50) -> IterationTrace:
     """Iterate the compression P T from x, with exact mass bookkeeping."""
-    if not isinstance(t.codomain, SplitSpace):
-        raise ValueError("iteration needs a codomain with a distinguished split")
-    if t.codomain.e0.dim != t.domain.dim:
+    if _two_part_space(t.codomain).dim != t.domain.dim:
         raise ValueError("the split E0-part must match the domain")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -463,12 +439,11 @@ def range_intersection_dim(t: LinearMap, tol: float = 1e-8) -> int:
     the threshold from below raise :class:`AmbiguousRankError` instead of
     silently rounding.
     """
-    if not isinstance(t.codomain, SplitSpace):
-        raise ValueError("intersection with H needs a split codomain")
+    k0 = _two_part_space(t.codomain).dim
     u, s, _ = np.linalg.svd(t.matrix, full_matrices=False)
     rank = int(np.sum(s > s[0] * max(t.matrix.shape) * np.finfo(float).eps))
     basis = u[:, :rank]
-    overlap = basis[t.codomain.e0.dim:, :].T
+    overlap = basis[k0:, :].T
     if overlap.size == 0:
         return 0
     sigmas = np.linalg.svd(overlap, compute_uv=False)
@@ -483,14 +458,6 @@ def range_intersection_dim(t: LinearMap, tol: float = 1e-8) -> int:
 # block maps over two-part sums
 
 
-def _two_part_space(space):
-    parts = getattr(space, "parts", None) or getattr(space, "modulars", None)
-    offs = space.offsets()
-    if parts is None or len(offs) != 3:
-        raise ValueError("expected a two-part direct or modular sum")
-    return offs
-
-
 def block_diag_map(u: np.ndarray, v: np.ndarray, domain, codomain,
                    coupling: np.ndarray | None = None) -> LinearMap:
     """Assemble (x, f) -> (U x + [coupling f], V f) over two-part sums.
@@ -498,15 +465,13 @@ def block_diag_map(u: np.ndarray, v: np.ndarray, domain, codomain,
     The optional coupling block injects an E-component from the F-part and
     exists to manufacture broken maps in tests.
     """
-    doffs = _two_part_space(domain)
-    coffs = _two_part_space(codomain)
+    dk = _two_part_space(domain).dim
+    ck = _two_part_space(codomain).dim
     m = np.zeros((codomain.dim, domain.dim))
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    m[:coffs[1], :doffs[1]] = u
-    m[coffs[1]:, doffs[1]:] = v
+    m[:ck, :dk] = np.asarray(u, dtype=float)
+    m[ck:, dk:] = np.asarray(v, dtype=float)
     if coupling is not None:
-        m[:coffs[1], doffs[1]:] = np.asarray(coupling, dtype=float)
+        m[:ck, dk:] = np.asarray(coupling, dtype=float)
     return LinearMap(m, domain, codomain)
 
 
@@ -526,15 +491,14 @@ def block_sum_complement_check(u: np.ndarray, v: np.ndarray, domain, codomain,
         raise ValueError(
             f"map is not an isometric embedding (deviation {iso.max_deviation:.3e})"
         )
-    doffs = _two_part_space(domain)
-    coffs = _two_part_space(codomain)
-    f_dim = domain.dim - doffs[1]
-    suite = _domain_suite(Euclid(f_dim), samples, seed)
+    dk = _two_part_space(domain).dim
+    ck = _two_part_space(codomain).dim
+    suite = _domain_suite(Euclid(domain.dim - dk), samples, seed)
     worst = 0.0
     for f in suite:
         x = np.zeros(domain.dim)
-        x[doffs[1]:] = f
+        x[dk:] = f
         z = t.apply(x)
-        e2 = z[:coffs[1]]
+        e2 = z[:ck]
         worst = max(worst, float(np.linalg.norm(e2)))
     return worst <= tol

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,6 +29,9 @@ from .spaces import Lp, Schatten, norm_batch, space_from_dict, space_to_dict
 
 __all__ = [
     "ViolationReport",
+    "PairCheck",
+    "PAIR_CHECKS",
+    "verify_pair",
     "verify_clarkson_lower",
     "verify_clarkson_upper",
     "verify_lp_pair",
@@ -49,12 +54,6 @@ def _array_to_json(arr) -> object:
     if np.iscomplexobj(a):
         return {"re": a.real.tolist(), "im": a.imag.tolist()}
     return a.tolist()
-
-
-def _array_from_json(obj) -> np.ndarray:
-    if isinstance(obj, dict) and "re" in obj:
-        return np.asarray(obj["re"]) + 1j * np.asarray(obj["im"])
-    return np.asarray(obj, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -97,6 +96,8 @@ class ViolationReport:
 
 def _report(check, params, samples, max_violation, witness, tolerance, seed) -> ViolationReport:
     verdict = "violated" if max_violation > tolerance else "holds"
+    if not math.isfinite(max_violation):
+        verdict = "numerical_failure"
     return ViolationReport(
         check, params, int(samples), float(max_violation), tuple(witness),
         float(tolerance), seed, verdict,
@@ -105,6 +106,8 @@ def _report(check, params, samples, max_violation, witness, tolerance, seed) -> 
 
 def _pair_campaign(check, params, space, batch_fn, samples, seed, tolerance, jobs=1):
     """Worst violation of batch_fn over structured seeds plus Gaussian batches."""
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     tasks = [(-1, 0)]
     remaining = samples
     b = 0
@@ -135,10 +138,8 @@ def _pair_campaign(check, params, space, batch_fn, samples, seed, tolerance, job
     else:
         results = [run(t) for t in tasks]
 
-    worst, witness = results[0]
-    for v, w in results[1:]:
-        if v > worst:
-            worst, witness = v, w
+    # argmax stops at the first NaN, so a NaN batch cannot hide behind a finite one
+    worst, witness = results[int(np.argmax([v for v, _ in results]))]
     total = len(struct) + samples
     return _report(check, params, total, worst, witness, tolerance, seed)
 
@@ -158,43 +159,149 @@ def _parallelogram_lhs(space, x, y):
     return norm_batch(space, x + y) ** 2 + norm_batch(space, x - y) ** 2
 
 
-def _clarkson_batch(space, p, lower: bool):
-    def fn(x, y):
-        lhs = _parallelogram_lhs(space, x, y)
-        rhs = clarkson_rhs(space, p, x, y)
-        raw = (rhs - lhs) if lower else (lhs - rhs)
-        return raw / np.maximum(np.abs(rhs), _FLOOR)
-    return fn
-
-
 def _space_p(space) -> float:
-    if isinstance(space, (Lp, Schatten)):
-        return space.p
-    raise TypeError(f"space {space!r} carries no exponent p")
+    if not isinstance(space, (Lp, Schatten)):
+        raise TypeError(f"space {space!r} carries no exponent p")
+    if not math.isfinite(space.p):
+        raise ValueError(f"space {space!r} needs a finite exponent p")
+    return space.p
+
+
+# ---------------------------------------------------------------------------
+# the pair checks: preconditions giving the report params, then the violation
+# on stacked pairs (x, y)
+
+
+def _space_params(space) -> dict:
+    return {"space": space_to_dict(space)}
+
+
+def _clarkson_params(space, lower: bool) -> dict:
+    p = _space_p(space)
+    if lower and not p > 2.0:
+        raise ValueError(f"the lower Clarkson bound needs p > 2, got {p}")
+    if not lower and not p < 2.0:
+        raise ValueError(f"the upper Clarkson bound needs p < 2, got {p}")
+    return {"space": space_to_dict(space), "p": p}
+
+
+def _clarkson_batch(space, params, x, y, lower: bool):
+    lhs = _parallelogram_lhs(space, x, y)
+    rhs = clarkson_rhs(space, params["p"], x, y)
+    raw = (rhs - lhs) if lower else (lhs - rhs)
+    return raw / np.maximum(np.abs(rhs), _FLOOR)
+
+
+def _two_smooth_params(space, c=None) -> dict:
+    if c is None:
+        p = _space_p(space)
+        if p < 2.0:
+            raise ValueError(f"default constant needs p >= 2, got {p}")
+        c = math.sqrt(p - 1.0)
+    return {"space": space_to_dict(space), "c": float(c)}
+
+
+def _two_smooth_batch(space, params, x, y):
+    c = params["c"]
+    lhs = _parallelogram_lhs(space, x, y)
+    rhs = 2.0 * (norm_batch(space, x) ** 2 + (c * c) * norm_batch(space, y) ** 2)
+    return (lhs - rhs) / np.maximum(np.abs(rhs), _FLOOR)
+
+
+def _schatten_inf_params(space) -> dict:
+    if not (isinstance(space, Schatten) and space.p == math.inf):
+        raise ValueError(f"schatten_inf needs an operator-norm Schatten space, got {space!r}")
+    return _space_params(space)
+
+
+def _schatten_inf_batch(space, params, x, y):
+    lhs = 0.5 * _parallelogram_lhs(space, x, y)
+    rhs = np.maximum(norm_batch(space, x), norm_batch(space, y)) ** 2
+    return (rhs - lhs) / np.maximum(np.abs(rhs), _FLOOR)
+
+
+def _endpoint_2_params(space) -> dict:
+    p = _space_p(space)
+    if p != 2.0:
+        raise ValueError(f"endpoint check needs p = 2, got {p}")
+    return _space_params(space)
+
+
+def _parallelogram_batch(space, params, x, y):
+    lhs = _parallelogram_lhs(space, x, y)
+    rhs = 2.0 * (norm_batch(space, x) ** 2 + norm_batch(space, y) ** 2)
+    return np.abs(lhs - rhs)
+
+
+class PairCheck(NamedTuple):
+    params: Callable   # (space, **options) -> report params; raises on a failed precondition
+    batch: Callable    # (space, params, x, y) -> violation on the stacked pairs (x, y)
+
+
+PAIR_CHECKS = {
+    "clarkson_lower": PairCheck(partial(_clarkson_params, lower=True),
+                                partial(_clarkson_batch, lower=True)),
+    "clarkson_upper": PairCheck(partial(_clarkson_params, lower=False),
+                                partial(_clarkson_batch, lower=False)),
+    "two_smooth": PairCheck(_two_smooth_params, _two_smooth_batch),
+    "schatten_inf": PairCheck(_schatten_inf_params, _schatten_inf_batch),
+    "parallelogram": PairCheck(_space_params, _parallelogram_batch),
+    "endpoint_2": PairCheck(_endpoint_2_params, _parallelogram_batch),
+}
+
+
+def verify_pair(check: str, space, samples=10000, seed=0, tolerance=1e-10, jobs=1, **options):
+    """Run the pair check ``check`` of :data:`PAIR_CHECKS` on ``space``.
+
+    ``options`` go to the check's params builder (only two_smooth takes one,
+    its constant ``c``).
+    """
+    entry = PAIR_CHECKS[check]
+    params = entry.params(space, **options)
+    batch_fn = partial(entry.batch, space, params)
+    return _pair_campaign(check, params, space, batch_fn, samples, seed, tolerance, jobs)
 
 
 def verify_clarkson_lower(space, samples=10000, seed=0, tolerance=1e-10, jobs=1):
     """||x+y||^2 + ||x-y||^2 >= 2 (||x||^p + ||y||^p) ** (2/p) for p > 2."""
-    p = _space_p(space)
-    if not p > 2.0:
-        raise ValueError(f"the lower Clarkson bound needs p > 2, got {p}")
-    params = {"space": space_to_dict(space), "p": p}
-    return _pair_campaign(
-        "clarkson_lower", params, space, _clarkson_batch(space, p, lower=True),
-        samples, seed, tolerance, jobs,
-    )
+    return verify_pair("clarkson_lower", space, samples, seed, tolerance, jobs)
 
 
 def verify_clarkson_upper(space, samples=10000, seed=0, tolerance=1e-10, jobs=1):
     """||x+y||^2 + ||x-y||^2 <= 2 (||x||^p + ||y||^p) ** (2/p) for p < 2."""
-    p = _space_p(space)
-    if not p < 2.0:
-        raise ValueError(f"the upper Clarkson bound needs p < 2, got {p}")
-    params = {"space": space_to_dict(space), "p": p}
-    return _pair_campaign(
-        "clarkson_upper", params, space, _clarkson_batch(space, p, lower=False),
-        samples, seed, tolerance, jobs,
-    )
+    return verify_pair("clarkson_upper", space, samples, seed, tolerance, jobs)
+
+
+def verify_2smooth(space, samples=10000, seed=0, c=None, tolerance=1e-10, jobs=1):
+    """||x+y||^2 + ||x-y||^2 <= 2 (||x||^2 + C^2 ||y||^2) with C = sqrt(p-1).
+
+    Holds for l_p and Schatten-p with p >= 2; shrinking C below 1 breaks it
+    already on collinear pairs, which the structured seeds cover.
+    """
+    return verify_pair("two_smooth", space, samples, seed, tolerance, jobs, c=c)
+
+
+def verify_schatten_inf(d: int, samples=10000, seed=0, tolerance=1e-10, jobs=1):
+    """(||x+y||^2 + ||x-y||^2) / 2 >= max(||x||, ||y||)^2 in operator norm."""
+    return verify_pair("schatten_inf", Schatten(math.inf, int(d)), samples, seed, tolerance, jobs)
+
+
+def verify_parallelogram(space, samples=10000, seed=0, tolerance=1e-10, jobs=1):
+    """Absolute deviation | ||x+y||^2 + ||x-y||^2 - 2(||x||^2 + ||y||^2) |.
+
+    Zero exactly on inner-product spaces; elsewhere the report's witness is a
+    certified non-Hilbert pair.
+    """
+    return verify_pair("parallelogram", space, samples, seed, tolerance, jobs)
+
+
+def verify_endpoint_2(space, samples=10000, seed=0, tolerance=1e-10, jobs=1):
+    """At p = 2 the whole inequality chain collapses to the parallelogram law."""
+    return verify_pair("endpoint_2", space, samples, seed, tolerance, jobs)
+
+
+# ---------------------------------------------------------------------------
+# checks outside the pair table
 
 
 def verify_lp_pair(space, x, y, p=None, lambdas=None, tolerance=1e-10):
@@ -249,83 +356,6 @@ def verify_beckner(p, grid: int = 401, extent: float = 2.0, tolerance: float = 1
     return _report("beckner", params, v.size, float(v[k]), witness, tolerance, None)
 
 
-def _two_smooth_batch(space, c):
-    def fn(x, y):
-        lhs = _parallelogram_lhs(space, x, y)
-        rhs = 2.0 * (norm_batch(space, x) ** 2 + (c * c) * norm_batch(space, y) ** 2)
-        return (lhs - rhs) / np.maximum(np.abs(rhs), _FLOOR)
-    return fn
-
-
-def verify_2smooth(space, samples=10000, seed=0, c=None, tolerance=1e-10, jobs=1):
-    """||x+y||^2 + ||x-y||^2 <= 2 (||x||^2 + C^2 ||y||^2) with C = sqrt(p-1).
-
-    Holds for l_p and Schatten-p with p >= 2; shrinking C below 1 breaks it
-    already on collinear pairs, which the structured seeds cover.
-    """
-    if c is None:
-        p = _space_p(space)
-        if p < 2.0:
-            raise ValueError(f"default constant needs p >= 2, got {p}")
-        c = math.sqrt(p - 1.0)
-    c = float(c)
-    params = {"space": space_to_dict(space), "c": c}
-    return _pair_campaign(
-        "two_smooth", params, space, _two_smooth_batch(space, c),
-        samples, seed, tolerance, jobs,
-    )
-
-
-def _schatten_inf_batch(space):
-    def fn(x, y):
-        lhs = 0.5 * _parallelogram_lhs(space, x, y)
-        rhs = np.maximum(norm_batch(space, x), norm_batch(space, y)) ** 2
-        return (rhs - lhs) / np.maximum(np.abs(rhs), _FLOOR)
-    return fn
-
-
-def verify_schatten_inf(d: int, samples=10000, seed=0, tolerance=1e-10, jobs=1):
-    """(||x+y||^2 + ||x-y||^2) / 2 >= max(||x||, ||y||)^2 in operator norm."""
-    space = Schatten(math.inf, int(d))
-    params = {"space": space_to_dict(space)}
-    return _pair_campaign(
-        "schatten_inf", params, space, _schatten_inf_batch(space),
-        samples, seed, tolerance, jobs,
-    )
-
-
-def _parallelogram_batch(space):
-    def fn(x, y):
-        lhs = _parallelogram_lhs(space, x, y)
-        rhs = 2.0 * (norm_batch(space, x) ** 2 + norm_batch(space, y) ** 2)
-        return np.abs(lhs - rhs)
-    return fn
-
-
-def verify_parallelogram(space, samples=10000, seed=0, tolerance=1e-10, jobs=1, check="parallelogram"):
-    """Absolute deviation | ||x+y||^2 + ||x-y||^2 - 2(||x||^2 + ||y||^2) |.
-
-    Zero exactly on inner-product spaces; elsewhere the report's witness is a
-    certified non-Hilbert pair.
-    """
-    params = {"space": space_to_dict(space)}
-    return _pair_campaign(
-        check, params, space, _parallelogram_batch(space),
-        samples, seed, tolerance, jobs,
-    )
-
-
-def verify_endpoint_2(space, samples=10000, seed=0, tolerance=1e-10, jobs=1):
-    """At p = 2 the whole inequality chain collapses to the parallelogram law."""
-    p = _space_p(space)
-    if p != 2.0:
-        raise ValueError(f"endpoint check needs p = 2, got {p}")
-    return verify_parallelogram(
-        space, samples=samples, seed=seed, tolerance=tolerance, jobs=jobs,
-        check="endpoint_2",
-    )
-
-
 def far_block_limit_gaps(spec: NakanoSpec, x: BlockVector, t: float, schedule) -> np.ndarray:
     """Gaps | ||x + t u_n|| - ||(x, t)|| | along a schedule of far blocks.
 
@@ -353,22 +383,9 @@ def reevaluate_witness(report: ViolationReport) -> float:
     """Recompute the violation of a report's stored witness from scratch."""
     w = [np.asarray(v) for v in report.worst_witness]
     check, params = report.check, report.params
-    if check in ("clarkson_lower", "clarkson_upper"):
+    if check in PAIR_CHECKS:
         space = space_from_dict(params["space"])
-        fn = _clarkson_batch(space, params["p"], lower=(check == "clarkson_lower"))
-        return float(fn(w[0][None, ...], w[1][None, ...])[0])
-    if check == "two_smooth":
-        space = space_from_dict(params["space"])
-        fn = _two_smooth_batch(space, params["c"])
-        return float(fn(w[0][None, ...], w[1][None, ...])[0])
-    if check == "schatten_inf":
-        space = space_from_dict(params["space"])
-        fn = _schatten_inf_batch(space)
-        return float(fn(w[0][None, ...], w[1][None, ...])[0])
-    if check in ("parallelogram", "endpoint_2"):
-        space = space_from_dict(params["space"])
-        fn = _parallelogram_batch(space)
-        return float(fn(w[0][None, ...], w[1][None, ...])[0])
+        return float(PAIR_CHECKS[check].batch(space, params, w[0][None, ...], w[1][None, ...])[0])
     if check == "beckner":
         return float(_beckner_violation(params["p"], params["c"], w[0], w[1])[0])
     if check == "lp_pair":

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from modbanach import cli
+from modbanach import verify as vf
 from modbanach.cli import CampaignResult, ConfigError, emit_plot_data, run_campaign, validate_config
 
 GOLDEN_CONFIGS = sorted((Path(__file__).parent.parent / "configs" / "golden").glob("*.json"))
@@ -263,6 +264,51 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     ok_path = tmp_path / "ok.json"
     ok_path.write_text(json.dumps(_cfg_norm()))
     assert cli.main(["--config", str(ok_path), "--out", str(tmp_path)]) == 3
+
+
+_LP3 = {"kind": "lp", "p": 3.0, "d": 3}
+_REJECTED = {
+    "jvn_budget_0": {"command": "jvn", "seed": 0, "jvn": {"space": _LP3, "budget": 0}},
+    "summand_budget_0": {"command": "summand", "seed": 0, "summand": {"space": _LP3, "budget": 0}},
+    "norm_wrong_length": {"command": "norm", "seed": 0, "norm": {"space": _LP3, "vectors": [[1.0, 2.0]]}},
+    "clarkson_lower_euclid": {"command": "verify", "seed": 0,
+                              "verify": {"check": "clarkson_lower", "space": {"kind": "euclid", "d": 2},
+                                         "samples": 10}},
+    "negative_samples": {"command": "verify", "seed": 0,
+                         "verify": {"check": "clarkson_lower", "space": _LP3, "samples": -5}},
+    # a misspelt option must not fall back to the default constant
+    "two_smooth_unknown_option": {"command": "verify", "seed": 0,
+                                  "verify": {"check": "two_smooth", "space": {"kind": "lp", "p": 4.0, "d": 2},
+                                             "C": 1.0, "samples": 10}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REJECTED))
+def test_main_rejected_parameter_exits_2(name, tmp_path, capsys):
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps(_REJECTED[name]))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_main_nan_violation_exits_3(tmp_path, monkeypatch):
+    def nan_batch(space, params, x, y):
+        return np.full(x.shape[0], np.nan)
+
+    monkeypatch.setitem(vf.PAIR_CHECKS, "nan_check", vf.PairCheck(vf._space_params, nan_batch))
+    cfg_path = tmp_path / "nan.json"
+    cfg_path.write_text(json.dumps({
+        "command": "verify", "seed": 0,
+        "verify": {"check": "nan_check", "space": {"kind": "euclid", "d": 2}, "samples": 10},
+    }))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "--format", "json"]) == 3
+    data = json.loads((tmp_path / "nan.json").read_text())
+    assert data["payload"]["verdict"] == "numerical_failure"
+    assert data["summary"] == {"passed": False, "violated": False, "numerical_failure": True}
+
+
+def test_schema_commands_match_runner_table():
+    assert sorted(cli._schema()["properties"]["command"]["enum"]) == sorted(cli._RUNNERS)
 
 
 @pytest.mark.parametrize("config_path", GOLDEN_CONFIGS, ids=lambda p: p.stem)

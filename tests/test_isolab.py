@@ -6,7 +6,6 @@ import pytest
 from modbanach.isolab import (
     AmbiguousRankError,
     LinearMap,
-    SplitSpace,
     TwoProjectionCandidate,
     block_diag_map,
     block_sum_complement_check,
@@ -24,7 +23,7 @@ from modbanach.spaces import Euclid, Lp, TwoSum
 
 
 def test_split_space_norm():
-    s = SplitSpace(Lp(4.0, 2), Euclid(3))
+    s = TwoSum((Lp(4.0, 2), Euclid(3)))
     assert s.dim == 5
     x = np.array([1.0, 1.0, 3.0, 0.0, 4.0])
     assert s.norm(x) == pytest.approx(math.hypot(Lp(4.0, 2).norm(x[:2]), 5.0), rel=1e-14)
@@ -135,7 +134,7 @@ def test_range_intersection_ambiguous_rank():
     # a single range vector leaning into H with cosine inside the ambiguous
     # window must raise, not round
     e0 = Euclid(1)
-    codomain = SplitSpace(e0, Euclid(1))
+    codomain = TwoSum((e0, Euclid(1)))
     sigma = 1.0 - 2e-8
     m = np.array([[math.sqrt(1.0 - sigma * sigma)], [sigma]])
     t = LinearMap(m, e0, codomain)

@@ -6,6 +6,7 @@ import pytest
 
 from modbanach.nakano import BlockVector, ExplicitExponents, FormulaExponents, NakanoSpec
 from modbanach.verify import (
+    PAIR_CHECKS,
     clarkson_rhs,
     far_block_limit_gaps,
     reevaluate_witness,
@@ -15,6 +16,7 @@ from modbanach.verify import (
     verify_clarkson_upper,
     verify_endpoint_2,
     verify_lp_pair,
+    verify_pair,
     verify_parallelogram,
     verify_schatten_inf,
 )
@@ -47,6 +49,8 @@ def test_clarkson_exponent_domain():
         verify_clarkson_upper(Lp(3.0, 2), samples=10)
     with pytest.raises(TypeError):
         verify_clarkson_lower(Euclid(2), samples=10)
+    with pytest.raises(ValueError, match="finite exponent"):
+        verify_clarkson_lower(Lp(math.inf, 2), samples=10)
 
 
 def test_clarkson_rhs_meets_parallelogram_at_two():
@@ -157,14 +161,25 @@ def test_lp_pair_flags_overlapping_pair():
 
 
 def test_witness_reevaluation_matches_report():
+    # one case per pair check; a check added to the table without a case fails here
+    cases = {
+        "clarkson_lower": (Schatten(3.0, 2), {}),
+        "clarkson_upper": (Lp(1.5, 3), {}),
+        "two_smooth": (Lp(4.0, 2), {"c": 1.0}),
+        "schatten_inf": (Schatten(math.inf, 2), {}),
+        "parallelogram": (Lp(4.0, 2), {}),
+        "endpoint_2": (Lp(2.0, 3), {}),
+    }
     reports = [
-        verify_clarkson_lower(Lp(3.0, 3), samples=500, seed=2),
-        verify_clarkson_upper(Lp(1.5, 3), samples=500, seed=2),
-        verify_2smooth(Lp(4.0, 2), c=1.0, samples=200, seed=0),
-        verify_parallelogram(Lp(4.0, 2), samples=300, seed=0),
-        verify_schatten_inf(2, samples=300, seed=0),
-        verify_beckner(3.0, grid=51),
+        verify_pair(check, cases[check][0], samples=300, seed=2, **cases[check][1])
+        for check in PAIR_CHECKS
     ]
+    reports += [
+        verify_clarkson_lower(Lp(3.0, 3), samples=500, seed=2),
+        verify_beckner(3.0, grid=51),
+        verify_lp_pair(Lp(3.0, 2), np.array([1.0, 0.0]), np.array([1.0, 0.0])),
+    ]
+    assert {rep.check for rep in reports} == set(PAIR_CHECKS) | {"beckner", "lp_pair"}
     for rep in reports:
         assert reevaluate_witness(rep) == pytest.approx(rep.max_violation, abs=1e-10)
 
