@@ -286,6 +286,11 @@ def _run_summand(sub: dict, seed: int, jobs: int):
     where = "summand"
     space = space_from_dict(_need(sub, "space", where))
     budget = int(sub.get("budget", 16))
+    grid = sub.get("grid")
+    if grid is not None and not isinstance(grid, dict):
+        raise ConfigError(f"{where}.grid: expected an object, got {grid!r}")
+    if grid is not None and space.dim != 2:
+        raise ConfigError(f"{where}.grid: the angle grid needs a two-dimensional space")
     result = isolab.find_one_dim_two_summand(space, budget=budget, seed=seed)
     payload = {
         "found": result.found,
@@ -298,10 +303,7 @@ def _run_summand(sub: dict, seed: int, jobs: int):
             "xi": result.candidate.xi.tolist(),
             "phi": result.candidate.phi.tolist(),
         }
-    grid = sub.get("grid")
     if grid is not None:
-        if space.dim != 2:
-            raise ConfigError(f"{where}.grid: the angle grid needs a two-dimensional space")
         payload["grid_floor"] = isolab.two_summand_grid_floor(
             space, n_xi=int(grid.get("n_xi", 720)), n_phi=int(grid.get("n_phi", 720)),
             seed=seed,

@@ -24,7 +24,7 @@ from .nakano import (
     P_MAX,
     nakano_modular,
 )
-from .sampling import gaussian_batch, rng_stream, structured_pairs
+from .sampling import descend, gaussian_batch, rng_stream, structured_pairs
 from .spaces import Lp, Schatten, dual_exponent, norm_batch
 
 __all__ = [
@@ -58,12 +58,8 @@ def jvn_ratio(space, x, y) -> float:
 # -- parameter packing: pairs live in a flat real parameter vector ----------
 
 
-def _is_complex_space(space) -> bool:
-    return isinstance(space, Schatten)
-
-
 def _pack(space, x, y) -> np.ndarray:
-    if _is_complex_space(space):
+    if isinstance(space, Schatten):
         xa = np.asarray(x, dtype=complex).ravel()
         ya = np.asarray(y, dtype=complex).ravel()
         return np.concatenate([xa.real, xa.imag, ya.real, ya.imag])
@@ -72,7 +68,7 @@ def _pack(space, x, y) -> np.ndarray:
 
 def _unpack_stack(space, thetas: np.ndarray) -> tuple:
     k = thetas.shape[0]
-    if _is_complex_space(space):
+    if isinstance(space, Schatten):
         d2 = space.dim
         xr, xi = thetas[:, :d2], thetas[:, d2:2 * d2]
         yr, yi = thetas[:, 2 * d2:3 * d2], thetas[:, 3 * d2:]
@@ -99,34 +95,12 @@ def _normalize(space, theta: np.ndarray) -> np.ndarray:
     return theta / s if s > 0.0 else theta
 
 
-_LINE_STEPS = 0.25 * 0.5 ** np.arange(24)
-
-
-def _ascend(space, theta0: np.ndarray, max_steps: int = 200, fd_step: float = 1e-6):
+def _ascend(space, theta0: np.ndarray):
     """Projected ascent of the ratio from one start; returns (value, theta, evals)."""
-    theta = _normalize(space, theta0)
-    best = float(_ratio_stack(space, theta[None, :])[0])
-    evals = 1
-    n = theta.shape[0]
-    eye = np.eye(n)
-    for _ in range(max_steps):
-        probe = np.vstack([theta + fd_step * eye, theta - fd_step * eye])
-        vals = _ratio_stack(space, probe)
-        evals += probe.shape[0]
-        grad = (vals[:n] - vals[n:]) / (2.0 * fd_step)
-        gn = float(np.linalg.norm(grad))
-        if gn == 0.0 or not math.isfinite(gn):
-            break
-        direction = grad / gn
-        cands = theta[None, :] + _LINE_STEPS[:, None] * direction[None, :]
-        cvals = _ratio_stack(space, cands)
-        evals += cands.shape[0]
-        k = int(np.argmax(cvals))
-        if cvals[k] <= best + 1e-13:
-            break
-        best = float(cvals[k])
-        theta = _normalize(space, cands[k])
-    return best, theta, evals
+    val, theta, evals = descend(lambda stack: -_ratio_stack(space, stack), theta0,
+                                first_step=0.25, max_steps=200, tol=1e-13,
+                                project=lambda th: _normalize(space, th))
+    return -val, theta, evals
 
 
 @dataclass(frozen=True)
@@ -157,18 +131,11 @@ def jvn_lower_bound(space, budget: int = 64, seed: int = 0) -> JvnEstimate:
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    starts = [_pack(space, x, y) for x, y in structured_pairs(space)]
-    starts = starts[:budget]
-    i = 0
-    while len(starts) < budget:
-        rng = rng_stream(seed, i)
-        x = gaussian_batch(space, 1, rng)[0]
-        y = gaussian_batch(space, 1, rng)[0]
-        starts.append(_pack(space, x, y))
-        i += 1
-    best_val = -np.inf
-    best_theta = None
-    total_evals = 0
+    starts = [_pack(space, x, y) for x, y in structured_pairs(space)][:budget]
+    rngs = (rng_stream(seed, i) for i in range(budget - len(starts)))
+    starts += [_pack(space, gaussian_batch(space, 1, rng)[0], gaussian_batch(space, 1, rng)[0])
+               for rng in rngs]
+    best_val, best_theta, total_evals = -np.inf, None, 0
     for theta0 in starts:
         val, theta, ev = _ascend(space, theta0)
         total_evals += ev

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import gaussian_batch, rng_stream, structured_vectors
+from .sampling import descend, gaussian_batch, rng_stream, structured_vectors
 from .spaces import Euclid, TwoSum, as_real_vector, norm_batch
 
 __all__ = [
@@ -174,9 +174,6 @@ class SummandSearchResult:
     starts: int
 
 
-_LINE_STEPS = 0.5 * 0.5 ** np.arange(24)
-
-
 def find_one_dim_two_summand(space, budget: int = 16, seed: int = 0,
                              suite_samples: int = 64, max_steps: int = 150,
                              residual_tol: float = 1e-8) -> SummandSearchResult:
@@ -198,40 +195,12 @@ def find_one_dim_two_summand(space, budget: int = 16, seed: int = 0,
     def objective(stack: np.ndarray) -> np.ndarray:
         return _candidate_violations(space, stack[:, :d], stack[:, d:], suite, n2)
 
-    starts = []
-    for i in range(min(d, 8)):
-        e = np.zeros(d)
-        e[i] = 1.0
-        starts.append(np.concatenate([e, e]))
-    k = 0
-    while len(starts) < budget:
-        rng = rng_stream(seed, k)
-        starts.append(rng.standard_normal(2 * d))
-        k += 1
-    starts = starts[:budget]
+    starts = [np.concatenate([e, e]) for e in np.eye(d)[:8]][:budget]
+    starts += [rng_stream(seed, k).standard_normal(2 * d) for k in range(budget - len(starts))]
 
-    best_val = math.inf
-    best_theta = None
-    eye = np.eye(2 * d)
-    fd = 1e-6
-    for theta in starts:
-        theta = np.asarray(theta, dtype=float)
-        val = float(objective(theta[None, :])[0])
-        for _ in range(max_steps):
-            probe = np.vstack([theta + fd * eye, theta - fd * eye])
-            vals = objective(probe)
-            grad = (vals[:2 * d] - vals[2 * d:]) / (2.0 * fd)
-            gn = float(np.linalg.norm(grad))
-            if gn == 0.0 or not math.isfinite(gn):
-                break
-            direction = grad / gn
-            cands = theta[None, :] - _LINE_STEPS[:, None] * direction[None, :]
-            cvals = objective(cands)
-            j = int(np.argmin(cvals))
-            if cvals[j] >= val - 1e-15:
-                break
-            val = float(cvals[j])
-            theta = cands[j]
+    best_val, best_theta = math.inf, None
+    for theta0 in starts:
+        val, theta, _ = descend(objective, theta0, first_step=0.5, max_steps=max_steps, tol=1e-15)
         if val < best_val:
             best_val, best_theta = val, theta
         if best_val <= residual_tol * 1e-2:

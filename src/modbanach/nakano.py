@@ -404,10 +404,9 @@ class BlockVector:
 
 def nakano_modular(spec: NakanoSpec, x: BlockVector) -> float:
     """Theta(x) = sum over the support of ||x(n)|| ** p_n."""
-    spec.validate_vector(x)
     total = 0.0
-    for n, arr in x.items:
-        total += spec.block(n).norm(arr) ** spec.exponent(n)
+    for nrm, p in zip(*NakanoModular(spec).scale_terms(x)):
+        total += nrm ** p
     if not math.isfinite(total):
         raise ValueError("modular value is not finite")
     return total
@@ -614,6 +613,8 @@ def spec_to_dict(spec: NakanoSpec) -> dict:
 
 
 def _exponents_from_dict(d: dict):
+    if not isinstance(d, dict):
+        raise ValueError(f"invalid exponent description {d!r}")
     kind = d.get("kind")
     if kind == "constant":
         return ConstantExponents(float(d["p"]))
@@ -627,6 +628,8 @@ def _exponents_from_dict(d: dict):
 
 
 def _blocks_from_dict(d: dict):
+    if not isinstance(d, dict):
+        raise ValueError(f"invalid block description {d!r}")
     kind = d.get("kind")
     if kind == "scalar":
         return ScalarBlocks()

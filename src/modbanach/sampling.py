@@ -1,9 +1,10 @@
-"""Seeded sample generation shared by the estimators and verifiers.
+"""Seeded sample generation and the start-wise descent shared by the searches.
 
 All randomness flows through :func:`rng_stream`, which derives an independent
 generator from a base seed plus an integer path.  Batches and multi-start
 searches key their streams by index, so results never depend on scheduling
-order.
+order.  :func:`descend` is the finite-difference line search that both
+multi-start searches run from each start.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ __all__ = [
     "gaussian_batch",
     "structured_vectors",
     "structured_pairs",
+    "descend",
 ]
 
 
@@ -99,3 +101,41 @@ def structured_pairs(space) -> list:
         pairs.append((basis[0], 0.5 * basis[0]))
         pairs.append((basis[0], np.zeros_like(basis[0])))
     return pairs
+
+
+FD_STEP = 1e-6
+_HALVINGS = 0.5 ** np.arange(24)
+
+
+def descend(objective, theta, first_step: float, max_steps: int, tol: float, project=None):
+    """Finite-difference steepest descent from one start; returns (value, theta, evals).
+
+    `objective` maps a (k, n) stack of rows to k values.  Each step probes the
+    2n central differences, then takes the best of 24 halving steps from
+    `first_step` along the normalized negative gradient, until the gradient
+    vanishes or no step gains more than `tol`.  `project` maps the start and
+    every accepted point back onto the constraint set.
+    """
+    project = project or (lambda th: th)
+    theta = project(np.asarray(theta, dtype=float))
+    value = float(objective(theta[None, :])[0])
+    evals = 1
+    n = theta.shape[0]
+    h = FD_STEP * np.eye(n)
+    steps = first_step * _HALVINGS
+    for _ in range(max_steps):
+        vals = objective(np.vstack([theta + h, theta - h]))
+        evals += 2 * n
+        grad = (vals[:n] - vals[n:]) / (2.0 * FD_STEP)
+        gn = float(np.linalg.norm(grad))
+        if not 0.0 < gn < np.inf:
+            break
+        cands = theta[None, :] - steps[:, None] * (grad / gn)[None, :]
+        cvals = objective(cands)
+        evals += steps.shape[0]
+        j = int(np.argmin(cvals))
+        if cvals[j] >= value - tol:
+            break
+        value = float(cvals[j])
+        theta = project(cands[j])
+    return value, theta, evals

@@ -98,7 +98,7 @@ def _lp_of_abs(a: np.ndarray, p: float) -> float:
 
 
 def _lp_of_abs_rows(a: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise l_p norm of a nonnegative 2-d array."""
+    """Row-wise l_p norm of a nonnegative 2-d array; a zero or NaN row keeps its max."""
     m = a.max(axis=1)
     if p == INF:
         return m
@@ -106,7 +106,7 @@ def _lp_of_abs_rows(a: np.ndarray, p: float) -> np.ndarray:
         return a.sum(axis=1)
     safe = np.where(m > 0.0, m, 1.0)
     out = safe * np.power(a / safe[:, None], p).sum(axis=1) ** (1.0 / p)
-    return np.where(m > 0.0, out, 0.0)
+    return np.where(m > 0.0, out, m)
 
 
 def singular_values(m) -> np.ndarray:
@@ -274,10 +274,11 @@ class TwoSum:
     def norm_batch(self, xs: np.ndarray) -> np.ndarray:
         arr = np.asarray(xs, dtype=float)
         offs = self.offsets()
-        acc = np.zeros(arr.shape[0])
-        for i, s in enumerate(self.parts):
-            acc += s.norm_batch(arr[:, offs[i]:offs[i + 1]]) ** 2
-        return np.sqrt(acc)
+        pns = [s.norm_batch(arr[:, offs[i]:offs[i + 1]]) for i, s in enumerate(self.parts)]
+        # scaling by a power of two is exact: it keeps the squares in range and
+        # changes no bit of the plain sum where no square over- or underflows
+        e = np.frexp(np.maximum.reduce(pns))[1]
+        return np.ldexp(np.sqrt(sum(np.ldexp(pn, -e) ** 2 for pn in pns)), e)
 
 
 def norm(space, x) -> float:

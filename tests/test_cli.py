@@ -280,6 +280,16 @@ _REJECTED = {
     "two_smooth_unknown_option": {"command": "verify", "seed": 0,
                                   "verify": {"check": "two_smooth", "space": {"kind": "lp", "p": 4.0, "d": 2},
                                              "C": 1.0, "samples": 10}},
+    # non-object parameters must be rejected, not crash with an AttributeError
+    "norm_nakano_exponents_scalar": {"command": "norm", "seed": 0,
+                                     "norm": {"nakano": {"exponents": 5}, "vectors": [{"1": [1.0]}]}},
+    "nakano_exponents_scalar": {"command": "nakano", "seed": 0,
+                                "nakano": {"exponents": 5, "c_grid": [1.0]}},
+    "norm_nakano_blocks_scalar": {"command": "norm", "seed": 0,
+                                  "norm": {"nakano": {"exponents": {"kind": "constant", "p": 2.0}, "blocks": 5},
+                                           "vectors": [{"1": [1.0]}]}},
+    "summand_grid_scalar": {"command": "summand", "seed": 0,
+                            "summand": {"space": {"kind": "lp", "p": 4.0, "d": 2}, "budget": 1, "grid": 5}},
 }
 
 

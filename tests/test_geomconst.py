@@ -15,7 +15,7 @@ from modbanach.geomconst import (
     tail_parallelogram_defect,
 )
 from modbanach.nakano import BlockVector, ConstantExponents, FormulaExponents, NakanoSpec
-from modbanach.spaces import Euclid, Lp, Schatten
+from modbanach.spaces import Euclid, Lp, Schatten, TwoSum
 
 import oracles
 
@@ -67,6 +67,20 @@ def test_jvn_deterministic_for_fixed_seed():
     b = jvn_lower_bound(Lp(3.0, 2), budget=8, seed=7)
     assert a.lower_bound == b.lower_bound
     np.testing.assert_array_equal(a.witness.x, b.witness.x)
+
+
+# exact bounds and evaluation counts of small searches that no golden covers:
+# any change to the descent, its starts or its stopping rule shows up here
+@pytest.mark.parametrize("space, bound_hex, evaluations", [
+    (Schatten(3.0, 2), "0x1.0000000000000p+0", 213),
+    (TwoSum((Lp(4.0, 2), Euclid(1))), "0x1.0000000000000p+0", 89),
+    (Lp(1.5, 3), "0x1.428a2f98d728ap+0", 185),
+], ids=["schatten", "two_sum", "lp"])
+def test_jvn_search_path_pinned(space, bound_hex, evaluations):
+    est = jvn_lower_bound(space, budget=4, seed=5)
+    assert est.lower_bound == float.fromhex(bound_hex)
+    assert est.evaluations == evaluations
+    assert est.starts == 5
 
 
 def test_jvn_schatten_finds_hilbert_excess():

@@ -180,6 +180,18 @@ def test_summand_search_l4_fails():
     assert res.residual > 1e-8
 
 
+# exact residuals of small searches that no golden covers
+@pytest.mark.parametrize("space, residual_hex, found", [
+    (Lp(4.0, 2), "0x1.8c128d9c2a675p-2", False),
+    (TwoSum((Lp(4.0, 2), Euclid(1))), "0x1.fb7d4c0f7b0eap-53", True),
+], ids=["lp", "two_sum"])
+def test_summand_search_path_pinned(space, residual_hex, found):
+    res = find_one_dim_two_summand(space, budget=3, seed=2)
+    assert res.residual == float.fromhex(residual_hex)
+    assert res.found is found
+    assert res.starts == 3
+
+
 def test_grid_floor_positive_for_l4_small_grid():
     floor = two_summand_grid_floor(Lp(4.0, 2), n_xi=90, n_phi=90, samples=64, seed=0)
     assert floor > 0.01

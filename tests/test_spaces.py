@@ -42,7 +42,8 @@ def test_lp_norm_overflow_safe():
     big = np.array([1e200, 1e200, 0.0])
     assert space.norm(big) == pytest.approx(1e200 * 2.0 ** 0.25)
     tiny = np.array([1e-210, 0.0, 1e-210])
-    assert space.norm(tiny) == pytest.approx(1e-210 * 2.0 ** 0.25)
+    # abs=0: the default absolute slack of 1e-12 would accept 0 here
+    assert space.norm(tiny) == pytest.approx(1e-210 * 2.0 ** 0.25, rel=1e-14, abs=0.0)
 
 
 def test_euclid_is_l2():
@@ -61,6 +62,16 @@ def test_norm_batch_agrees_with_scalar_norm():
         got = norm_batch(space, xs)
         expected = [norm(space, x) for x in xs]
         np.testing.assert_allclose(got, expected, rtol=1e-13)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-300])
+def test_norm_batch_agrees_with_scalar_norm_at_extreme_scales(scale):
+    # the sum of squared part norms overflows at 1e200 and drowns at 1e-170
+    for space in (Lp(4.0, 3), Euclid(3), TwoSum((Lp(4.0, 2), Euclid(3)))):
+        x = np.ones(space.dim) * scale
+        got, want = norm_batch(space, x[None, :])[0], norm(space, x)
+        # explicit relative check: approx would add an absolute 1e-12 slack
+        assert abs(got - want) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, INF])
@@ -114,6 +125,16 @@ def test_nonfinite_rejected():
         Lp(2.0, 2).norm(np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         Lp(2.0, 2).norm(np.array([np.inf, 0.0]))
+
+
+def test_norm_batch_keeps_nan_rows():
+    # the batch path does not validate, so a NaN row must stay NaN, never 0
+    rows = np.array([[np.nan, 1.0, 2.0], [0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
+    for space in (Lp(3.0, 3), Euclid(3), TwoSum((Lp(3.0, 2), Euclid(1)))):
+        got = norm_batch(space, rows)
+        assert math.isnan(got[0])
+        assert got[1] == 0.0
+        assert got[2] == pytest.approx(norm(space, rows[2]), rel=1e-14)
 
 
 def test_lp_validates_exponent():
