@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import importlib.resources
 import json
 import math
@@ -54,12 +55,20 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _validator():
+    # what jsonschema.validate builds on every call, built once per process
+    schema = _schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_config(cfg: dict) -> None:
-    try:
-        jsonschema.validate(cfg, _schema())
-    except jsonschema.ValidationError as e:
+    e = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
+    if e is not None:
         path = "$" + "".join(f"[{p!r}]" for p in e.absolute_path)
-        raise ConfigError(f"{path}: {e.message}") from None
+        raise ConfigError(f"{path}: {e.message}")
     cmd = cfg["command"]
     if cmd not in cfg or not isinstance(cfg[cmd], dict):
         raise ConfigError(f"command {cmd!r} needs a {cmd!r} object with its parameters")

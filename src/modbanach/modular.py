@@ -158,7 +158,9 @@ def luxemburg_norm(theta: ConvexModular, point) -> float:
     support the solution lies in the bracket [m ** (1/q_max), m ** (1/q_min)]
     for m = Theta(x) >= 1 (orientation swapped for m < 1).  Bisection runs to
     relative width 1e-13, which keeps |Theta(x / lam) - 1| below 1e-10 for
-    moderate exponents.  The zero vector gets norm 0 by definition.
+    moderate exponents.  The zero vector gets norm 0 by definition.  A
+    bracket end that four halvings (doublings) do not repair raises
+    ValueError instead of bisecting an unchecked bracket.
     """
     raw = theta.profile(point)
     if raw.is_zero():
@@ -183,14 +185,19 @@ def luxemburg_norm(theta: ConvexModular, point) -> float:
     # The bracket is exact in reals; guard against round-off at the ends.
     lo *= 1.0 - 1e-12
     hi *= 1.0 + 1e-12
-    for _ in range(4):
+    # up to four halvings (doublings), each end checked after every one
+    for _ in range(5):
         if prof(1.0 / lo) >= 1.0:
             break
         lo *= 0.5
-    for _ in range(4):
+    else:
+        raise ValueError("Luxemburg bracket: the lower end stays too large after 4 halvings")
+    for _ in range(5):
         if prof(1.0 / hi) <= 1.0:
             break
         hi *= 2.0
+    else:
+        raise ValueError("Luxemburg bracket: the upper end stays too small after 4 doublings")
     while hi - lo > _REL_WIDTH * hi:
         mid = 0.5 * (lo + hi)
         if prof(1.0 / mid) >= 1.0:

@@ -306,14 +306,6 @@ class NakanoSpec:
     def block(self, n: int):
         return self.blocks.block(n, self.exponent(n))
 
-    def validate_vector(self, x: "BlockVector") -> None:
-        for n, arr in x.items:
-            blk = self.block(n)
-            if arr.shape[0] != blk.dim:
-                raise ValueError(
-                    f"block {n} has {arr.shape[0]} coordinates, expected {blk.dim}"
-                )
-
 
 # ---------------------------------------------------------------------------
 # block vectors
@@ -419,12 +411,15 @@ class NakanoModular(ConvexModular):
     spec: NakanoSpec
 
     def scale_terms(self, point: BlockVector):
-        self.spec.validate_vector(point)
         norms = []
         exps = []
         for n, arr in point.items:
-            norms.append(self.spec.block(n).norm(arr))
-            exps.append(self.spec.exponent(n))
+            p = self.spec.exponent(n)
+            blk = self.spec.blocks.block(n, p)
+            if arr.shape[0] != blk.dim:
+                raise ValueError(f"block {n} has {arr.shape[0]} coordinates, expected {blk.dim}")
+            norms.append(blk.norm(arr))
+            exps.append(p)
         return norms, exps
 
     def exponent_range(self):

@@ -114,20 +114,26 @@ def singular_values(m) -> np.ndarray:
 
     Computed through the Hermitian eigendecomposition of m* m; eigenvalues
     pushed slightly negative by round-off are clamped at zero before the
-    square root.
+    square root.  See :func:`singular_values_stack` for the scaling.
     """
-    a = as_matrix(m)
-    h = a.conj().T @ a
-    w = np.linalg.eigvalsh(h)
-    return np.sqrt(np.clip(w, 0.0, None))[::-1]
+    return singular_values_stack(as_matrix(m))
 
 
 def singular_values_stack(ms: np.ndarray) -> np.ndarray:
-    """Batched :func:`singular_values` over a (..., d, d) stack."""
-    a = np.asarray(ms, dtype=complex)
+    """Batched :func:`singular_values` over a (..., d, d) stack.
+
+    Each matrix is divided by a power of two near its largest real or
+    imaginary part before m* m is formed, so the product neither overflows nor drowns; the scaling
+    is exact and changes no bit where m* m stays in range.
+    """
+    # the real and imaginary parts side by side, as a (..., d, 2d) float view
+    parts = np.ascontiguousarray(ms, dtype=complex).view(float)
+    # frexp(0) has exponent 0, so a zero matrix is left as it is
+    e = np.frexp(np.abs(parts).max(axis=(-2, -1)))[1][..., None, None]
+    a = np.ldexp(parts, -e).view(complex)
     h = np.conj(np.swapaxes(a, -1, -2)) @ a
     w = np.linalg.eigvalsh(h)
-    return np.sqrt(np.clip(w, 0.0, None))[..., ::-1]
+    return np.ldexp(np.sqrt(np.clip(w, 0.0, None)), e[..., 0])[..., ::-1]
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import math
 import os
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -27,17 +28,50 @@ def test_validate_accepts_minimal_config():
     validate_config(_cfg_norm())
 
 
+_SCHEMA_INVALID = [
+    {"seed": 0},  # no command
+    {"command": "fly", "seed": 0},
+    {"command": "norm", "seed": -3, "norm": {}},
+    {"command": "norm", "seed": 0, "norm": {}, "bogus_key": 1},
+]
+
+
 def test_validate_rejects_garbage():
-    with pytest.raises(ConfigError):
-        validate_config({"seed": 0})  # no command
-    with pytest.raises(ConfigError):
-        validate_config({"command": "fly", "seed": 0})
-    with pytest.raises(ConfigError):
-        validate_config({"command": "norm", "seed": -3, "norm": {}})
-    with pytest.raises(ConfigError):
-        validate_config({"command": "norm", "seed": 0, "norm": {}, "bogus_key": 1})
+    for cfg in _SCHEMA_INVALID:
+        with pytest.raises(ConfigError):
+            validate_config(cfg)
     with pytest.raises(ConfigError, match="needs a 'norm' object"):
         validate_config({"command": "norm", "seed": 0})
+
+
+@pytest.mark.parametrize("cfg", _SCHEMA_INVALID)
+def test_validate_message_matches_jsonschema_validate(cfg):
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(cfg, cli._schema())
+    e = ref.value
+    want = "$" + "".join(f"[{p!r}]" for p in e.absolute_path) + f": {e.message}"
+    with pytest.raises(ConfigError) as got:
+        validate_config(cfg)
+    assert str(got.value) == want
+
+
+def test_schema_checked_once_per_process(monkeypatch):
+    cls = jsonschema.validators.validator_for(cli._schema())
+    original = cls.check_schema
+    calls = []
+
+    def counting(schema, *args, **kwargs):
+        calls.append(1)
+        return original(schema, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", staticmethod(counting))
+    cli._validator.cache_clear()
+    for _ in range(3):
+        validate_config(_cfg_norm())
+        for cfg in _SCHEMA_INVALID:
+            with pytest.raises(ConfigError):
+                validate_config(cfg)
+    assert len(calls) == 1
 
 
 def test_run_norm_command():

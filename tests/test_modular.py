@@ -9,6 +9,7 @@ from modbanach.modular import (
     DirectSumModular,
     LuxemburgSpace,
     PowerModular,
+    ScaleProfile,
     delta2_constant,
     luxemburg_norm,
     modular_eval,
@@ -222,6 +223,21 @@ def test_expansion_ratio_domain_errors():
         scalar_sum_expansion_ratio(theta, np.array([0.0]))
     with pytest.raises(ValueError):
         scalar_sum_expansion_ratio(theta, np.array([1.0]))  # modular value 1 > 0.1
+
+
+@pytest.mark.parametrize(
+    "bounds, end",
+    # the true norm is sqrt(300) ~ 17.3; four doublings of 300 ** (1/1000)
+    # reach 16.1, four halvings of 300 ** 5 stay above 1e11
+    [((1000.0, 1001.0), "upper end"), ((0.1, 0.2), "lower end")],
+)
+def test_luxemburg_unrepairable_bracket_raises(monkeypatch, bounds, end):
+    theta = DirectSumModular(tuple(square(Euclid(1)) for _ in range(300)))
+    point = tuple(np.ones(1) for _ in range(300))
+    assert luxemburg_norm(theta, point) == pytest.approx(math.sqrt(300.0), rel=1e-12)
+    monkeypatch.setattr(ScaleProfile, "exponent_bounds", lambda self: bounds)
+    with pytest.raises(ValueError, match=end):
+        luxemburg_norm(theta, point)
 
 
 def test_luxemburg_space_norm_batch():

@@ -13,6 +13,7 @@ from modbanach.nakano import (
     ExplicitExponents,
     FormulaExponents,
     MatchedLpBlocks,
+    NakanoModular,
     NakanoSpec,
     ScalarBlocks,
     UniformBlocks,
@@ -184,6 +185,25 @@ def test_block_dimension_validated():
     spec = NakanoSpec(ConstantExponents(2.0), UniformBlocks(Euclid(2)))
     with pytest.raises(ValueError):
         nakano_modular(spec, bv(n1=[1.0]))
+
+
+def test_scale_terms_reads_each_exponent_once():
+    calls = []
+
+    class CountingExponents(ExplicitExponents):
+        def value(self, n):
+            calls.append(n)
+            return super().value(n)
+
+    spec = NakanoSpec(CountingExponents((2.0, 3.0, 4.0)), MatchedLpBlocks(2))
+    x = BlockVector(((1, [1.0, 2.0]), (3, [0.5, -1.0])))
+    norms, exps = NakanoModular(spec).scale_terms(x)
+    assert calls == [1, 3]
+    assert exps == [2.0, 4.0]
+    assert norms == [Lp(2.0, 2).norm([1.0, 2.0]), Lp(4.0, 2).norm([0.5, -1.0])]
+    bad = BlockVector(((1, [1.0, 2.0]), (3, [1.0])))
+    with pytest.raises(ValueError, match=r"^block 3 has 1 coordinates, expected 2$"):
+        NakanoModular(spec).scale_terms(bad)
 
 
 def test_disjoint_additivity():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from modbanach.modular import LuxemburgSpace, PowerModular, square
 from modbanach.spaces import (
     INF,
     CustomSpace,
@@ -66,12 +67,21 @@ def test_norm_batch_agrees_with_scalar_norm():
 
 @pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-300])
 def test_norm_batch_agrees_with_scalar_norm_at_extreme_scales(scale):
-    # the sum of squared part norms overflows at 1e200 and drowns at 1e-170
-    for space in (Lp(4.0, 3), Euclid(3), TwoSum((Lp(4.0, 2), Euclid(3)))):
+    # sums of squared part norms, and the m* m of Schatten, overflow at 1e200
+    # and drown at 1e-170
+    spaces = (
+        Lp(4.0, 3),
+        Euclid(3),
+        TwoSum((Lp(4.0, 2), Euclid(3))),
+        Schatten(4.0, 3),
+        LuxemburgSpace((square(Euclid(2)), PowerModular(Lp(4.0, 2), 4.0))),
+    )
+    for space in spaces:
         x = np.ones(space.dim) * scale
-        got, want = norm_batch(space, x[None, :])[0], norm(space, x)
+        want = norm(space, np.ones(space.dim)) * scale
         # explicit relative check: approx would add an absolute 1e-12 slack
-        assert abs(got - want) <= 1e-14 * want
+        for got in (norm_batch(space, x[None, :])[0], norm(space, x)):
+            assert abs(got - want) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, INF])
