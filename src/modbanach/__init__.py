@@ -29,6 +29,8 @@ from .modular import (
     modular_eval,
     delta2_constant,
     luxemburg_norm,
+    luxemburg_norms,
+    NumericalFailure,
     modular_sum_norm_with_scalar,
     scalar_sum_expansion_ratio,
 )

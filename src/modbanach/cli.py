@@ -7,8 +7,9 @@ result is a pure function of the config: reruns are byte-identical, and the
 jobs knob only widens the thread pool over pre-seeded sample batches.
 
 Exit codes: 0 all verdicts hold, 1 a verified inequality was violated,
-2 invalid config, 3 numerical failure (non-Cauchy trace or an ambiguous
-rank decision).
+2 invalid config, 3 numerical failure (a non-finite modular value, an
+unrepairable Luxemburg bracket, a non-Cauchy trace or an ambiguous rank
+decision).
 """
 from __future__ import annotations
 
@@ -30,11 +31,12 @@ import numpy as np
 
 from . import __version__, geomconst, isolab
 from . import verify as vf
+from .modular import NumericalFailure, luxemburg_norms
 from .nakano import (
     BlockVector,
     FormulaExponents,
+    NakanoModular,
     _exponents_from_dict,
-    nakano_norm,
     nakano_condition_terms,
     nakano_condition_verdict,
     spec_from_dict,
@@ -138,7 +140,7 @@ class CampaignResult:
 # ---------------------------------------------------------------------------
 # command runners; each returns (payload, passed, violated, numerical_failure).
 # A ValueError, KeyError or TypeError a runner raises is a rejected parameter:
-# run_campaign turns it into a ConfigError.
+# run_campaign turns it into a ConfigError, except a NumericalFailure.
 
 
 def _run_norm(sub: dict, seed: int, jobs: int):
@@ -150,8 +152,8 @@ def _run_norm(sub: dict, seed: int, jobs: int):
         space = space_from_dict(sub["space"])
         norms = [space.norm(np.asarray(v, dtype=float)) for v in vectors]
     else:
-        spec = spec_from_dict(sub["nakano"])
-        norms = [nakano_norm(spec, _block_vector(v, where + ".vectors")) for v in vectors]
+        theta = NakanoModular(spec_from_dict(sub["nakano"]))
+        norms = luxemburg_norms(theta, [_block_vector(v, where + ".vectors") for v in vectors]).tolist()
     return {"norms": norms}, True, False, False
 
 
@@ -398,7 +400,7 @@ def run_campaign(config: dict) -> CampaignResult:
     t0 = time.perf_counter()
     try:
         payload, passed, violated, numfail = _RUNNERS[cmd].run(config[cmd], seed, jobs)
-    except ConfigError:
+    except (ConfigError, NumericalFailure):
         raise
     except (ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"{cmd}: {e}") from None
@@ -531,6 +533,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except NumericalFailure as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return 3
 
     out_dir = Path(args.out or config.get("out") or os.environ.get(ENV_OUT) or ".")
     fmt = args.format or config.get("format", "both")

@@ -25,12 +25,18 @@ __all__ = [
     "modular_eval",
     "delta2_constant",
     "luxemburg_norm",
+    "luxemburg_norms",
+    "NumericalFailure",
     "modular_sum_norm_with_scalar",
     "scalar_sum_expansion_ratio",
 ]
 
 #: relative bracket width at which the bisection stops
 _REL_WIDTH = 1e-13
+
+
+class NumericalFailure(ValueError):
+    """A non-finite modular value or an unrepairable Luxemburg bracket."""
 
 
 class ScaleProfile:
@@ -140,7 +146,7 @@ def modular_eval(theta: ConvexModular, point) -> float:
     """Theta(x), with the point validated by the modular's own spaces."""
     v = theta.value(point)
     if not math.isfinite(v):
-        raise ValueError("modular value is not finite")
+        raise NumericalFailure("modular value is not finite")
     return v
 
 
@@ -151,60 +157,97 @@ def delta2_constant(theta: ConvexModular) -> float:
 
 
 def luxemburg_norm(theta: ConvexModular, point) -> float:
-    """The norm inf{lam > 0 : Theta(x / lam) <= 1} by bisection.
+    """The Luxemburg norm of one point; see :func:`luxemburg_norms`."""
+    return float(luxemburg_norms(theta, (point,))[0])
+
+
+def luxemburg_norms(theta: ConvexModular, points) -> np.ndarray:
+    """The norms inf{lam > 0 : Theta(x / lam) <= 1} of many points, by bisection.
 
     The map lam -> Theta(x / lam) is strictly decreasing on the shipped
     modular kinds, and with exponents confined to [q_min, q_max] over the
     support the solution lies in the bracket [m ** (1/q_max), m ** (1/q_min)]
-    for m = Theta(x) >= 1 (orientation swapped for m < 1).  Bisection runs to
-    relative width 1e-13, which keeps |Theta(x / lam) - 1| below 1e-10 for
-    moderate exponents.  The zero vector gets norm 0 by definition.  A
-    bracket end that four halvings (doublings) do not repair raises
-    ValueError instead of bisecting an unchecked bracket.
+    for m = Theta(x) >= 1.  Bisection runs to relative width 1e-13, which
+    keeps |Theta(x / lam) - 1| below 1e-10 for moderate exponents.  The zero
+    vector gets norm 0 by definition.  A bracket end that four halvings
+    (doublings) do not repair raises NumericalFailure instead of bisecting an
+    unchecked bracket.
+
+    All points are bisected in lockstep, each taking exactly the steps it
+    would take alone, so a norm has the same bits in any batch.
     """
-    raw = theta.profile(point)
-    if raw.is_zero():
-        return 0.0
-    if not np.isfinite(raw.norms).all():
-        raise ValueError("modular value is not finite")
-    # Solve on the max-normalized profile: with s the largest term norm,
-    # Theta(x / (s*mu)) stays representable even when Theta(x) itself
-    # under- or overflows, and the bracket below is O(1).
-    s = float(raw.norms.max())
-    prof = ScaleProfile(raw.norms / s, raw.exps)
-    m = prof(1.0)
-    if m == 1.0:
-        return s
-    qmin, qmax = prof.exponent_bounds()
-    if qmin == qmax:
-        return s * m ** (1.0 / qmin)
-    if m > 1.0:
-        lo, hi = m ** (1.0 / qmax), m ** (1.0 / qmin)
-    else:
-        lo, hi = m ** (1.0 / qmin), m ** (1.0 / qmax)
-    # The bracket is exact in reals; guard against round-off at the ends.
-    lo *= 1.0 - 1e-12
-    hi *= 1.0 + 1e-12
+    out = np.zeros(len(points))
+    blocks: dict = {}
+    for i, point in enumerate(points):
+        raw = theta.profile(point)
+        if raw.is_zero():
+            continue
+        if not np.isfinite(raw.norms).all():
+            raise NumericalFailure("modular value is not finite")
+        # Solve on the max-normalized profile: with s the largest term norm,
+        # Theta(x / (s*mu)) stays representable even when Theta(x) itself
+        # under- or overflows, and the bracket below is O(1).
+        s = float(raw.norms.max())
+        prof = ScaleProfile(raw.norms / s, raw.exps)
+        m = prof(1.0)
+        if m == 1.0:
+            out[i] = s
+            continue
+        qmin, qmax = prof.exponent_bounds()
+        if qmin == qmax:
+            out[i] = s * m ** (1.0 / qmin)
+            continue
+        # m > 1: one normalized term is 1.0 and none is negative.  The bracket
+        # is exact in reals; guard against round-off at the ends.
+        lo = m ** (1.0 / qmax) * (1.0 - 1e-12)
+        hi = m ** (1.0 / qmin) * (1.0 + 1e-12)
+        # numpy sums a row of fewer than 8 terms left to right, so padding it
+        # with zero terms up to 7 columns changes no bit; from 8 terms on its
+        # pairwise summation regroups, so those rows go unpadded, by count
+        blocks.setdefault(max(prof.norms.size, 7), []).append((i, s, prof, lo, hi))
+    for rows in blocks.values():
+        idx, s, profs, lo, hi = zip(*rows)
+        out[list(idx)] = np.array(s) * 0.5 * _bisect(profs, np.array(lo), np.array(hi))
+    return out
+
+
+def _bisect(profs, lo, hi) -> np.ndarray:
+    """lo + hi of the final brackets of profiles bisected in lockstep."""
+    sizes = np.array([prof.norms.size for prof in profs])
+    live = np.arange(sizes.max()) < sizes[:, None]
+    norms = np.zeros(live.shape)
+    exps = np.ones(live.shape)
+    norms[live] = np.concatenate([prof.norms for prof in profs])
+    exps[live] = np.concatenate([prof.exps for prof in profs])
+
+    def theta_at(t):
+        # ScaleProfile.__call__ row by row, bit for bit
+        return np.power(norms * t[:, None], exps).sum(axis=1)
+
     # up to four halvings (doublings), each end checked after every one
     for _ in range(5):
-        if prof(1.0 / lo) >= 1.0:
+        ok = theta_at(1.0 / lo) >= 1.0
+        if ok.all():
             break
-        lo *= 0.5
+        lo = np.where(ok, lo, lo * 0.5)
     else:
-        raise ValueError("Luxemburg bracket: the lower end stays too large after 4 halvings")
+        raise NumericalFailure("Luxemburg bracket: the lower end stays too large after 4 halvings")
     for _ in range(5):
-        if prof(1.0 / hi) <= 1.0:
+        ok = theta_at(1.0 / hi) <= 1.0
+        if ok.all():
             break
-        hi *= 2.0
+        hi = np.where(ok, hi, hi * 2.0)
     else:
-        raise ValueError("Luxemburg bracket: the upper end stays too small after 4 doublings")
-    while hi - lo > _REL_WIDTH * hi:
+        raise NumericalFailure("Luxemburg bracket: the upper end stays too small after 4 doublings")
+    # a converged row keeps its bracket while the others go on
+    active = hi - lo > _REL_WIDTH * hi
+    while active.any():
         mid = 0.5 * (lo + hi)
-        if prof(1.0 / mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return s * 0.5 * (lo + hi)
+        up = theta_at(1.0 / mid) >= 1.0
+        lo = np.where(active & up, mid, lo)
+        hi = np.where(active & ~up, mid, hi)
+        active = hi - lo > _REL_WIDTH * hi
+    return lo + hi
 
 
 def modular_sum_norm_with_scalar(theta_m, x, t: float) -> float:
@@ -274,4 +317,5 @@ class LuxemburgSpace:
         return luxemburg_norm(DirectSumModular(self.modulars), tuple(self.split(x)))
 
     def norm_batch(self, xs) -> np.ndarray:
-        return np.array([self.norm(row) for row in np.asarray(xs, dtype=float)])
+        theta = DirectSumModular(self.modulars)
+        return luxemburg_norms(theta, [tuple(self.split(row)) for row in np.asarray(xs, dtype=float)])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spaces
-from .modular import ConvexModular, luxemburg_norm
+from .modular import ConvexModular, NumericalFailure, luxemburg_norm
 from .spaces import Euclid, Lp, space_from_dict, space_to_dict
 
 __all__ = [
@@ -400,7 +400,7 @@ def nakano_modular(spec: NakanoSpec, x: BlockVector) -> float:
     for nrm, p in zip(*NakanoModular(spec).scale_terms(x)):
         total += nrm ** p
     if not math.isfinite(total):
-        raise ValueError("modular value is not finite")
+        raise NumericalFailure("modular value is not finite")
     return total
 
 

@@ -88,9 +88,8 @@ def as_matrix(x, d: int | None = None) -> np.ndarray:
 def _lp_of_abs(a: np.ndarray, p: float) -> float:
     """l_p norm of a nonnegative 1-d array, scaled against overflow."""
     m = float(a.max()) if a.size else 0.0
-    if m == 0.0:
-        return 0.0
-    if p == INF:
+    # one coordinate: a / m is 1.0, and 1.0 ** p and 1.0 ** (1/p) are 1.0
+    if m == 0.0 or a.size == 1 or p == INF:
         return m
     if p == 1.0:
         return float(a.sum())

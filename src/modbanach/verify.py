@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .modular import modular_sum_norm_with_scalar
-from .nakano import BlockVector, NakanoModular, NakanoSpec, nakano_norm
+from .modular import luxemburg_norms, modular_sum_norm_with_scalar
+from .nakano import BlockVector, NakanoModular, NakanoSpec, _unit_block
 from .sampling import gaussian_batch, rng_stream, structured_pairs
 from .spaces import Lp, Schatten, norm_batch, space_from_dict, space_to_dict
 
@@ -365,18 +365,13 @@ def far_block_limit_gaps(spec: NakanoSpec, x: BlockVector, t: float, schedule) -
     2 along the schedule the gaps shrink to zero.
     """
     t = float(t)
-    target = modular_sum_norm_with_scalar(NakanoModular(spec), x, t)
-    gaps = []
     for n in schedule:
         if n in x.support:
             raise ValueError(f"schedule index {n} lies inside the support of x")
-        blk = spec.block(n)
-        e = np.zeros(blk.dim)
-        e[0] = 1.0
-        u = e / blk.norm(e)
-        val = nakano_norm(spec, x + BlockVector(((int(n), t * u),)))
-        gaps.append(abs(val - target))
-    return np.array(gaps)
+    theta = NakanoModular(spec)
+    target = modular_sum_norm_with_scalar(theta, x, t)
+    shifted = [x + BlockVector(((int(n), t * _unit_block(spec, n)),)) for n in schedule]
+    return np.abs(luxemburg_norms(theta, shifted) - target)
 
 
 def reevaluate_witness(report: ViolationReport) -> float:

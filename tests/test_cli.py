@@ -11,6 +11,8 @@ import pytest
 from modbanach import cli
 from modbanach import verify as vf
 from modbanach.cli import CampaignResult, ConfigError, emit_plot_data, run_campaign, validate_config
+from modbanach.modular import ScaleProfile
+from modbanach.nakano import BlockVector, nakano_norm, spec_from_dict
 
 GOLDEN_CONFIGS = sorted((Path(__file__).parent.parent / "configs" / "golden").glob("*.json"))
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -93,6 +95,15 @@ def test_run_norm_nakano_variant():
     res = run_campaign(cfg)
     golden = math.sqrt((1.0 + math.sqrt(5.0)) / 2.0)
     assert res.payload["norms"][0] == pytest.approx(golden, abs=1e-10)
+
+
+def test_run_norm_nakano_batch_matches_single_solves():
+    nakano = {"exponents": {"kind": "power", "a": 1.0}, "blocks": {"kind": "uniform", "space": {"kind": "euclid", "d": 2}}}
+    vectors = [{"1": [1.0, 2.0]}, {}, {"2": [0.0, 0.0], "5": [3.0, -1.0]},
+               {str(n): [0.5 * n, 1.0] for n in range(1, 12)}, {"1": [1e-300, 0.0], "9": [2e-300, 1e-300]}]
+    res = run_campaign({"command": "norm", "seed": 0, "norm": {"nakano": nakano, "vectors": vectors}})
+    spec = spec_from_dict(nakano)
+    assert res.payload["norms"] == [nakano_norm(spec, BlockVector.from_dict(v)) for v in vectors]
 
 
 def test_run_norm_rejects_ambiguous_space():
@@ -349,6 +360,32 @@ def test_main_nan_violation_exits_3(tmp_path, monkeypatch):
     data = json.loads((tmp_path / "nan.json").read_text())
     assert data["payload"]["verdict"] == "numerical_failure"
     assert data["summary"] == {"passed": False, "violated": False, "numerical_failure": True}
+
+
+_NAKANO_NORM = {"command": "norm", "seed": 0,
+                "norm": {"nakano": {"exponents": {"kind": "explicit", "values": [2.0, 4.0]}},
+                         "vectors": [{"1": [1.0], "2": [1.0]}]}}
+
+
+def test_main_unrepairable_bracket_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ScaleProfile, "exponent_bounds", lambda self: (0.1, 0.2))
+    cfg_path = tmp_path / "bracket.json"
+    cfg_path.write_text(json.dumps(_NAKANO_NORM))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: Luxemburg bracket: the lower end")
+
+
+def test_main_overflowing_modular_exits_3(tmp_path, capsys):
+    # the l_1 block norm of (1e308, 1e308) overflows
+    cfg = {"command": "norm", "seed": 0,
+           "norm": {"nakano": {"exponents": {"kind": "constant", "p": 2.0},
+                               "blocks": {"kind": "uniform", "space": {"kind": "lp", "p": 1.0, "d": 2}}},
+                    "vectors": [{"1": [1e308, 1e308]}]}}
+    cfg_path = tmp_path / "overflow.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with np.errstate(over="ignore"):
+        assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "numerical failure: modular value is not finite\n"
 
 
 def test_schema_commands_match_runner_table():

@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 from modbanach.modular import (
     DirectSumModular,
     LuxemburgSpace,
+    NumericalFailure,
     PowerModular,
     ScaleProfile,
     delta2_constant,
     luxemburg_norm,
+    luxemburg_norms,
     modular_eval,
     modular_sum_norm_with_scalar,
     scalar_sum_expansion_ratio,
     square,
 )
+from modbanach.nakano import BlockVector, ExplicitExponents, MatchedLpBlocks, NakanoModular, NakanoSpec
 from modbanach.spaces import Euclid, Lp
 
 import oracles
@@ -161,6 +164,14 @@ def test_luxemburg_rejects_nonfinite():
         luxemburg_norm(square(Euclid(2)), np.array([np.nan, 1.0]))
 
 
+def test_luxemburg_overflowing_modular_is_numerical_failure():
+    # the l_1 norm of the block overflows, so the modular has no finite value
+    theta = PowerModular(Lp(1.0, 2), 2.0)
+    with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="modular value is not finite"):
+        luxemburg_norm(theta, np.array([1e308, 1e308]))
+    assert issubclass(NumericalFailure, ValueError)
+
+
 def test_scale_profile_matches_direct_eval():
     rng = np.random.default_rng(7)
     for theta, shape in _kinds():
@@ -240,14 +251,96 @@ def test_luxemburg_unrepairable_bracket_raises(monkeypatch, bounds, end):
         luxemburg_norm(theta, point)
 
 
+_SCALES = (1.0, 1e-300, 1e-150, 1e150, 1e300)
+
+
+def _pinned_kind_points():
+    rng = np.random.default_rng(12)
+    cases = []
+    for theta, shape in _kinds():
+        x = _point(rng, shape)
+        cases += [(theta, _scale(x, s)) for s in _SCALES]
+    # m == 1: the second term, (1e-12) ** 3, vanishes against the first
+    ds = DirectSumModular((square(Euclid(1)), PowerModular(Lp(3.0, 1), 3.0)))
+    cases.append((ds, (np.array([3.0]), np.array([3e-12]))))
+    return cases
+
+
+_PINNED_SPEC = NakanoSpec(
+    ExplicitExponents((3.0, 2.0, 3.0, 1.5, 3.0, 2.5, 4.0, 3.0, 1.25, 2.0, 3.0, 6.0, 1.0, 2.2)),
+    MatchedLpBlocks(2),
+)
+
+
+def _pinned_block_vectors():
+    # 1 to 12 live blocks with a zero block among them, three of them at
+    # extreme scales, an m == 1 vector and one with exponent 3 on every block
+    rng = np.random.default_rng(13)
+    base = []
+    for live in range(1, 13):
+        items = [(n, rng.standard_normal(2) * 10.0 ** rng.uniform(-3.0, 3.0)) for n in range(1, live + 2)]
+        items[live // 2] = (items[live // 2][0], np.zeros(2))
+        base.append(BlockVector(tuple(items)))
+    vecs = list(base)
+    vecs += [x.scale(s) for x in (base[2], base[8], base[11]) for s in _SCALES[1:]]
+    vecs.append(BlockVector(((1, np.array([1.0, 0.0])), (2, np.array([1e-12, 0.0])))))
+    vecs.append(BlockVector(tuple((n, rng.standard_normal(2)) for n in (1, 3, 5, 8, 11))))
+    return vecs
+
+
+# float.hex of the norms above as the one-point-at-a-time bisection solved them
+_KIND_NORMS = [
+    '0x1.4847f15e99111p+0', '0x1.b7b1e7135314ap-997', '0x1.0ca5e3d0b041cp-498', '0x1.9126abc3fb43dp+498',
+    '0x1.ea32461bb6213p+996', '0x1.aa69660c1ce01p+0', '0x1.1d909c82ebc83p-996', '0x1.5cf3f9685e43bp-498',
+    '0x1.048839a890ea7p+499', '0x1.3e5d16e9b0766p+997', '0x1.3a1e385f1c967p+0', '0x1.a4b9a94eb68bbp-997',
+    '0x1.010ec9cd2e125p-498', '0x1.7fd8215317e11p+498', '0x1.d50c440b61b86p+996', '0x1.de61b1dec7ddcp+0',
+    '0x1.405e675eff39cp-996', '0x1.877b8387d7b2dp-498', '0x1.2448fb1a3415ep+499', '0x1.652a38d3c68b5p+997',
+    '0x1.02068b5fc7e42p+1', '0x1.59988420d4f6fp-996', '0x1.a64f29a4f7140p-498', '0x1.3b4cf8ce8d8d2p+499',
+    '0x1.814a15c58de8dp+997', '0x1.ec38f8f4c237ap+0', '0x1.49a34fc6a8bb4p-996', '0x1.92cf25921925bp-498',
+    '0x1.2cbde0e10fa05p+499', '0x1.6f7fabf4877dep+997', '0x1.8000000000000p+1',
+]
+_BLOCK_NORMS = [
+    '0x1.3b0a973fd05acp+9', '0x1.0919c8ab4ba62p+9', '0x1.2331e698a10bdp+1', '0x1.4c5e0e546393dp+9',
+    '0x1.124722f9363eap+9', '0x1.de40efcc8cfd9p+5', '0x1.13796f43cf8cbp+10', '0x1.131767e7380d3p+10',
+    '0x1.24f96b83faa48p+8', '0x1.2b5d239e5eb13p+8', '0x1.43839c814e843p+8', '0x1.7b0aa2da6b3f5p+10',
+    '0x1.8605b7c6cb58bp-996', '0x1.dc98ecfb8701fp-498', '0x1.63d531759649bp+499', '0x1.b2d19037b7b8cp+997',
+    '0x1.8867d575c35c5p-989', '0x1.df8278cccbd9dp-491', '0x1.6601d37a7994ap+506', '0x1.b579c12b74aa7p+1004',
+    '0x1.fbaecf4dd08c0p-987', '0x1.3630110ff3e08p-488', '0x1.cf2ddafaf35aep+508', '0x1.1aff1dd435507p+1007',
+    '0x1.0000000000000p+0', '0x1.7a6b81e5198b7p+1',
+]
+
+
+def test_luxemburg_norm_bits_pinned():
+    got = [float.hex(luxemburg_norm(theta, x)) for theta, x in _pinned_kind_points()]
+    assert got == _KIND_NORMS
+    theta = NakanoModular(_PINNED_SPEC)
+    assert [float.hex(luxemburg_norm(theta, x)) for x in _pinned_block_vectors()] == _BLOCK_NORMS
+
+
+def test_luxemburg_norms_batch_keeps_pinned_bits():
+    # one mixed batch: rows of 1 to 7 live terms share a padded block, rows
+    # of 8 to 12 each get their own; reversed so the two kinds interleave
+    vecs = _pinned_block_vectors()[::-1]
+    got = luxemburg_norms(NakanoModular(_PINNED_SPEC), vecs)
+    assert got.dtype == float
+    assert [float.hex(v) for v in got] == _BLOCK_NORMS[::-1]
+    cases = _pinned_kind_points()
+    for k, (theta, _) in enumerate(_kinds()):
+        points = [x for _, x in cases[5 * k:5 * k + 5]]
+        assert [float.hex(v) for v in luxemburg_norms(theta, points)] == _KIND_NORMS[5 * k:5 * k + 5]
+
+
 def test_luxemburg_space_norm_batch():
     space = LuxemburgSpace((square(Euclid(2)), PowerModular(Lp(4.0, 2), 4.0)))
     assert space.dim == 4
     rng = np.random.default_rng(9)
     xs = rng.standard_normal((6, 4))
-    np.testing.assert_allclose(
-        space.norm_batch(xs), [space.norm(x) for x in xs], rtol=1e-12,
-    )
+    xs[2] = 0.0
+    got = space.norm_batch(xs)
+    assert got.tolist() == [space.norm(x) for x in xs]
+    assert got[2] == 0.0
+    empty = space.norm_batch(np.zeros((0, 4)))
+    assert empty.shape == (0,) and empty.dtype == float
 
 
 @settings(max_examples=60, deadline=None)

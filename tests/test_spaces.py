@@ -47,6 +47,14 @@ def test_lp_norm_overflow_safe():
     assert space.norm(tiny) == pytest.approx(1e-210 * 2.0 ** 0.25, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, INF])
+def test_one_coordinate_norm_is_abs(p):
+    for v in (5e-324, 1e-300, 1.0, 1e300):
+        for x in (v, -v):
+            assert Lp(p, 1).norm(np.array([x])) == v
+            assert Euclid(1).norm(np.array([x])) == v
+
+
 def test_euclid_is_l2():
     x = np.array([3.0, 4.0])
     assert Euclid(2).norm(x) == 5.0

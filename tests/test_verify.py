@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from modbanach.nakano import BlockVector, ExplicitExponents, FormulaExponents, NakanoSpec
+from modbanach.modular import modular_sum_norm_with_scalar
+from modbanach.nakano import BlockVector, ExplicitExponents, FormulaExponents, NakanoModular, NakanoSpec, nakano_norm
 from modbanach.verify import (
     PAIR_CHECKS,
     clarkson_rhs,
@@ -208,6 +209,19 @@ def test_far_block_gaps_shrink():
     assert gaps[-1] < 1e-4
     with pytest.raises(ValueError, match="inside the support"):
         far_block_limit_gaps(spec, x, 0.8, [2])
+
+
+def test_far_block_gaps_match_single_solves():
+    spec = NakanoSpec(FormulaExponents("power", 1.0))
+    x = bv(n1=[1.0], n3=[-0.5], n4=[2.0])
+    schedule = [10, 30, 100, 300, 1000, 3000]
+    gaps = far_block_limit_gaps(spec, x, 0.7, schedule)
+    target = modular_sum_norm_with_scalar(NakanoModular(spec), x, 0.7)
+    expected = [abs(nakano_norm(spec, x + bv(**{f"n{n}": [0.7]})) - target) for n in schedule]
+    assert gaps.tolist() == expected
+    # a later index inside the support is rejected too
+    with pytest.raises(ValueError, match="schedule index 3 lies inside"):
+        far_block_limit_gaps(spec, x, 0.7, [10, 3])
 
 
 def test_far_block_gap_vanishes_at_exact_two():
