@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -105,6 +105,14 @@ def _need(sub: dict, key: str, where: str):
     return sub[key]
 
 
+def _integer(sub: dict, key: str, default: int, where: str) -> int:
+    """An integer parameter; a float or a boolean is rejected, not truncated."""
+    value = sub.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CampaignResult:
     name: str
@@ -115,6 +123,7 @@ class CampaignResult:
     numerical_failure: bool
     wall_time: float
     version: str
+    meta: dict = field(default_factory=dict)   # run facts outside the payload, e.g. stop counts
 
     def to_json_obj(self, include_meta: bool = True) -> dict:
         obj = {
@@ -129,7 +138,7 @@ class CampaignResult:
             "payload": _plain(self.payload),
         }
         if include_meta:
-            obj["meta"] = {"wall_time_s": self.wall_time}
+            obj["meta"] = {"wall_time_s": self.wall_time, **self.meta}
         return obj
 
     def payload_bytes(self) -> bytes:
@@ -138,7 +147,8 @@ class CampaignResult:
 
 
 # ---------------------------------------------------------------------------
-# command runners; each returns (payload, passed, violated, numerical_failure).
+# command runners; each returns (payload, passed, violated, numerical_failure),
+# and a search runner appends a meta dict of how its starts ended.
 # A ValueError, KeyError or TypeError a runner raises is a rejected parameter:
 # run_campaign turns it into a ConfigError, except a NumericalFailure.
 
@@ -159,7 +169,7 @@ def _run_norm(sub: dict, seed: int, jobs: int):
 
 def _run_jvn(sub: dict, seed: int, jobs: int):
     space = space_from_dict(_need(sub, "space", "jvn"))
-    budget = int(sub.get("budget", 64))
+    budget = _integer(sub, "budget", 64, "jvn")
     est = geomconst.jvn_lower_bound(space, budget=budget, seed=seed)
     upper = None
     if hasattr(space, "p") and math.isfinite(space.p):
@@ -178,7 +188,7 @@ def _run_jvn(sub: dict, seed: int, jobs: int):
     ok = 1.0 - 1e-9 <= est.lower_bound <= 2.0 + 1e-9
     if upper is not None:
         ok = ok and est.lower_bound <= upper + 1e-6
-    return payload, ok, False, False
+    return payload, ok, False, False, {"stops": est.stops}
 
 
 # verify keys every pair check shares; the rest go to the check's params builder
@@ -296,7 +306,7 @@ def _run_asymptotics(sub: dict, seed: int, jobs: int):
 def _run_summand(sub: dict, seed: int, jobs: int):
     where = "summand"
     space = space_from_dict(_need(sub, "space", where))
-    budget = int(sub.get("budget", 16))
+    budget = _integer(sub, "budget", 16, where)
     grid = sub.get("grid")
     if grid is not None and not isinstance(grid, dict):
         raise ConfigError(f"{where}.grid: expected an object, got {grid!r}")
@@ -316,10 +326,10 @@ def _run_summand(sub: dict, seed: int, jobs: int):
         }
     if grid is not None:
         payload["grid_floor"] = isolab.two_summand_grid_floor(
-            space, n_xi=int(grid.get("n_xi", 720)), n_phi=int(grid.get("n_phi", 720)),
-            seed=seed,
+            space, n_xi=_integer(grid, "n_xi", 720, where + ".grid"),
+            n_phi=_integer(grid, "n_phi", 720, where + ".grid"), seed=seed,
         )
-    return payload, True, False, False
+    return payload, True, False, False, {"stops": result.stops}
 
 
 def _build_embedding(desc: dict, where: str) -> isolab.LinearMap:
@@ -375,7 +385,7 @@ def _run_iterate(sub: dict, seed: int, jobs: int):
 
 
 class _Command(NamedTuple):
-    run: Callable      # (sub-config, seed, jobs) -> (payload, passed, violated, numerical_failure)
+    run: Callable      # (sub-config, seed, jobs) -> (payload, passed, violated, numerical_failure[, meta])
     metric: Callable   # payload -> the headline number of the CSV summary
 
 
@@ -399,7 +409,7 @@ def run_campaign(config: dict) -> CampaignResult:
     name = config.get("name", "campaign")
     t0 = time.perf_counter()
     try:
-        payload, passed, violated, numfail = _RUNNERS[cmd].run(config[cmd], seed, jobs)
+        payload, passed, violated, numfail, *meta = _RUNNERS[cmd].run(config[cmd], seed, jobs)
     except (ConfigError, NumericalFailure):
         raise
     except (ValueError, KeyError, TypeError) as e:
@@ -408,7 +418,7 @@ def run_campaign(config: dict) -> CampaignResult:
     return CampaignResult(
         name=name, config=config, payload=payload, passed=passed,
         violated=violated, numerical_failure=numfail, wall_time=wall,
-        version=__version__,
+        version=__version__, meta=meta[0] if meta else {},
     )
 
 

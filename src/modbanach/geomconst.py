@@ -24,7 +24,7 @@ from .nakano import (
     P_MAX,
     nakano_modular,
 )
-from .sampling import descend, gaussian_batch, rng_stream, structured_pairs
+from .sampling import Descent, descend, gaussian_batch, rng_stream, stop_counts, structured_pairs
 from .spaces import Lp, Schatten, dual_exponent, norm_batch
 
 __all__ = [
@@ -89,18 +89,30 @@ def _ratio_stack(space, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normalize(space, theta: np.ndarray) -> np.ndarray:
-    x, y = _unpack_stack(space, theta[None, :])
-    s = math.sqrt(float(norm_batch(space, x)[0]) ** 2 + float(norm_batch(space, y)[0]) ** 2)
-    return theta / s if s > 0.0 else theta
+def _normalize(space, thetas: np.ndarray) -> np.ndarray:
+    """Each row scaled to ||x||^2 + ||y||^2 = 1; a zero row stays zero."""
+    x, y = _unpack_stack(space, thetas)
+    # squares of Python floats: `**` calls libm pow, whose bits numpy's square does not always match
+    s = np.array([math.sqrt(a ** 2 + b ** 2)
+                  for a, b in zip(norm_batch(space, x).tolist(), norm_batch(space, y).tolist())])
+    return thetas / np.where(s > 0.0, s, 1.0)[:, None]
 
 
-def _ascend(space, theta0: np.ndarray):
-    """Projected ascent of the ratio from one start; returns (value, theta, evals)."""
-    val, theta, evals = descend(lambda stack: -_ratio_stack(space, stack), theta0,
-                                first_step=0.25, max_steps=200, tol=1e-13,
-                                project=lambda th: _normalize(space, th))
-    return -val, theta, evals
+def _ascend(space, thetas: np.ndarray) -> Descent:
+    """Projected ascent of the ratio from every row of a (starts, n) stack, in lockstep."""
+    run = descend(lambda stack: -_ratio_stack(space, stack), thetas,
+                  first_step=0.25, max_steps=200, tol=1e-13,
+                  project=lambda th: _normalize(space, th))
+    return run._replace(values=-run.values)
+
+
+def _starts(space, budget: int, seed: int) -> np.ndarray:
+    """The (budget, n) stack of packed start pairs: structured, then Gaussian."""
+    starts = [_pack(space, x, y) for x, y in structured_pairs(space)][:budget]
+    rngs = (rng_stream(seed, i) for i in range(budget - len(starts)))
+    starts += [_pack(space, gaussian_batch(space, 1, rng)[0], gaussian_batch(space, 1, rng)[0])
+               for rng in rngs]
+    return np.array(starts)
 
 
 @dataclass(frozen=True)
@@ -117,6 +129,7 @@ class JvnEstimate:
     starts: int
     evaluations: int
     seed: int
+    stops: dict     # starts per way their ascent ended, keyed by sampling.STOPS
 
 
 def jvn_lower_bound(space, budget: int = 64, seed: int = 0) -> JvnEstimate:
@@ -131,26 +144,23 @@ def jvn_lower_bound(space, budget: int = 64, seed: int = 0) -> JvnEstimate:
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    starts = [_pack(space, x, y) for x, y in structured_pairs(space)][:budget]
-    rngs = (rng_stream(seed, i) for i in range(budget - len(starts)))
-    starts += [_pack(space, gaussian_batch(space, 1, rng)[0], gaussian_batch(space, 1, rng)[0])
-               for rng in rngs]
-    best_val, best_theta, total_evals = -np.inf, None, 0
-    for theta0 in starts:
-        val, theta, ev = _ascend(space, theta0)
-        total_evals += ev
+    starts = _starts(space, budget, seed)
+    run = _ascend(space, starts)
+    best_val, best_theta = -np.inf, None
+    for val, theta in zip(run.values.tolist(), run.thetas):
         if val > best_val:
             best_val, best_theta = val, theta
     # half-sum / half-difference substitution of the incumbent, then one more ascent
     bx, by = _unpack_stack(space, best_theta[None, :])
     sub = _pack(space, (bx[0] + by[0]) / math.sqrt(2.0), (bx[0] - by[0]) / math.sqrt(2.0))
-    val, theta, ev = _ascend(space, sub)
-    total_evals += ev
-    if val > best_val:
-        best_val, best_theta = val, theta
+    again = _ascend(space, sub[None, :])
+    if again.values[0] > best_val:
+        best_val, best_theta = float(again.values[0]), again.thetas[0]
     wx, wy = _unpack_stack(space, best_theta[None, :])
     witness = WitnessPair(wx[0], wy[0], best_val)
-    return JvnEstimate(best_val, witness, len(starts) + 1, total_evals, int(seed))
+    evaluations = int(run.evals.sum() + again.evals.sum())
+    return JvnEstimate(best_val, witness, starts.shape[0] + 1, evaluations, int(seed),
+                       stop_counts(run.stops + again.stops))
 
 
 def jvn_upper_bound_clarkson(p: float) -> float:

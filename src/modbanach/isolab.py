@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import descend, gaussian_batch, rng_stream, structured_vectors
+from .sampling import descend, gaussian_batch, rng_stream, stop_counts, structured_vectors
 from .spaces import Euclid, TwoSum, as_real_vector, norm_batch
 
 __all__ = [
@@ -172,6 +172,7 @@ class SummandSearchResult:
     candidate: TwoProjectionCandidate | None
     residual: float
     starts: int
+    stops: dict     # starts per way their descent ended, keyed by sampling.STOPS
 
 
 def find_one_dim_two_summand(space, budget: int = 16, seed: int = 0,
@@ -198,13 +199,13 @@ def find_one_dim_two_summand(space, budget: int = 16, seed: int = 0,
     starts = [np.concatenate([e, e]) for e in np.eye(d)[:8]][:budget]
     starts += [rng_stream(seed, k).standard_normal(2 * d) for k in range(budget - len(starts))]
 
+    # the first start (in index order) at or below the cut ends the search
+    run = descend(objective, np.array(starts), first_step=0.5, max_steps=max_steps, tol=1e-15,
+                  cut=residual_tol * 1e-2)
     best_val, best_theta = math.inf, None
-    for theta0 in starts:
-        val, theta, _ = descend(objective, theta0, first_step=0.5, max_steps=max_steps, tol=1e-15)
+    for val, theta in zip(run.values.tolist(), run.thetas):
         if val < best_val:
             best_val, best_theta = val, theta
-        if best_val <= residual_tol * 1e-2:
-            break
 
     found = best_val <= residual_tol
     candidate = None
@@ -213,7 +214,7 @@ def find_one_dim_two_summand(space, budget: int = 16, seed: int = 0,
         xi = xi_raw / space.norm(xi_raw)
         phi = phi_raw / float(phi_raw @ xi)
         candidate = TwoProjectionCandidate(xi, phi)
-    return SummandSearchResult(found, candidate, float(best_val), len(starts))
+    return SummandSearchResult(found, candidate, float(best_val), len(starts), stop_counts(run.stops))
 
 
 def two_summand_grid_floor(space, n_xi: int = 720, n_phi: int = 720,

@@ -4,9 +4,11 @@ All randomness flows through :func:`rng_stream`, which derives an independent
 generator from a base seed plus an integer path.  Batches and multi-start
 searches key their streams by index, so results never depend on scheduling
 order.  :func:`descend` is the finite-difference line search that both
-multi-start searches run from each start.
+multi-start searches run, all of a search's starts in lockstep as one stack.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +19,9 @@ __all__ = [
     "gaussian_batch",
     "structured_vectors",
     "structured_pairs",
+    "STOPS",
+    "Descent",
+    "stop_counts",
     "descend",
 ]
 
@@ -105,37 +110,109 @@ def structured_pairs(space) -> list:
 
 FD_STEP = 1e-6
 _HALVINGS = 0.5 ** np.arange(24)
+#: Objective rows per call at most (beyond one start's own probes): larger
+#: searches run in index-order chunks of starts, which bounds memory.
+_CHUNK_ROWS = 4096
+#: How a start's descent ended: its gradient vanished or was not finite, no
+#: halving step gained more than `tol`, it ran `max_steps` steps, or an
+#: earlier start reached the cut first.
+STOPS = ("converged", "stalled", "capped", "dropped")
+_CONVERGED, _STALLED, _CAPPED, _DROPPED = range(4)
 
 
-def descend(objective, theta, first_step: float, max_steps: int, tol: float, project=None):
-    """Finite-difference steepest descent from one start; returns (value, theta, evals).
+class Descent(NamedTuple):
+    """Per-start outcome of :func:`descend`; a dropped start's value is NaN."""
 
-    `objective` maps a (k, n) stack of rows to k values.  Each step probes the
-    2n central differences, then takes the best of 24 halving steps from
-    `first_step` along the normalized negative gradient, until the gradient
-    vanishes or no step gains more than `tol`.  `project` maps the start and
-    every accepted point back onto the constraint set.
+    values: np.ndarray    # (starts,)
+    thetas: np.ndarray    # (starts, n)
+    evals: np.ndarray     # (starts,) objective rows spent on each start
+    stops: tuple          # one name of STOPS per start
+
+
+def stop_counts(stops: tuple) -> dict:
+    """How many starts ended each way, keyed by every name of :data:`STOPS`."""
+    return {name: stops.count(name) for name in STOPS}
+
+
+def descend(objective, thetas, first_step: float, max_steps: int, tol: float,
+            project=None, cut: float | None = None) -> Descent:
+    """Finite-difference steepest descent from every row of a (starts, n) stack.
+
+    `objective` maps a (k, n) stack of rows to k values, and `project` maps a
+    stack of points back onto the constraint set; it is applied to the starts
+    and to every accepted point.  All live starts advance together: each
+    step makes one objective call on their 2n central differences, then one
+    on their 24 halving steps from `first_step` along the normalized negative
+    gradient.  A start leaves when its gradient vanishes or is not finite,
+    when no halving step gains more than `tol`, or after `max_steps` steps;
+    every start gets the bits it would get alone.  With a `cut`, the first
+    start (in index order) whose final value is at or below it ends the
+    search: every later start is dropped, every earlier one runs to its end.
     """
     project = project or (lambda th: th)
-    theta = project(np.asarray(theta, dtype=float))
-    value = float(objective(theta[None, :])[0])
-    evals = 1
-    n = theta.shape[0]
-    h = FD_STEP * np.eye(n)
+    thetas = np.array(thetas, dtype=float)
+    k, n = thetas.shape
+    values = np.full(k, np.nan)
+    evals = np.zeros(k, dtype=int)
+    stops = np.full(k, _DROPPED)
+    size = max(1, _CHUNK_ROWS // max(2 * n, _HALVINGS.shape[0]))
+    for lo in range(0, k, size):
+        part = slice(lo, lo + size)
+        thetas[part], values[part], evals[part], stops[part] = _lockstep(
+            objective, thetas[part], first_step, max_steps, tol, project, cut)
+        if cut is not None and np.any(values[part] <= cut):
+            break
+    return Descent(values, thetas, evals, tuple(STOPS[s] for s in stops))
+
+
+def _first_hit(value: np.ndarray, cut: float | None) -> int:
+    """Index of the first start at or below the cut, or the number of starts."""
+    hit = np.flatnonzero(value <= cut) if cut is not None else ()
+    return int(hit[0]) if len(hit) else value.shape[0]
+
+
+def _lockstep(objective, theta, first_step, max_steps, tol, project, cut):
+    """:func:`descend` on one chunk of starts; returns (thetas, values, evals, stops)."""
+    k, n = theta.shape
+    theta = project(theta)
+    # one start per call: a 1-row stack can take another BLAS path (a
+    # matrix-vector product) than a taller one, and a start's value must
+    # keep the bits it has when the start runs alone
+    value = np.array([objective(row[None, :])[0] for row in theta], dtype=float)
+    evals = np.ones(k, dtype=int)
+    stops = np.full(k, _CAPPED)
+    probe = FD_STEP * np.eye(n)
     steps = first_step * _HALVINGS
+    live = np.arange(k)
     for _ in range(max_steps):
-        vals = objective(np.vstack([theta + h, theta - h]))
-        evals += 2 * n
-        grad = (vals[:n] - vals[n:]) / (2.0 * FD_STEP)
-        gn = float(np.linalg.norm(grad))
-        if not 0.0 < gn < np.inf:
+        live = live[live <= _first_hit(value, cut)]
+        if not live.size:
             break
-        cands = theta[None, :] - steps[:, None] * (grad / gn)[None, :]
-        cvals = objective(cands)
-        evals += steps.shape[0]
-        j = int(np.argmin(cvals))
-        if cvals[j] >= value - tol:
+        th = theta[live]
+        vals = objective(np.concatenate([th[:, None, :] + probe, th[:, None, :] - probe], axis=1)
+                         .reshape(-1, n)).reshape(-1, 2 * n)
+        evals[live] += 2 * n
+        grad = (vals[:, :n] - vals[:, n:]) / (2.0 * FD_STEP)
+        # the row-wise dot product takes the same BLAS path as np.linalg.norm of one row
+        gn = np.sqrt(np.matmul(grad[:, None, :], grad[:, :, None])[:, 0, 0])
+        ok = (0.0 < gn) & (gn < np.inf)
+        stops[live[~ok]] = _CONVERGED
+        live, th = live[ok], th[ok]
+        if not live.size:
             break
-        value = float(cvals[j])
-        theta = project(cands[j])
-    return value, theta, evals
+        unit = grad[ok] / gn[ok, None]
+        cands = th[:, None, :] - steps[None, :, None] * unit[:, None, :]
+        cvals = objective(cands.reshape(-1, n)).reshape(-1, steps.shape[0])
+        evals[live] += steps.shape[0]
+        j = np.argmin(cvals, axis=1)
+        best = cvals[np.arange(live.size), j]
+        # not `best < value - tol`: a NaN best is taken, as a lone start's loop took it
+        gain = ~(best >= value[live] - tol)
+        stops[live[~gain]] = _STALLED
+        live = live[gain]
+        value[live] = best[gain]
+        theta[live] = project(cands[gain, j[gain]])
+    last = _first_hit(value, cut)
+    stops[last + 1:] = _DROPPED
+    value[last + 1:] = np.nan
+    return theta, value, evals, stops

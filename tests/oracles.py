@@ -49,15 +49,24 @@ def luxemburg_bisect(theta, x, max_expand=200):
 
 
 def jvn_ratio_lp2(p, ax, ay, s):
-    """Parallelogram ratio in l_p^2 for unit x at angle ax, y = s * unit at ay."""
+    """Parallelogram ratios in l_p^2 for unit x at angles ax, y = s * unit at angles ay.
+
+    ax, ay and s are 1-d grids; the result has shape (len(s), len(ay), len(ax)).
+    """
 
     def nrm(u, v):
-        return (abs(u) ** p + abs(v) ** p) ** (1.0 / p)
+        return (np.abs(u) ** p + np.abs(v) ** p) ** (1.0 / p)
 
-    x = np.array([math.cos(ax), math.sin(ax)]) / nrm(math.cos(ax), math.sin(ax))
-    y = s * np.array([math.cos(ay), math.sin(ay)]) / nrm(math.cos(ay), math.sin(ay))
-    lhs = nrm(*(x + y)) ** 2 + nrm(*(x - y)) ** 2
-    return lhs / (2.0 * (1.0 + s * s))
+    xu, xv = np.cos(ax), np.sin(ax)
+    xn = nrm(xu, xv)
+    x0, x1 = xu / xn, xv / xn
+    yu, yv = np.cos(ay), np.sin(ay)
+    yn = nrm(yu, yv)
+    y0 = (s[:, None] * yu) / yn
+    y1 = (s[:, None] * yv) / yn
+    lhs = (nrm(x0 + y0[..., None], x1 + y1[..., None]) ** 2
+           + nrm(x0 - y0[..., None], x1 - y1[..., None]) ** 2)
+    return lhs / (2.0 * (1.0 + s * s))[:, None, None]
 
 
 def jvn_grid_oracle(p, coarse=180, rounds=3):
@@ -68,15 +77,10 @@ def jvn_grid_oracle(p, coarse=180, rounds=3):
     """
 
     def sweep(a_grid, b_grid, s_grid):
-        best = (-1.0, 0.0, 0.0, 1.0)
-        aa = np.asarray(a_grid)
-        for s in s_grid:
-            for b in b_grid:
-                vals = np.array([jvn_ratio_lp2(p, a, b, s) for a in aa])
-                k = int(np.argmax(vals))
-                if vals[k] > best[0]:
-                    best = (float(vals[k]), float(aa[k]), float(b), float(s))
-        return best
+        vals = jvn_ratio_lp2(p, a_grid, b_grid, s_grid)
+        # the first maximum in (s, b, a) order, as a loop over s, b, a would keep
+        i, j, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        return (float(vals[i, j, k]), float(a_grid[k]), float(b_grid[j]), float(s_grid[i]))
 
     a_grid = np.linspace(0.0, math.pi, coarse, endpoint=False)
     b_grid = np.linspace(0.0, math.pi, coarse, endpoint=False)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -183,6 +184,26 @@ def test_run_summand_command_with_grid():
     assert res.payload["grid_floor"] > 0.01
 
 
+_L4_PLUS_LINE = {"kind": "two_sum", "parts": [{"kind": "lp", "p": 4.0, "d": 2}, {"kind": "euclid", "d": 1}]}
+
+
+@pytest.mark.parametrize("cfg, extra_starts", [
+    ({"command": "jvn", "seed": 5, "jvn": {"space": {"kind": "schatten", "p": 3.0, "d": 2}, "budget": 4}}, 1),
+    ({"command": "summand", "seed": 2, "summand": {"space": _L4_PLUS_LINE, "budget": 8}}, 0),
+], ids=["jvn", "summand"])
+def test_stop_counts_in_meta_not_payload(cfg, extra_starts):
+    res = run_campaign(cfg)
+    stops = res.to_json_obj()["meta"]["stops"]
+    assert set(stops) == {"converged", "stalled", "capped", "dropped"}
+    # the JvN estimate counts its re-ascent as one more start
+    assert sum(stops.values()) == res.payload["starts"] == cfg[cfg["command"]]["budget"] + extra_starts
+    assert res.payload_bytes() == dataclasses.replace(res, meta={}).payload_bytes()
+    assert b"stops" not in res.payload_bytes()
+    if cfg["command"] == "summand":
+        # the third start reaches the cut, so the five after it are dropped
+        assert stops["dropped"] == 5
+
+
 def test_campaign_payload_deterministic_across_jobs():
     cfg = {
         "command": "verify",
@@ -335,6 +356,16 @@ _REJECTED = {
                                            "vectors": [{"1": [1.0]}]}},
     "summand_grid_scalar": {"command": "summand", "seed": 0,
                             "summand": {"space": {"kind": "lp", "p": 4.0, "d": 2}, "budget": 1, "grid": 5}},
+    # integer parameters must not be truncated from a float or read from a boolean
+    "jvn_budget_float": {"command": "jvn", "seed": 0, "jvn": {"space": _LP3, "budget": 1.5}},
+    "jvn_budget_true": {"command": "jvn", "seed": 0, "jvn": {"space": _LP3, "budget": True}},
+    "summand_budget_float": {"command": "summand", "seed": 0, "summand": {"space": _LP3, "budget": 2.0}},
+    "summand_n_xi_float": {"command": "summand", "seed": 0,
+                           "summand": {"space": {"kind": "lp", "p": 4.0, "d": 2}, "budget": 1,
+                                       "grid": {"n_xi": 4.5, "n_phi": 4}}},
+    "summand_n_phi_true": {"command": "summand", "seed": 0,
+                           "summand": {"space": {"kind": "lp", "p": 4.0, "d": 2}, "budget": 1,
+                                       "grid": {"n_xi": 4, "n_phi": True}}},
 }
 
 

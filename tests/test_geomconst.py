@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from modbanach import geomconst, sampling
 from modbanach.geomconst import (
     alpha_beta,
     clarkson_alpha_tail_bound,
@@ -81,6 +82,28 @@ def test_jvn_search_path_pinned(space, bound_hex, evaluations):
     assert est.lower_bound == float.fromhex(bound_hex)
     assert est.evaluations == evaluations
     assert est.starts == 5
+
+
+# kinks and flat ridges (p near 1, p = inf), a Schatten class, a direct sum
+# and a Hilbert space, whose starts end converged, stalled and capped
+_LOCKSTEP_SPACES = [Lp(4.0 / 3.0, 2), Lp(1.0, 3), Lp(math.inf, 2), Schatten(1.5, 3),
+                    TwoSum((Lp(4.0, 2), Euclid(1))), Euclid(4)]
+
+
+@pytest.mark.parametrize("chunk_rows", [sampling._CHUNK_ROWS, 1], ids=["one_chunk", "start_chunks"])
+@pytest.mark.parametrize("space", _LOCKSTEP_SPACES, ids=repr)
+def test_descend_stack_matches_lone_starts(space, chunk_rows, monkeypatch):
+    monkeypatch.setattr(sampling, "_CHUNK_ROWS", chunk_rows)
+    starts = geomconst._starts(space, 16, seed=1)
+    run = geomconst._ascend(space, starts)
+    assert run.values.shape == (16,) and run.thetas.shape == starts.shape
+    for i, theta0 in enumerate(starts):
+        alone = geomconst._ascend(space, theta0[None, :])
+        assert run.values[i].hex() == alone.values[0].hex()
+        assert run.thetas[i].tobytes() == alone.thetas[0].tobytes()
+        assert run.evals[i] == alone.evals[0]
+        assert run.stops[i] == alone.stops[0]
+    assert set(run.stops) <= {"converged", "stalled", "capped"}
 
 
 def test_jvn_schatten_finds_hilbert_excess():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from modbanach import isolab
 from modbanach.isolab import (
     AmbiguousRankError,
     LinearMap,
@@ -19,7 +20,8 @@ from modbanach.isolab import (
     two_projection_violation,
     two_summand_grid_floor,
 )
-from modbanach.spaces import Euclid, Lp, TwoSum
+from modbanach.sampling import descend, rng_stream, stop_counts
+from modbanach.spaces import Euclid, Lp, TwoSum, norm_batch
 
 
 def test_split_space_norm():
@@ -190,6 +192,55 @@ def test_summand_search_path_pinned(space, residual_hex, found):
     assert res.residual == float.fromhex(residual_hex)
     assert res.found is found
     assert res.starts == 3
+
+
+def _summand_reference(space, budget, seed):
+    """The summand search one start at a time, with the loop's old early stop.
+
+    Returns (best value, best theta, stops of the starts run, the objective, the starts).
+    """
+    d = space.dim
+    suite = isolab._domain_suite(space, 64, seed)
+    n2 = norm_batch(space, suite) ** 2
+    suite, n2 = suite[n2 > 0.0], n2[n2 > 0.0]
+
+    def objective(stack):
+        return isolab._candidate_violations(space, stack[:, :d], stack[:, d:], suite, n2)
+
+    starts = [np.concatenate([e, e]) for e in np.eye(d)[:8]][:budget]
+    starts += [rng_stream(seed, k).standard_normal(2 * d) for k in range(budget - len(starts))]
+    best_val, best_theta, stops = math.inf, None, ()
+    for theta0 in starts:
+        run = descend(objective, theta0[None, :], first_step=0.5, max_steps=150, tol=1e-15)
+        stops += run.stops
+        if run.values[0] < best_val:
+            best_val, best_theta = float(run.values[0]), run.thetas[0]
+        if best_val <= 1e-10:
+            break
+    return best_val, best_theta, stops, objective, starts
+
+
+# in each case a start after the first one at or below the cut would reach a
+# lower residual, so running every start to its end would change the result;
+# in the two sums the first hit is the third start, so two starts end before it
+@pytest.mark.parametrize("space, seed", [
+    (Euclid(3), 4),
+    (TwoSum((Lp(3.0, 2), Euclid(2))), 3),
+    (TwoSum((Lp(1.5, 2), Euclid(3))), 2),
+], ids=["euclid", "lp3_plus_plane", "lp1.5_plus_space"])
+def test_summand_lockstep_keeps_ordered_early_stop(space, seed):
+    budget = 12
+    best_val, best_theta, stops, objective, starts = _summand_reference(space, budget, seed)
+    ran = len(stops)
+    res = find_one_dim_two_summand(space, budget=budget, seed=seed)
+    assert res.residual.hex() == best_val.hex()
+    assert res.found
+    d = space.dim
+    np.testing.assert_array_equal(res.candidate.xi, best_theta[:d] / space.norm(best_theta[:d]))
+    assert res.stops == stop_counts(stops + ("dropped",) * (budget - ran))
+    assert res.starts == budget
+    later = descend(objective, np.array(starts[ran:]), first_step=0.5, max_steps=150, tol=1e-15)
+    assert later.values.min() < best_val
 
 
 def test_grid_floor_positive_for_l4_small_grid():
