@@ -7,9 +7,8 @@ result is a pure function of the config: reruns are byte-identical, and the
 jobs knob only widens the thread pool over pre-seeded sample batches.
 
 Exit codes: 0 all verdicts hold, 1 a verified inequality was violated,
-2 invalid config, 3 numerical failure (a non-finite modular value, an
-unrepairable Luxemburg bracket, a non-Cauchy trace or an ambiguous rank
-decision).
+2 invalid config, 3 numerical failure (a non-finite modular value, a
+non-Cauchy trace or an ambiguous rank decision).
 """
 from __future__ import annotations
 
@@ -105,11 +104,10 @@ def _need(sub: dict, key: str, where: str):
     return sub[key]
 
 
-def _integer(sub: dict, key: str, default: int, where: str) -> int:
+def _integer(value, where: str) -> int:
     """An integer parameter; a float or a boolean is rejected, not truncated."""
-    value = sub.get(key, default)
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return value
 
 
@@ -169,7 +167,7 @@ def _run_norm(sub: dict, seed: int, jobs: int):
 
 def _run_jvn(sub: dict, seed: int, jobs: int):
     space = space_from_dict(_need(sub, "space", "jvn"))
-    budget = _integer(sub, "budget", 64, "jvn")
+    budget = _integer(sub.get("budget", 64), "jvn.budget")
     est = geomconst.jvn_lower_bound(space, budget=budget, seed=seed)
     upper = None
     if hasattr(space, "p") and math.isfinite(space.p):
@@ -198,7 +196,7 @@ _PAIR_KEYS = ("check", "samples", "tolerance", "space", "d")
 def _pair_space(sub: dict, where: str):
     # schatten_inf configs name the operator-norm space by its size d alone
     if "space" not in sub and "d" in sub:
-        return Schatten(math.inf, int(sub["d"]))
+        return Schatten(math.inf, _integer(sub["d"], where + ".d"))
     return space_from_dict(_need(sub, "space", where))
 
 
@@ -209,13 +207,13 @@ def _run_verify(sub: dict, seed: int, jobs: int):
     if check in vf.PAIR_CHECKS:
         options = {k: v for k, v in sub.items() if k not in _PAIR_KEYS}
         rep = vf.verify_pair(
-            check, _pair_space(sub, where), samples=int(sub.get("samples", 10000)),
+            check, _pair_space(sub, where), samples=_integer(sub.get("samples", 10000), where + ".samples"),
             seed=seed, jobs=jobs, **tol, **options,
         )
     elif check == "beckner":
         rep = vf.verify_beckner(
             float(_need(sub, "p", where)),
-            grid=int(sub.get("grid", 401)),
+            grid=_integer(sub.get("grid", 401), where + ".grid"),
             extent=float(sub.get("extent", 2.0)),
             **tol,
         )
@@ -231,7 +229,7 @@ def _run_verify(sub: dict, seed: int, jobs: int):
     elif check == "far_block_limit":
         spec = spec_from_dict(_need(sub, "nakano", where))
         x = _block_vector(_need(sub, "x", where), where + ".x")
-        schedule = [int(n) for n in _need(sub, "schedule", where)]
+        schedule = [_integer(n, where + ".schedule") for n in _need(sub, "schedule", where)]
         gaps = vf.far_block_limit_gaps(spec, x, float(sub.get("t", 1.0)), schedule)
         slack = 1e-12
         holds = bool(np.all(np.diff(gaps) <= slack))
@@ -253,11 +251,12 @@ def _run_nakano(sub: dict, seed: int, jobs: int):
     where = "nakano"
     exponents = _exponents_from_dict(_need(sub, "exponents", where))
     c_grid = [float(c) for c in _need(sub, "c_grid", where)]
-    window = tuple(int(w) for w in sub.get("window", (1000, 1000000)))
-    count = int(sub.get("count", 60))
+    window = tuple(_integer(w, where + ".window") for w in sub.get("window", (1000, 1000000)))
+    count = _integer(sub.get("count", 60), where + ".count")
+    terms_count = _integer(sub.get("terms_count", 64), where + ".terms_count")
     margin = float(sub.get("margin", 0.1))
     report = nakano_condition_verdict(exponents, c_grid, count=count, window=window, margin=margin)
-    terms = nakano_condition_terms(exponents, c_grid[0], count=int(sub.get("terms_count", 64)))
+    terms = nakano_condition_terms(exponents, c_grid[0], count=terms_count)
     payload = {
         "verdicts": [
             {"c": v.c, "slope": v.slope, "verdict": v.verdict} for v in report.verdicts
@@ -278,8 +277,8 @@ def _run_nakano(sub: dict, seed: int, jobs: int):
 def _run_asymptotics(sub: dict, seed: int, jobs: int):
     where = "asymptotics"
     exponents = _exponents_from_dict(_need(sub, "exponents", where))
-    start = int(sub.get("start", 1))
-    horizon = int(_need(sub, "horizon", where))
+    start = _integer(sub.get("start", 1), where + ".start")
+    horizon = _integer(_need(sub, "horizon", where), where + ".horizon")
     if horizon < start:
         raise ConfigError(f"{where}: horizon must be >= start")
     ns = np.arange(start, horizon + 1)
@@ -306,7 +305,7 @@ def _run_asymptotics(sub: dict, seed: int, jobs: int):
 def _run_summand(sub: dict, seed: int, jobs: int):
     where = "summand"
     space = space_from_dict(_need(sub, "space", where))
-    budget = _integer(sub, "budget", 16, where)
+    budget = _integer(sub.get("budget", 16), where + ".budget")
     grid = sub.get("grid")
     if grid is not None and not isinstance(grid, dict):
         raise ConfigError(f"{where}.grid: expected an object, got {grid!r}")
@@ -326,15 +325,15 @@ def _run_summand(sub: dict, seed: int, jobs: int):
         }
     if grid is not None:
         payload["grid_floor"] = isolab.two_summand_grid_floor(
-            space, n_xi=_integer(grid, "n_xi", 720, where + ".grid"),
-            n_phi=_integer(grid, "n_phi", 720, where + ".grid"), seed=seed,
+            space, n_xi=_integer(grid.get("n_xi", 720), where + ".grid.n_xi"),
+            n_phi=_integer(grid.get("n_phi", 720), where + ".grid.n_phi"), seed=seed,
         )
     return payload, True, False, False, {"stops": result.stops}
 
 
 def _build_embedding(desc: dict, where: str) -> isolab.LinearMap:
     kind = _need(desc, "kind", where)
-    h_dim = int(desc.get("h_dim", 4))
+    h_dim = _integer(desc.get("h_dim", 4), where + ".h_dim")
     if kind == "counterexample":
         e1 = space_from_dict(_need(desc, "e1", where))
         return isolab.build_counterexample_embedding(e1, h_dim=h_dim)
@@ -355,7 +354,7 @@ def _run_iterate(sub: dict, seed: int, jobs: int):
         x = np.asarray(xspec, dtype=float)
         if x.shape != (t.domain.dim,):
             raise ConfigError(f"{where}.x: expected {t.domain.dim} coordinates")
-    n_max = int(sub.get("n_max", 50))
+    n_max = _integer(sub.get("n_max", 50), where + ".n_max")
     if n_max < 6:
         raise ConfigError(f"{where}.n_max: must be at least 6")
     trace = isolab.pt_iterate(t, x, n_max=n_max)

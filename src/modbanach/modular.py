@@ -4,7 +4,7 @@ Every modular shipped here is a finite sum of terms ``||x_i||_{E_i} ** q_i``
 with exponents q_i in [1, inf).  That structure is exploited by the norm
 solver: a modular first reduces its argument to the list of (norm, exponent)
 pairs, after which the scaling profile t -> Theta(t * x) is a cheap function
-of two small arrays and the bisection never touches the vectors again.
+of two small arrays and the Newton iteration never touches the vectors again.
 """
 from __future__ import annotations
 
@@ -31,19 +31,15 @@ __all__ = [
     "scalar_sum_expansion_ratio",
 ]
 
-#: relative bracket width at which the bisection stops
-_REL_WIDTH = 1e-13
-
-
 class NumericalFailure(ValueError):
-    """A non-finite modular value or an unrepairable Luxemburg bracket."""
+    """A modular value that is not finite, so it has no Luxemburg norm."""
 
 
 class ScaleProfile:
     """Evaluates t -> Theta(t * x) from precomputed (norm, exponent) terms.
 
     Zero-norm terms are dropped; they contribute nothing at any scale and
-    would otherwise pollute the exponent bracket.
+    would otherwise pollute the exponent range the solver starts from.
     """
 
     __slots__ = ("norms", "exps")
@@ -62,10 +58,6 @@ class ScaleProfile:
 
     def is_zero(self) -> bool:
         return self.norms.size == 0
-
-    def exponent_bounds(self) -> tuple:
-        """Range of exponents actually present in the support."""
-        return float(self.exps.min()), float(self.exps.max())
 
 
 class ConvexModular:
@@ -162,18 +154,23 @@ def luxemburg_norm(theta: ConvexModular, point) -> float:
 
 
 def luxemburg_norms(theta: ConvexModular, points) -> np.ndarray:
-    """The norms inf{lam > 0 : Theta(x / lam) <= 1} of many points, by bisection.
+    """The norms inf{lam > 0 : Theta(x / lam) <= 1} of many points, by Newton.
 
-    The map lam -> Theta(x / lam) is strictly decreasing on the shipped
-    modular kinds, and with exponents confined to [q_min, q_max] over the
-    support the solution lies in the bracket [m ** (1/q_max), m ** (1/q_min)]
-    for m = Theta(x) >= 1.  Bisection runs to relative width 1e-13, which
-    keeps |Theta(x / lam) - 1| below 1e-10 for moderate exponents.  The zero
-    vector gets norm 0 by definition.  A bracket end that four halvings
-    (doublings) do not repair raises NumericalFailure instead of bisecting an
-    unchecked bracket.
+    With s the largest term norm, a_i = log(n_i / s) and u = log(lam / s),
+    the norm solves g(u) = log sum exp(q_i (a_i - u)) = 0.  As a log-sum-exp
+    of affine maps g is convex and decreasing, so Newton's step
 
-    All points are bisected in lockstep, each taking exactly the steps it
+        u <- u + log(W) * W / sum q_i w_i,   w_i = exp(q_i (a_i - u)), W = sum w_i,
+
+    started at u0 = log(m) / q_max, where g(u0) >= 0 for m = Theta(x / s),
+    rises monotonically to the root from its left and needs no bracket.  A
+    row stops once its step is at most 4e-16 * max(1, |u|); the test is
+    signed, so a round-off step past the root ends the row too.  Steps stay
+    above that size only while u climbs toward the root, so the loop ends
+    without a cap.  The zero vector gets norm 0 by definition, and a vector
+    whose exponents are all equal has the closed form s * m ** (1/q).
+
+    All points are solved in lockstep, each taking exactly the steps it
     would take alone, so a norm has the same bits in any batch.
     """
     out = np.zeros(len(points))
@@ -186,68 +183,45 @@ def luxemburg_norms(theta: ConvexModular, points) -> np.ndarray:
             raise NumericalFailure("modular value is not finite")
         # Solve on the max-normalized profile: with s the largest term norm,
         # Theta(x / (s*mu)) stays representable even when Theta(x) itself
-        # under- or overflows, and the bracket below is O(1).
+        # under- or overflows, and the root u is O(1).
         s = float(raw.norms.max())
         prof = ScaleProfile(raw.norms / s, raw.exps)
         m = prof(1.0)
         if m == 1.0:
             out[i] = s
             continue
-        qmin, qmax = prof.exponent_bounds()
-        if qmin == qmax:
-            out[i] = s * m ** (1.0 / qmin)
+        qmax = float(prof.exps.max())
+        if prof.exps.min() == qmax:
+            out[i] = s * m ** (1.0 / qmax)
             continue
-        # m > 1: one normalized term is 1.0 and none is negative.  The bracket
-        # is exact in reals; guard against round-off at the ends.
-        lo = m ** (1.0 / qmax) * (1.0 - 1e-12)
-        hi = m ** (1.0 / qmin) * (1.0 + 1e-12)
         # numpy sums a row of fewer than 8 terms left to right, so padding it
         # with zero terms up to 7 columns changes no bit; from 8 terms on its
         # pairwise summation regroups, so those rows go unpadded, by count
-        blocks.setdefault(max(prof.norms.size, 7), []).append((i, s, prof, lo, hi))
+        blocks.setdefault(max(prof.norms.size, 7), []).append((i, s, prof, math.log(m) / qmax))
     for rows in blocks.values():
-        idx, s, profs, lo, hi = zip(*rows)
-        out[list(idx)] = np.array(s) * 0.5 * _bisect(profs, np.array(lo), np.array(hi))
+        idx, s, profs, u0 = zip(*rows)
+        out[list(idx)] = np.array(s) * np.exp(_newton(profs, np.array(u0)))
     return out
 
 
-def _bisect(profs, lo, hi) -> np.ndarray:
-    """lo + hi of the final brackets of profiles bisected in lockstep."""
+def _newton(profs, u) -> np.ndarray:
+    """The roots u of profiles solved in lockstep from the starts u."""
     sizes = np.array([prof.norms.size for prof in profs])
     live = np.arange(sizes.max()) < sizes[:, None]
-    norms = np.zeros(live.shape)
-    exps = np.ones(live.shape)
-    norms[live] = np.concatenate([prof.norms for prof in profs])
-    exps[live] = np.concatenate([prof.exps for prof in profs])
-
-    def theta_at(t):
-        # ScaleProfile.__call__ row by row, bit for bit
-        return np.power(norms * t[:, None], exps).sum(axis=1)
-
-    # up to four halvings (doublings), each end checked after every one
-    for _ in range(5):
-        ok = theta_at(1.0 / lo) >= 1.0
-        if ok.all():
-            break
-        lo = np.where(ok, lo, lo * 0.5)
-    else:
-        raise NumericalFailure("Luxemburg bracket: the lower end stays too large after 4 halvings")
-    for _ in range(5):
-        ok = theta_at(1.0 / hi) <= 1.0
-        if ok.all():
-            break
-        hi = np.where(ok, hi, hi * 2.0)
-    else:
-        raise NumericalFailure("Luxemburg bracket: the upper end stays too small after 4 doublings")
-    # a converged row keeps its bracket while the others go on
-    active = hi - lo > _REL_WIDTH * hi
+    # a padding term has a = -inf, so its w is exactly 0
+    a = np.full(live.shape, -np.inf)
+    q = np.ones(live.shape)
+    a[live] = np.log(np.concatenate([prof.norms for prof in profs]))
+    q[live] = np.concatenate([prof.exps for prof in profs])
+    active = np.ones(u.shape, dtype=bool)
     while active.any():
-        mid = 0.5 * (lo + hi)
-        up = theta_at(1.0 / mid) >= 1.0
-        lo = np.where(active & up, mid, lo)
-        hi = np.where(active & ~up, mid, hi)
-        active = hi - lo > _REL_WIDTH * hi
-    return lo + hi
+        w = np.exp(q * (a - u[:, None]))
+        total = w.sum(axis=1)
+        step = np.log(total) * total / (q * w).sum(axis=1)
+        # a stopped row keeps its root while the others go on
+        u = np.where(active, u + step, u)
+        active &= step > 4e-16 * np.maximum(1.0, np.abs(u))
+    return u
 
 
 def modular_sum_norm_with_scalar(theta_m, x, t: float) -> float:

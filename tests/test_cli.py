@@ -12,7 +12,6 @@ import pytest
 from modbanach import cli
 from modbanach import verify as vf
 from modbanach.cli import CampaignResult, ConfigError, emit_plot_data, run_campaign, validate_config
-from modbanach.modular import ScaleProfile
 from modbanach.nakano import BlockVector, nakano_norm, spec_from_dict
 
 GOLDEN_CONFIGS = sorted((Path(__file__).parent.parent / "configs" / "golden").glob("*.json"))
@@ -366,6 +365,33 @@ _REJECTED = {
     "summand_n_phi_true": {"command": "summand", "seed": 0,
                            "summand": {"space": {"kind": "lp", "p": 4.0, "d": 2}, "budget": 1,
                                        "grid": {"n_xi": 4, "n_phi": True}}},
+    "verify_samples_true": {"command": "verify", "seed": 0,
+                            "verify": {"check": "clarkson_lower", "space": _LP3, "samples": True}},
+    "verify_grid_float": {"command": "verify", "seed": 0, "verify": {"check": "beckner", "p": 4.0, "grid": 11.5}},
+    "verify_d_float": {"command": "verify", "seed": 0, "verify": {"check": "schatten_inf", "d": 2.0, "samples": 10}},
+    "verify_schedule_float": {"command": "verify", "seed": 0,
+                              "verify": {"check": "far_block_limit", "nakano": {"exponents": {"kind": "power", "a": 1.0}},
+                                         "x": {"1": [1.0]}, "schedule": [10, 100.5]}},
+    "nakano_count_float": {"command": "nakano", "seed": 0,
+                           "nakano": {"exponents": {"kind": "log", "a": 1.0, "b": 1.0}, "c_grid": [0.5],
+                                      "count": 8.5}},
+    "nakano_terms_count_float": {"command": "nakano", "seed": 0,
+                                 "nakano": {"exponents": {"kind": "log", "a": 1.0, "b": 1.0}, "c_grid": [0.5],
+                                            "count": 8, "terms_count": 16.5}},
+    "nakano_window_float": {"command": "nakano", "seed": 0,
+                            "nakano": {"exponents": {"kind": "log", "a": 1.0, "b": 1.0}, "c_grid": [0.5],
+                                       "count": 8, "window": [1000, 1e6]}},
+    "asymptotics_start_float": {"command": "asymptotics", "seed": 0,
+                                "asymptotics": {"exponents": {"kind": "power", "a": 1.0}, "start": 1.5,
+                                                "horizon": 10}},
+    "asymptotics_horizon_float": {"command": "asymptotics", "seed": 0,
+                                  "asymptotics": {"exponents": {"kind": "power", "a": 1.0}, "horizon": 10.0}},
+    "iterate_n_max_float": {"command": "iterate", "seed": 0,
+                            "iterate": {"embedding": {"kind": "counterexample", "e1": {"kind": "lp", "p": 4.0, "d": 2}},
+                                        "n_max": 6.5}},
+    "iterate_h_dim_float": {"command": "iterate", "seed": 0,
+                            "iterate": {"embedding": {"kind": "counterexample", "e1": {"kind": "lp", "p": 4.0, "d": 2},
+                                                      "h_dim": 2.9}, "n_max": 6}},
 }
 
 
@@ -391,19 +417,6 @@ def test_main_nan_violation_exits_3(tmp_path, monkeypatch):
     data = json.loads((tmp_path / "nan.json").read_text())
     assert data["payload"]["verdict"] == "numerical_failure"
     assert data["summary"] == {"passed": False, "violated": False, "numerical_failure": True}
-
-
-_NAKANO_NORM = {"command": "norm", "seed": 0,
-                "norm": {"nakano": {"exponents": {"kind": "explicit", "values": [2.0, 4.0]}},
-                         "vectors": [{"1": [1.0], "2": [1.0]}]}}
-
-
-def test_main_unrepairable_bracket_exits_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(ScaleProfile, "exponent_bounds", lambda self: (0.1, 0.2))
-    cfg_path = tmp_path / "bracket.json"
-    cfg_path.write_text(json.dumps(_NAKANO_NORM))
-    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 3
-    assert capsys.readouterr().err.startswith("numerical failure: Luxemburg bracket: the lower end")
 
 
 def test_main_overflowing_modular_exits_3(tmp_path, capsys):
