@@ -2,9 +2,14 @@
 
 Every modular shipped here is a finite sum of terms ``||x_i||_{E_i} ** q_i``
 with exponents q_i in [1, inf).  That structure is exploited by the norm
-solver: a modular first reduces its argument to the list of (norm, exponent)
-pairs, after which the scaling profile t -> Theta(t * x) is a cheap function
-of two small arrays and the Newton iteration never touches the vectors again.
+solver: a modular reduces a whole batch of points to flat (norm, exponent)
+term arrays in one ``batch_terms`` call, after which the setup and the
+Newton iteration run on padded ``(rows, terms)`` arrays and never touch the
+vectors again.  Per point, only the Newton start log(m) / q_max and the
+equal-exponent closed form stay scalar ``math``, because numpy's vector log
+and power round some values differently and every norm keeps the bits it
+has when solved alone.  ``ScaleProfile`` evaluates t -> Theta(t * x) from
+one point's terms for :meth:`ConvexModular.value`.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ __all__ = [
 ]
 
 class NumericalFailure(ValueError):
-    """A modular value that is not finite, so it has no Luxemburg norm."""
+    """A modular value or a Luxemburg norm that is not a finite float."""
 
 
 class ScaleProfile:
@@ -56,9 +61,6 @@ class ScaleProfile:
             return 0.0
         return float(np.power(self.norms * t, self.exps).sum())
 
-    def is_zero(self) -> bool:
-        return self.norms.size == 0
-
 
 class ConvexModular:
     """Base class: convex, symmetric, faithful, Theta(0) = 0."""
@@ -66,6 +68,19 @@ class ConvexModular:
     def scale_terms(self, point) -> tuple:
         """Return (norms, exponents) arrays with Theta(x) = sum n_i ** q_i."""
         raise NotImplementedError
+
+    def batch_terms(self, points) -> tuple:
+        """(norms, exponents, counts): every point's terms in turn as two flat
+        float arrays, and each point's number of terms."""
+        norms: list = []
+        exps: list = []
+        counts = []
+        for point in points:
+            n, e = self.scale_terms(point)
+            norms.extend(n)
+            exps.extend(e)
+            counts.append(len(n))
+        return np.array(norms, dtype=float), np.array(exps, dtype=float), np.array(counts, dtype=np.intp)
 
     def exponent_range(self) -> tuple:
         """Global exponent bounds (q_min, q_max) of the modular kind."""
@@ -156,9 +171,13 @@ def luxemburg_norm(theta: ConvexModular, point) -> float:
 def luxemburg_norms(theta: ConvexModular, points) -> np.ndarray:
     """The norms inf{lam > 0 : Theta(x / lam) <= 1} of many points, by Newton.
 
-    With s the largest term norm, a_i = log(n_i / s) and u = log(lam / s),
-    the norm solves g(u) = log sum exp(q_i (a_i - u)) = 0.  As a log-sum-exp
-    of affine maps g is convex and decreasing, so Newton's step
+    The terms of all points are read in one ``theta.batch_terms`` call and
+    set up as padded ``(rows, terms)`` arrays: a non-finite term raises, and
+    zero terms, or terms that underflow to 0 against their row's largest,
+    leave their row.  With s the largest term norm of a point, a_i =
+    log(n_i / s) and u = log(lam / s), the norm solves g(u) = log sum
+    exp(q_i (a_i - u)) = 0.  As a log-sum-exp of affine maps g is convex and
+    decreasing, so Newton's step
 
         u <- u + log(W) * W / sum q_i w_i,   w_i = exp(q_i (a_i - u)), W = sum w_i,
 
@@ -167,52 +186,100 @@ def luxemburg_norms(theta: ConvexModular, points) -> np.ndarray:
     row stops once its step is at most 4e-16 * max(1, |u|); the test is
     signed, so a round-off step past the root ends the row too.  Steps stay
     above that size only while u climbs toward the root, so the loop ends
-    without a cap.  The zero vector gets norm 0 by definition, and a vector
-    whose exponents are all equal has the closed form s * m ** (1/q).
+    without a cap.  The zero vector gets norm 0 by definition, a point with
+    m = 1 has norm s, and a point whose exponents are all equal has the
+    closed form s * m ** (1/q).  A norm above the largest float raises.
 
-    All points are solved in lockstep, each taking exactly the steps it
-    would take alone, so a norm has the same bits in any batch.
+    u0 and the closed form stay scalar ``math.log`` and ``**`` per point:
+    numpy's vector log and power round some values differently from them,
+    and every norm keeps the bits it had when each point was set up on its
+    own.  All points are solved in lockstep, each taking exactly the steps
+    it would take alone, so a norm has the same bits in any batch.
     """
-    out = np.zeros(len(points))
-    blocks: dict = {}
-    for i, point in enumerate(points):
-        raw = theta.profile(point)
-        if raw.is_zero():
-            continue
-        if not np.isfinite(raw.norms).all():
-            raise NumericalFailure("modular value is not finite")
-        # Solve on the max-normalized profile: with s the largest term norm,
-        # Theta(x / (s*mu)) stays representable even when Theta(x) itself
-        # under- or overflows, and the root u is O(1).
-        s = float(raw.norms.max())
-        prof = ScaleProfile(raw.norms / s, raw.exps)
-        m = prof(1.0)
-        if m == 1.0:
-            out[i] = s
-            continue
-        qmax = float(prof.exps.max())
-        if prof.exps.min() == qmax:
-            out[i] = s * m ** (1.0 / qmax)
-            continue
-        # numpy sums a row of fewer than 8 terms left to right, so padding it
-        # with zero terms up to 7 columns changes no bit; from 8 terms on its
-        # pairwise summation regroups, so those rows go unpadded, by count
-        blocks.setdefault(max(prof.norms.size, 7), []).append((i, s, prof, math.log(m) / qmax))
-    for rows in blocks.values():
-        idx, s, profs, u0 = zip(*rows)
-        out[list(idx)] = np.array(s) * np.exp(_newton(profs, np.array(u0)))
+    norms, exps, counts = theta.batch_terms(points)
+    out = np.zeros(counts.size)
+    if not np.isfinite(norms).all():
+        raise NumericalFailure("modular value is not finite")
+    if not norms.size:
+        return out
+    width = int(counts.max())
+    if counts.min() == width:
+        n = norms.reshape(-1, width)
+        q = exps.reshape(-1, width)
+    else:
+        pad = np.arange(width) < counts[:, None]
+        n = np.zeros(pad.shape)
+        q = np.ones(pad.shape)
+        n[pad] = norms
+        q[pad] = exps
+    # Solve on max-normalized terms: with s the largest term norm,
+    # Theta(x / (s*mu)) stays representable even when Theta(x) itself
+    # under- or overflows, and the root u is O(1).  The zero vector keeps 0.
+    s = n.max(axis=1)
+    rows = np.flatnonzero(s)
+    if not rows.size:
+        return out
+    if rows.size < s.size:
+        n, q, s = n[rows], q[rows], s[rows]
+    n = n / s[:, None]
+    # zero terms, and terms that underflow to 0 against the largest one,
+    # contribute nothing at any scale
+    live = n > 0.0
+    if (live[:, 1:] > live[:, :-1]).any():
+        # a zero term ahead of a live one would regroup the sums below, so
+        # each row's live terms move to its front, in their order
+        order = np.argsort(~live, axis=1, kind="stable")
+        n, q, live = (np.take_along_axis(v, order, axis=1) for v in (n, q, live))
+    # a dead term takes its row's first exponent, which leaves the row's
+    # exponent range as it is; its n = 0 adds 0 to m and w at any exponent
+    q = np.where(live, q, q[:, :1])
+    # numpy sums a row of fewer than 8 terms left to right, so padding it
+    # with zero terms up to 7 columns changes no bit; from 8 terms on its
+    # pairwise summation regroups, so those rows go unpadded, by live count
+    if width < 8:
+        _solve_rows(out, rows, s, n, q, live)
+        return out
+    keys = np.maximum(live.sum(axis=1), 7)
+    for key in np.unique(keys).tolist():
+        g = keys == key
+        _solve_rows(out, rows[g], s[g], n[g, :key], q[g, :key], live[g, :key])
     return out
 
 
-def _newton(profs, u) -> np.ndarray:
-    """The roots u of profiles solved in lockstep from the starts u."""
-    sizes = np.array([prof.norms.size for prof in profs])
-    live = np.arange(sizes.max()) < sizes[:, None]
-    # a padding term has a = -inf, so its w is exactly 0
-    a = np.full(live.shape, -np.inf)
-    q = np.ones(live.shape)
-    a[live] = np.log(np.concatenate([prof.norms for prof in profs]))
-    q[live] = np.concatenate([prof.exps for prof in profs])
+def _solve_rows(out, rows, s, n, q, live) -> None:
+    """out[rows] from max-normalized terms (n, q) whose live terms lead each row."""
+    m = np.power(n, q).sum(axis=1)
+    qmax = q.max(axis=1)
+    equal = q.min(axis=1) == qmax
+    solve = []
+    u0 = []
+    for k, (i, si, mi, qi, eq) in enumerate(zip(rows.tolist(), s.tolist(), m.tolist(),
+                                                qmax.tolist(), equal.tolist())):
+        if mi == 1.0:
+            out[i] = si
+        elif eq:
+            lam = si * mi ** (1.0 / qi)
+            if not math.isfinite(lam):
+                raise NumericalFailure("Luxemburg norm is not finite")
+            out[i] = lam
+        else:
+            solve.append(k)
+            u0.append(math.log(mi) / qi)
+    if not solve:
+        return
+    if len(solve) < rows.size:
+        rows, s, n, q, live = rows[solve], s[solve], n[solve], q[solve], live[solve]
+    # a dead term has a = -inf, so its w is exactly 0
+    a = np.log(n, out=np.full(n.shape, -np.inf), where=live)
+    with np.errstate(over="ignore"):
+        lam = s * np.exp(_newton(a, q, np.array(u0)))
+    if not np.isfinite(lam).all():
+        raise NumericalFailure("Luxemburg norm is not finite")
+    out[rows] = lam
+
+
+def _newton(a, q, u) -> np.ndarray:
+    """The roots u of the rows (a, q) solved in lockstep from the starts u."""
     active = np.ones(u.shape, dtype=bool)
     while active.any():
         w = np.exp(q * (a - u[:, None]))

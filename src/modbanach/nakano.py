@@ -313,14 +313,13 @@ class NakanoSpec:
 
 def _coerce_block(arr) -> np.ndarray:
     a = np.asarray(arr)
-    if np.iscomplexobj(a):
+    if a.dtype.kind == "c":
         a = a.astype(complex)
-        if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-            raise ValueError("block has non-finite entries")
     else:
         a = a.astype(float)
-        if not np.all(np.isfinite(a)):
-            raise ValueError("block has non-finite entries")
+    # isfinite of a complex entry is False once either part is inf or NaN
+    if not np.isfinite(a).all():
+        raise ValueError("block has non-finite entries")
     if a.ndim != 1:
         a = a.ravel()
     a.flags.writeable = False
@@ -365,7 +364,8 @@ class BlockVector:
         return None
 
     def _binary(self, other: "BlockVector", sign: float) -> "BlockVector":
-        out = {n: arr.copy() for n, arr in self.items}
+        # BlockVector copies every block it is given
+        out = dict(self.items)
         for n, arr in other.items:
             if n in out:
                 out[n] = out[n] + sign * arr
@@ -411,16 +411,39 @@ class NakanoModular(ConvexModular):
     spec: NakanoSpec
 
     def scale_terms(self, point: BlockVector):
-        norms = []
-        exps = []
-        for n, arr in point.items:
-            p = self.spec.exponent(n)
-            blk = self.spec.blocks.block(n, p)
-            if arr.shape[0] != blk.dim:
-                raise ValueError(f"block {n} has {arr.shape[0]} coordinates, expected {blk.dim}")
-            norms.append(blk.norm(arr))
-            exps.append(p)
-        return norms, exps
+        norms, exps, _ = self.batch_terms((point,))
+        return norms.tolist(), exps.tolist()
+
+    def batch_terms(self, points):
+        """The block norms and exponents of all points, read in one pass.
+
+        The exponents come from one ``values`` call over every block index.
+        Real blocks of an l_p or Euclidean space are stacked by dimension and
+        normed by one :func:`spaces.lp_norms_stack` call per stack, with the
+        bits of ``blk.norm``; every other block, complex ones included, goes
+        through ``blk.norm`` and keeps its errors.
+        """
+        items = [item for point in points for item in point.items]
+        ns = np.fromiter((n for n, _ in items), dtype=np.intp, count=len(items))
+        exps = self.spec.exponents.values(ns)
+        norms = np.empty(len(items))
+        stacks: dict = {}
+        block = self.spec.blocks.block
+        for i, ((n, arr), p) in enumerate(zip(items, exps.tolist())):
+            blk = block(n, p)
+            d = blk.dim
+            if arr.shape[0] != d:
+                raise ValueError(f"block {n} has {arr.shape[0]} coordinates, expected {d}")
+            kind = type(blk)
+            if (kind is Euclid or kind is Lp) and arr.dtype.kind == "f":
+                stacks.setdefault(d, []).append((i, arr, 2.0 if kind is Euclid else blk.p))
+            else:
+                norms[i] = blk.norm(arr)
+        for d, stack in stacks.items():
+            rows, arrs, ps = zip(*stack)
+            norms[list(rows)] = spaces.lp_norms_stack(np.concatenate(arrs).reshape(-1, d), np.array(ps))
+        counts = np.fromiter((len(point.items) for point in points), dtype=np.intp, count=len(points))
+        return norms, exps, counts
 
     def exponent_range(self):
         return self.spec.exponents.bounds()

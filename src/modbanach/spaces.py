@@ -25,6 +25,7 @@ __all__ = [
     "TwoSum",
     "norm",
     "norm_batch",
+    "lp_norms_stack",
     "singular_values",
     "singular_values_stack",
     "dual_exponent",
@@ -106,6 +107,29 @@ def _lp_of_abs_rows(a: np.ndarray, p: float) -> np.ndarray:
     safe = np.where(m > 0.0, m, 1.0)
     out = safe * np.power(a / safe[:, None], p).sum(axis=1) ** (1.0 / p)
     return np.where(m > 0.0, out, m)
+
+
+def lp_norms_stack(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Norms of the real rows of a (k, d) stack, row i in l_{ps[i]}^d.
+
+    Each row gets the bits of ``Lp(ps[i], d).norm`` of that row alone: the
+    sums run over rows of the same length, and the root is ``math.pow``, which
+    rounds as a scalar ``** (1/p)`` does and a vector power does not.  A
+    scalar exponent 2 makes ``np.power`` square, while a per-row exponent
+    array takes the general power, so p = 2 rows are squared here.
+    """
+    a = np.abs(xs)
+    m = a.max(axis=1)
+    if a.shape[1] == 1:
+        return m
+    out = np.where(ps == 1.0, a.sum(axis=1), m)
+    root = np.flatnonzero((m > 0.0) & (ps != 1.0) & (ps < INF))
+    if root.size:
+        mr, pr = m[root], ps[root, None]
+        r = a[root] / mr[:, None]
+        sums = np.where(pr == 2.0, r * r, np.power(r, pr)).sum(axis=1)
+        out[root] = mr * np.array(list(map(math.pow, sums.tolist(), (1.0 / pr[:, 0]).tolist())))
+    return out
 
 
 def singular_values(m) -> np.ndarray:

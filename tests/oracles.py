@@ -113,3 +113,55 @@ def alpha_beta_loop(exponents, avalues):
 def log_family_slope(c, a=1.0):
     """Exact log-log slope limit for exponents 2 + a/log(n+b)."""
     return 4.0 * math.log(c) / a
+
+
+def nakano_block_terms(spec, points):
+    """Block norms, exponents and per-point term counts, read block by block.
+
+    Each block asks the spec for its exponent and its space and goes through
+    that space's own ``norm``, one call per block.
+    """
+    norms, exps, counts = [], [], []
+    for point in points:
+        for n, arr in point.items:
+            p = spec.exponent(n)
+            blk = spec.blocks.block(n, p)
+            if arr.shape[0] != blk.dim:
+                raise ValueError(f"block {n} has {arr.shape[0]} coordinates, expected {blk.dim}")
+            norms.append(blk.norm(arr))
+            exps.append(p)
+        counts.append(len(point.items))
+    return norms, exps, counts
+
+
+def luxemburg_lone(norms, exps):
+    """The Luxemburg norm of sum n_i ** q_i from its terms, solved alone.
+
+    Max-normalized nonzero terms on one unpadded row; the exits m = 1 and
+    equal exponents; then Newton on log sum exp(q_i (a_i - u)) from
+    u0 = log(m) / q_max until a step is at most 4e-16 * max(1, |u|).
+    """
+    norms = np.asarray(norms, dtype=float)
+    exps = np.asarray(exps, dtype=float)
+    keep = norms > 0.0
+    if not keep.any():
+        return 0.0
+    s = float(norms[keep].max())
+    n, q = norms[keep] / s, exps[keep]
+    keep = n > 0.0
+    n, q = n[keep], q[keep]
+    m = float(np.power(n, q).sum())
+    if m == 1.0:
+        return s
+    qmax = float(q.max())
+    if q.min() == qmax:
+        return s * m ** (1.0 / qmax)
+    a, q = np.log(n)[None, :], q[None, :]
+    u = np.array([math.log(m) / qmax])
+    while True:
+        w = np.exp(q * (a - u[:, None]))
+        total = w.sum(axis=1)
+        step = np.log(total) * total / (q * w).sum(axis=1)
+        u = u + step
+        if not step[0] > 4e-16 * max(1.0, abs(float(u[0]))):
+            return float(s * np.exp(u)[0])

@@ -432,6 +432,21 @@ def test_main_overflowing_modular_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == "numerical failure: modular value is not finite\n"
 
 
+@pytest.mark.parametrize("exponents", [
+    {"kind": "explicit", "values": [2.0, 4.0]},  # solved by Newton
+    {"kind": "constant", "p": 2.0},  # the equal-exponent closed form
+])
+def test_main_overflowing_norm_exits_3(exponents, tmp_path, capsys):
+    # every term is finite, but the norm lies above the largest float
+    cfg = {"command": "norm", "seed": 0,
+           "norm": {"nakano": {"exponents": exponents},
+                    "vectors": [{"1": [1.5e308], "2": [1.5e308]}]}}
+    cfg_path = tmp_path / "overflow.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "--format", "json"]) == 3
+    assert capsys.readouterr().err == "numerical failure: Luxemburg norm is not finite\n"
+
+
 def test_schema_commands_match_runner_table():
     assert sorted(cli._schema()["properties"]["command"]["enum"]) == sorted(cli._RUNNERS)
 

@@ -27,7 +27,8 @@ from modbanach.nakano import (
     spec_to_dict,
     weakly_null_surrogate,
 )
-from modbanach.spaces import Euclid, Lp
+from modbanach.modular import luxemburg_norm, luxemburg_norms
+from modbanach.spaces import Euclid, Lp, Schatten
 
 import oracles
 
@@ -204,6 +205,102 @@ def test_scale_terms_reads_each_exponent_once():
     bad = BlockVector(((1, [1.0, 2.0]), (3, [1.0])))
     with pytest.raises(ValueError, match=r"^block 3 has 1 coordinates, expected 2$"):
         NakanoModular(spec).scale_terms(bad)
+
+
+# --- batch term extraction and the batch solve keep every bit ----------------
+
+# (spec, block dimension): scalar, Euclidean, matched l_p, l_1, l_inf and
+# Schatten blocks; the explicit exponents put p = 2 rows among other p
+_BIT_SPECS = [
+    (NakanoSpec(FormulaExponents("power", 1.0)), 1),
+    (NakanoSpec(FormulaExponents("log", 1.0, b=1.0), UniformBlocks(Euclid(2))), 2),
+    (NakanoSpec(FormulaExponents("power", 1.0), MatchedLpBlocks(2)), 2),
+    (NakanoSpec(FormulaExponents("loglog", 1.0, b=3.0), MatchedLpBlocks(3)), 3),
+    (NakanoSpec(ExplicitExponents(tuple(2.0 if k % 3 == 0 else 1.0 + k / 7.0 for k in range(30))),
+                MatchedLpBlocks(2)), 2),
+    (NakanoSpec(FormulaExponents("power", -0.5, s=0.5), UniformBlocks(Lp(1.0, 3))), 3),
+    (NakanoSpec(ConstantExponents(3.0), UniformBlocks(Lp(math.inf, 2))), 2),
+    (NakanoSpec(ConstantExponents(2.5), UniformBlocks(Schatten(3.0, 2))), 4),
+]
+
+
+def _bit_vectors(rng, d, count):
+    """Vectors of 1-24 blocks at scales 1, 1e+-150 and 1e+-300, about 10% of blocks zero."""
+    out = []
+    for _ in range(count):
+        idx = rng.choice(np.arange(1, 31), int(rng.integers(1, 25)), replace=False)
+        scale = rng.choice([1.0, 1e150, 1e-150, 1e300, 1e-300])
+        blocks = []
+        for n in idx:
+            v = rng.standard_normal(d) * 10.0 ** rng.uniform(-3.0, 3.0) * scale
+            if rng.uniform() < 0.1:
+                v[:] = 0.0
+            blocks.append((int(n), v))
+        out.append(BlockVector(tuple(blocks)))
+    return out
+
+
+def _hex(values):
+    return [float.hex(float(v)) for v in values]
+
+
+@pytest.mark.parametrize("spec,d", _BIT_SPECS)
+def test_batch_terms_match_block_by_block_bits(spec, d):
+    points = _bit_vectors(np.random.default_rng(31), d, 40)
+    norms, exps, counts = NakanoModular(spec).batch_terms(points)
+    ref_norms, ref_exps, ref_counts = oracles.nakano_block_terms(spec, points)
+    assert _hex(norms) == _hex(ref_norms)
+    assert _hex(exps) == _hex(ref_exps)
+    assert counts.tolist() == ref_counts
+
+
+@pytest.mark.parametrize("spec,d", _BIT_SPECS)
+def test_luxemburg_batch_matches_lone_solves_bitwise(spec, d):
+    rng = np.random.default_rng(32)
+    points = _bit_vectors(rng, d, 40)
+    theta = NakanoModular(spec)
+    norms, exps, counts = oracles.nakano_block_terms(spec, points)
+    ends = np.cumsum(counts)
+    lone = [oracles.luxemburg_lone(norms[e - c:e], exps[e - c:e]) for c, e in zip(counts, ends)]
+    perm = rng.permutation(len(points))
+    got = luxemburg_norms(theta, [points[i] for i in perm])
+    assert _hex(got) == _hex([lone[i] for i in perm])
+    assert _hex(luxemburg_norm(theta, points[i]) for i in range(0, 40, 7)) == _hex(lone[0:40:7])
+
+
+def test_underflowing_terms_leave_their_row_before_grouping():
+    # Rows of 9-14 terms, 1-3 of which underflow to 0 against the largest,
+    # leaving at least 8 live: each row is solved on its live terms alone and
+    # grouped by its live count; a row of 8 live terms summed over 9 columns
+    # would be summed in another order.
+    rng = np.random.default_rng(33)
+    spec = NakanoSpec(ExplicitExponents(tuple(rng.uniform(1.0, 6.0, 16))))
+    full, live = [], []
+    for _ in range(24):
+        idx = rng.choice(np.arange(1, 17), int(rng.integers(9, 15)), replace=False)
+        tiny = set(rng.choice(idx, int(rng.integers(1, 4)), replace=False).tolist())
+        if len(idx) - len(tiny) < 8:
+            tiny = set(list(tiny)[:len(idx) - 8])
+        blocks = [(int(n), np.array([1e-300 if n in tiny else 1e300 * rng.uniform(0.5, 2.0)])) for n in idx]
+        full.append(BlockVector(tuple(blocks)))
+        live.append(BlockVector(tuple(b for b in blocks if b[0] not in tiny)))
+    theta = NakanoModular(spec)
+    got = luxemburg_norms(theta, full + live)
+    assert _hex(got[:24]) == _hex(got[24:])
+    norms, exps, counts = oracles.nakano_block_terms(spec, full)
+    ends = np.cumsum(counts)
+    assert _hex(got[:24]) == _hex(
+        oracles.luxemburg_lone(norms[e - c:e], exps[e - c:e]) for c, e in zip(counts, ends))
+
+
+def test_complex_block_under_euclid_blocks_raises_type_error():
+    spec = NakanoSpec(ConstantExponents(3.0), UniformBlocks(Euclid(2)))
+    real = bv(n1=[1.0, 2.0])
+    bad = BlockVector(((1, np.array([1.0, 0.5])), (2, np.array([1.0 + 1.0j, 0.0]))))
+    with pytest.raises(TypeError, match="complex entries are only supported in Schatten spaces"):
+        nakano_norm(spec, bad)
+    with pytest.raises(TypeError, match="complex entries are only supported in Schatten spaces"):
+        luxemburg_norms(NakanoModular(spec), [real, bad, real])
 
 
 def test_disjoint_additivity():
