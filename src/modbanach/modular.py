@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import Euclid, as_real_vector
+from .spaces import Euclid, as_real_vector, reduce_rows
 
 __all__ = [
     "ConvexModular",
@@ -215,7 +215,7 @@ def luxemburg_norms(theta: ConvexModular, points) -> np.ndarray:
     # Solve on max-normalized terms: with s the largest term norm,
     # Theta(x / (s*mu)) stays representable even when Theta(x) itself
     # under- or overflows, and the root u is O(1).  The zero vector keeps 0.
-    s = n.max(axis=1)
+    s = reduce_rows(np.maximum, n)
     rows = np.flatnonzero(s)
     if not rows.size:
         return out
@@ -233,9 +233,9 @@ def luxemburg_norms(theta: ConvexModular, points) -> np.ndarray:
     # a dead term takes its row's first exponent, which leaves the row's
     # exponent range as it is; its n = 0 adds 0 to m and w at any exponent
     q = np.where(live, q, q[:, :1])
-    # numpy sums a row of fewer than 8 terms left to right, so padding it
-    # with zero terms up to 7 columns changes no bit; from 8 terms on its
-    # pairwise summation regroups, so those rows go unpadded, by live count
+    # rows of fewer than 8 terms are summed left to right (see
+    # spaces.reduce_rows), so padding them with zero terms up to 7 columns
+    # changes no bit; wider rows would regroup, so they go unpadded, by live count
     if width < 8:
         _solve_rows(out, rows, s, n, q, live)
         return out
@@ -248,9 +248,9 @@ def luxemburg_norms(theta: ConvexModular, points) -> np.ndarray:
 
 def _solve_rows(out, rows, s, n, q, live) -> None:
     """out[rows] from max-normalized terms (n, q) whose live terms lead each row."""
-    m = np.power(n, q).sum(axis=1)
-    qmax = q.max(axis=1)
-    equal = q.min(axis=1) == qmax
+    m = reduce_rows(np.add, np.power(n, q))
+    qmax = reduce_rows(np.maximum, q)
+    equal = reduce_rows(np.minimum, q) == qmax
     solve = []
     u0 = []
     for k, (i, si, mi, qi, eq) in enumerate(zip(rows.tolist(), s.tolist(), m.tolist(),
@@ -283,8 +283,8 @@ def _newton(a, q, u) -> np.ndarray:
     active = np.ones(u.shape, dtype=bool)
     while active.any():
         w = np.exp(q * (a - u[:, None]))
-        total = w.sum(axis=1)
-        step = np.log(total) * total / (q * w).sum(axis=1)
+        total = reduce_rows(np.add, w)
+        step = np.log(total) * total / reduce_rows(np.add, q * w)
         # a stopped row keeps its root while the others go on
         u = np.where(active, u + step, u)
         active &= step > 4e-16 * np.maximum(1.0, np.abs(u))

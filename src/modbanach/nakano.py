@@ -11,6 +11,7 @@ finite, which governs the existence of an equivalent hilbertian norm.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -280,6 +281,10 @@ class ExplicitBlocks:
         return {"kind": "list", "spaces": [space_to_dict(s) for s in self.blocks]}
 
 
+# one validated Lp per (p, d), shared by every block with that exponent
+_matched_lp = functools.lru_cache(maxsize=4096)(Lp)
+
+
 @dataclass(frozen=True)
 class MatchedLpBlocks:
     """Block n is l_{p_n}^d, reusing the exponent sequence for the blocks."""
@@ -287,7 +292,7 @@ class MatchedLpBlocks:
     d: int
 
     def block(self, n: int, p: float):
-        return Lp(p, self.d)
+        return _matched_lp(p, self.d)
 
     def describe(self) -> dict:
         return {"kind": "lp_matched", "d": self.d}
@@ -312,11 +317,10 @@ class NakanoSpec:
 
 
 def _coerce_block(arr) -> np.ndarray:
-    a = np.asarray(arr)
-    if a.dtype.kind == "c":
-        a = a.astype(complex)
-    else:
-        a = a.astype(float)
+    # np.array copies an array and reads a list once, and the cast below
+    # copies only when the dtype changes
+    a = np.array(arr)
+    a = a.astype(complex if a.dtype.kind == "c" else float, copy=False)
     # isfinite of a complex entry is False once either part is inf or NaN
     if not np.isfinite(a).all():
         raise ValueError("block has non-finite entries")

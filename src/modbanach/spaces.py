@@ -26,6 +26,7 @@ __all__ = [
     "norm",
     "norm_batch",
     "lp_norms_stack",
+    "reduce_rows",
     "singular_values",
     "singular_values_stack",
     "dual_exponent",
@@ -97,15 +98,32 @@ def _lp_of_abs(a: np.ndarray, p: float) -> float:
     return float(m * np.power(a / m, p).sum() ** (1.0 / p))
 
 
+def reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1)`` for np.add, np.maximum or np.minimum, bit for bit.
+
+    numpy's reduce along a row pays a cost per row, which dominates on rows
+    of a few columns.  So a row of fewer than 8 columns is reduced column by
+    column, left to right, as the reduce over the first axis of the
+    contiguous transpose: one numpy call at any stack height.  numpy sums a
+    row of fewer than 8 terms left to right too, so this changes no bit, and
+    a row's sum does not depend on the height of its stack.  From 8 terms on
+    numpy's pairwise summation regroups, so wider rows go to numpy's own
+    reduce.
+    """
+    if a.shape[1] >= 8:
+        return ufunc.reduce(a, axis=1)
+    return ufunc.reduce(np.ascontiguousarray(a.T), axis=0)
+
+
 def _lp_of_abs_rows(a: np.ndarray, p: float) -> np.ndarray:
     """Row-wise l_p norm of a nonnegative 2-d array; a zero or NaN row keeps its max."""
-    m = a.max(axis=1)
+    m = reduce_rows(np.maximum, a)
     if p == INF:
         return m
     if p == 1.0:
-        return a.sum(axis=1)
+        return reduce_rows(np.add, a)
     safe = np.where(m > 0.0, m, 1.0)
-    out = safe * np.power(a / safe[:, None], p).sum(axis=1) ** (1.0 / p)
+    out = safe * reduce_rows(np.add, np.power(a / safe[:, None], p)) ** (1.0 / p)
     return np.where(m > 0.0, out, m)
 
 
@@ -119,15 +137,15 @@ def lp_norms_stack(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     array takes the general power, so p = 2 rows are squared here.
     """
     a = np.abs(xs)
-    m = a.max(axis=1)
+    m = reduce_rows(np.maximum, a)
     if a.shape[1] == 1:
         return m
-    out = np.where(ps == 1.0, a.sum(axis=1), m)
+    out = np.where(ps == 1.0, reduce_rows(np.add, a), m)
     root = np.flatnonzero((m > 0.0) & (ps != 1.0) & (ps < INF))
     if root.size:
         mr, pr = m[root], ps[root, None]
         r = a[root] / mr[:, None]
-        sums = np.where(pr == 2.0, r * r, np.power(r, pr)).sum(axis=1)
+        sums = reduce_rows(np.add, np.where(pr == 2.0, r * r, np.power(r, pr)))
         out[root] = mr * np.array(list(map(math.pow, sums.tolist(), (1.0 / pr[:, 0]).tolist())))
     return out
 

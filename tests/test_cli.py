@@ -353,6 +353,19 @@ _REJECTED = {
     "norm_nakano_blocks_scalar": {"command": "norm", "seed": 0,
                                   "norm": {"nakano": {"exponents": {"kind": "constant", "p": 2.0}, "blocks": 5},
                                            "vectors": [{"1": [1.0]}]}},
+    # a block vector entry that is not a number
+    "norm_nakano_string_entry": {"command": "norm", "seed": 0,
+                                 "norm": {"nakano": {"exponents": {"kind": "constant", "p": 2.0}},
+                                          "vectors": [{"1": [1.0, "a"]}]}},
+    "norm_nakano_null_entry": {"command": "norm", "seed": 0,
+                               "norm": {"nakano": {"exponents": {"kind": "constant", "p": 2.0}},
+                                        "vectors": [{"1": [None]}]}},
+    "norm_nakano_object_entry": {"command": "norm", "seed": 0,
+                                 "norm": {"nakano": {"exponents": {"kind": "constant", "p": 2.0}},
+                                          "vectors": [{"1": [{"a": 1.0}]}]}},
+    "far_block_string_entry": {"command": "verify", "seed": 0,
+                               "verify": {"check": "far_block_limit", "nakano": {"exponents": {"kind": "power", "a": 1.0}},
+                                          "x": {"1": ["a"]}, "schedule": [10, 100]}},
     "summand_grid_scalar": {"command": "summand", "seed": 0,
                             "summand": {"space": {"kind": "lp", "p": 4.0, "d": 2}, "budget": 1, "grid": 5}},
     # integer parameters must not be truncated from a float or read from a boolean

@@ -248,6 +248,11 @@ def test_grid_floor_positive_for_l4_small_grid():
     assert floor > 0.01
 
 
+def test_grid_floor_pinned_for_l4():
+    # the bits of the floor before the row kernels reduced short rows by column
+    assert two_summand_grid_floor(Lp(4.0, 2), n_xi=360, n_phi=360) == 0.17432493467530763
+
+
 def test_grid_floor_zero_for_euclid():
     floor = two_summand_grid_floor(Euclid(2), n_xi=45, n_phi=45, samples=32, seed=0)
     assert floor <= 1e-10

@@ -122,6 +122,17 @@ def test_block_vector_immutable():
         x.entry(1)[0] = 9.0
 
 
+def test_block_vector_copies_and_casts_each_block():
+    src = np.array([1.0, 2.0])
+    x = BlockVector(((1, src), (2, [3, 4]), (3, [1j, 2.0])))
+    src[0] = 9.0
+    np.testing.assert_array_equal(x.entry(1), [1.0, 2.0])
+    assert x.entry(2).dtype == float and x.entry(3).dtype == complex
+    assert not any(x.entry(n).flags.writeable for n in x.support)
+    with pytest.raises(ValueError):
+        BlockVector(((1, ["a"]),))
+
+
 def test_block_vector_restrict_and_drop():
     x = bv(n1=[1.0], n4=[2.0], n9=[3.0])
     assert x.restrict_min(4).support == (4, 9)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modbanach.modular import LuxemburgSpace, PowerModular, square
 from modbanach.spaces import (
@@ -13,9 +15,11 @@ from modbanach.spaces import (
     TwoSum,
     banach_mazur_lp_vs_hilbert,
     dual_exponent,
+    lp_norms_stack,
     norm,
     norm_batch,
     singular_values,
+    singular_values_stack,
     space_from_dict,
     space_to_dict,
 )
@@ -90,6 +94,112 @@ def test_norm_batch_agrees_with_scalar_norm_at_extreme_scales(scale):
         # explicit relative check: approx would add an absolute 1e-12 slack
         for got in (norm_batch(space, x[None, :])[0], norm(space, x)):
             assert abs(got - want) <= 1e-14 * want
+
+
+_BIT_PS = (1.0, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, INF)
+_BIT_SCALES = (5e-324, 1e-300, 1.0, 1e300)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _axis_lp_rows(a, p):
+    """Row l_p norms with numpy's axis reductions: the formula the kernels had
+    before they reduced short rows column by column."""
+    m = a.max(axis=1)
+    if p == INF:
+        return m
+    if p == 1.0:
+        return a.sum(axis=1)
+    safe = np.where(m > 0.0, m, 1.0)
+    out = safe * np.power(a / safe[:, None], p).sum(axis=1) ** (1.0 / p)
+    return np.where(m > 0.0, out, m)
+
+
+def _axis_lp_norms_stack(xs, ps):
+    a = np.abs(xs)
+    m = a.max(axis=1)
+    if a.shape[1] == 1:
+        return m
+    out = np.where(ps == 1.0, a.sum(axis=1), m)
+    root = np.flatnonzero((m > 0.0) & (ps != 1.0) & (ps < INF))
+    if root.size:
+        mr, pr = m[root], ps[root, None]
+        r = a[root] / mr[:, None]
+        sums = np.where(pr == 2.0, r * r, np.power(r, pr)).sum(axis=1)
+        out[root] = mr * np.array(list(map(math.pow, sums.tolist(), (1.0 / pr[:, 0]).tolist())))
+    return out
+
+
+def _bit_rows(rng, d, scale, special=True):
+    xs = rng.standard_normal((60, d)) * scale
+    if special:
+        xs[1] = 0.0
+        xs[2, -1] = np.nan
+        xs[3, 0] = np.inf
+        xs[4, :] = -np.inf
+    return xs
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_row_kernels_keep_axis_reduction_bits(d):
+    # rows under 8 columns are reduced column by column, wider ones by numpy
+    rng = np.random.default_rng(100 + d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_row_kernel_bits(rng, d)
+
+
+def _check_row_kernel_bits(rng, d):
+    for scale in _BIT_SCALES:
+        xs = _bit_rows(rng, d, scale)
+        for p in _BIT_PS:
+            assert np.array_equal(_bits(Lp(p, d).norm_batch(xs)), _bits(_axis_lp_rows(np.abs(xs), p)))
+        assert np.array_equal(_bits(Euclid(d).norm_batch(xs)), _bits(_axis_lp_rows(np.abs(xs), 2.0)))
+        assert Lp(3.0, d).norm_batch(xs[:0]).shape == Euclid(d).norm_batch(xs[:0]).shape == (0,)
+        ps = rng.choice(_BIT_PS, size=xs.shape[0])
+        want = _axis_lp_norms_stack(xs, ps)
+        assert np.array_equal(_bits(lp_norms_stack(xs, ps)), _bits(want))
+        assert lp_norms_stack(xs[:0], ps[:0]).shape == (0,)
+        # eigvalsh does not take non-finite matrices, so Schatten gets finite rows
+        ms = (_bit_rows(rng, d * d, scale, special=False)
+              + 1j * _bit_rows(rng, d * d, scale, special=False)).reshape(-1, d, d)
+        ms[1] = 0.0
+        s = singular_values_stack(ms)
+        for p in _BIT_PS:
+            assert np.array_equal(_bits(Schatten(p, d).norm_batch(ms)), _bits(_axis_lp_rows(s, p)))
+        assert Schatten(3.0, d).norm_batch(ms[:0]).shape == (0,)
+
+
+def _hypothesis_space(kind, d, p):
+    if kind == "lp":
+        return Lp(p, d)
+    if kind == "euclid":
+        return Euclid(d)
+    if kind == "schatten":
+        return Schatten(p, d)
+    half = (d + 1) // 2
+    return TwoSum((Lp(p, half), Euclid(d - half)) if d > 1 else (Lp(p, 1),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["lp", "euclid", "schatten", "two_sum"]),
+       d=st.integers(1, 9), p=st.sampled_from(_BIT_PS),
+       log_scale=st.floats(-300.0, 300.0), seed=st.integers(0, 2**32 - 1),
+       height=st.integers(2, 40))
+def test_scalar_and_batch_norms_agree_at_any_height(kind, d, p, log_scale, seed, height):
+    space = _hypothesis_space(kind, d, p)
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    if kind == "schatten":
+        xs = (rng.standard_normal((height, d, d)) + 1j * rng.standard_normal((height, d, d))) * scale
+    else:
+        xs = rng.standard_normal((height, space.dim)) * scale
+    tall = norm_batch(space, xs)
+    for i in (0, height - 1):
+        one = norm(space, xs[i])
+        assert abs(tall[i] - one) <= 1e-14 * one
+        assert _bits(norm_batch(space, xs[i:i + 1])) == _bits(tall[i:i + 1])
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, INF])
