@@ -244,7 +244,8 @@ def two_summand_grid_floor(space, n_xi: int = 720, n_phi: int = 720,
         valid = np.abs(pv) > 1e-9
         if not np.any(valid):
             continue
-        f = xb[:, valid] / pv[valid][None, :]
+        # compress keeps f and r C-ordered, so the reshape below is a view
+        f = xb.compress(valid, axis=1) / pv[valid][None, :]
         r = suite[:, None, :] - f[:, :, None] * xi[None, None, :]
         rn = norm_batch(space, r.reshape(-1, 2)).reshape(f.shape)
         viol = np.abs(n2[:, None] - (f ** 2 + rn ** 2)) / n2[:, None]
