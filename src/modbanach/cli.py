@@ -307,10 +307,14 @@ def _run_summand(sub: dict, seed: int, jobs: int):
     space = space_from_dict(_need(sub, "space", where))
     budget = _integer(sub.get("budget", 16), where + ".budget")
     grid = sub.get("grid")
-    if grid is not None and not isinstance(grid, dict):
-        raise ConfigError(f"{where}.grid: expected an object, got {grid!r}")
-    if grid is not None and space.dim != 2:
-        raise ConfigError(f"{where}.grid: the angle grid needs a two-dimensional space")
+    if grid is not None:
+        if not isinstance(grid, dict):
+            raise ConfigError(f"{where}.grid: expected an object, got {grid!r}")
+        if space.dim != 2:
+            raise ConfigError(f"{where}.grid: the angle grid needs a two-dimensional space")
+        sizes = {k: _integer(grid.get(k, 720), f"{where}.grid.{k}") for k in ("n_xi", "n_phi")}
+        if min(sizes.values()) < 1:
+            raise ConfigError(f"{where}.grid: n_xi and n_phi must be at least 1, got {sizes}")
     result = isolab.find_one_dim_two_summand(space, budget=budget, seed=seed)
     payload = {
         "found": result.found,
@@ -324,10 +328,7 @@ def _run_summand(sub: dict, seed: int, jobs: int):
             "phi": result.candidate.phi.tolist(),
         }
     if grid is not None:
-        payload["grid_floor"] = isolab.two_summand_grid_floor(
-            space, n_xi=_integer(grid.get("n_xi", 720), where + ".grid.n_xi"),
-            n_phi=_integer(grid.get("n_phi", 720), where + ".grid.n_phi"), seed=seed,
-        )
+        payload["grid_floor"] = isolab.two_summand_grid_floor(space, **sizes, seed=seed)
     return payload, True, False, False, {"stops": result.stops}
 
 

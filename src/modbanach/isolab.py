@@ -228,6 +228,8 @@ def two_summand_grid_floor(space, n_xi: int = 720, n_phi: int = 720,
     """
     if space.dim != 2:
         raise ValueError("the angle grid applies to two-dimensional spaces only")
+    if n_xi < 1 or n_phi < 1:
+        raise ValueError(f"the angle grid needs at least one step per angle, got {n_xi} x {n_phi}")
     suite = _domain_suite(space, samples, seed)
     n2 = norm_batch(space, suite) ** 2
     keep = n2 > 0.0

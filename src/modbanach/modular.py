@@ -9,7 +9,7 @@ vectors again.  Per point, only the Newton start log(m) / q_max and the
 equal-exponent closed form stay scalar ``math``, because numpy's vector log
 and power round some values differently and every norm keeps the bits it
 has when solved alone.  ``ScaleProfile`` evaluates t -> Theta(t * x) from
-one point's terms for :meth:`ConvexModular.value`.
+one point's terms for :func:`modular_eval`.
 """
 from __future__ import annotations
 
@@ -65,32 +65,18 @@ class ScaleProfile:
 class ConvexModular:
     """Base class: convex, symmetric, faithful, Theta(0) = 0."""
 
-    def scale_terms(self, point) -> tuple:
-        """Return (norms, exponents) arrays with Theta(x) = sum n_i ** q_i."""
-        raise NotImplementedError
-
     def batch_terms(self, points) -> tuple:
-        """(norms, exponents, counts): every point's terms in turn as two flat
-        float arrays, and each point's number of terms."""
-        norms: list = []
-        exps: list = []
-        counts = []
-        for point in points:
-            n, e = self.scale_terms(point)
-            norms.extend(n)
-            exps.extend(e)
-            counts.append(len(n))
-        return np.array(norms, dtype=float), np.array(exps, dtype=float), np.array(counts, dtype=np.intp)
+        """(norms, exponents, counts) with Theta(x) = sum n_i ** q_i: every
+        point's terms in turn as two flat float arrays, and each point's
+        number of terms."""
+        raise NotImplementedError
 
     def exponent_range(self) -> tuple:
         """Global exponent bounds (q_min, q_max) of the modular kind."""
         raise NotImplementedError
 
-    def value(self, point) -> float:
-        return self.profile(point)(1.0)
-
     def profile(self, point) -> ScaleProfile:
-        norms, exps = self.scale_terms(point)
+        norms, exps, _ = self.batch_terms((point,))
         return ScaleProfile(norms, exps)
 
 
@@ -107,8 +93,9 @@ class PowerModular(ConvexModular):
             raise ValueError(f"power exponent must lie in [1, inf), got {q!r}")
         object.__setattr__(self, "q", q)
 
-    def scale_terms(self, point):
-        return [self.space.norm(point)], [self.q]
+    def batch_terms(self, points):
+        norms = np.array([self.space.norm(x) for x in points], dtype=float)
+        return norms, np.full(norms.size, self.q), np.ones(norms.size, dtype=np.intp)
 
     def exponent_range(self):
         return (self.q, self.q)
@@ -131,18 +118,21 @@ class DirectSumModular(ConvexModular):
             raise ValueError("direct sum needs at least one part")
         object.__setattr__(self, "parts", parts)
 
-    def scale_terms(self, point):
-        if len(point) != len(self.parts):
-            raise ValueError(
-                f"direct-sum point has {len(point)} coordinates, expected {len(self.parts)}"
-            )
-        norms: list = []
-        exps: list = []
-        for theta, xi in zip(self.parts, point):
-            n, e = theta.scale_terms(xi)
-            norms.extend(n)
-            exps.extend(e)
-        return norms, exps
+    def batch_terms(self, points):
+        """One ``batch_terms`` call per part for the whole batch; a stable sort
+        on the point index then gathers each point's terms, in part order."""
+        points = list(points)
+        for point in points:
+            if len(point) != len(self.parts):
+                raise ValueError(
+                    f"direct-sum point has {len(point)} coordinates, expected {len(self.parts)}"
+                )
+        terms = [theta.batch_terms([point[j] for point in points]) for j, theta in enumerate(self.parts)]
+        owner = np.concatenate([np.repeat(np.arange(len(points)), c) for _, _, c in terms])
+        order = np.argsort(owner, kind="stable")
+        norms = np.concatenate([n for n, _, _ in terms])[order]
+        exps = np.concatenate([e for _, e, _ in terms])[order]
+        return norms, exps, sum(c for _, _, c in terms)
 
     def exponent_range(self):
         ranges = [theta.exponent_range() for theta in self.parts]
@@ -151,7 +141,7 @@ class DirectSumModular(ConvexModular):
 
 def modular_eval(theta: ConvexModular, point) -> float:
     """Theta(x), with the point validated by the modular's own spaces."""
-    v = theta.value(point)
+    v = theta.profile(point)(1.0)
     if not math.isfinite(v):
         raise NumericalFailure("modular value is not finite")
     return v
@@ -358,5 +348,10 @@ class LuxemburgSpace:
         return luxemburg_norm(DirectSumModular(self.modulars), tuple(self.split(x)))
 
     def norm_batch(self, xs) -> np.ndarray:
-        theta = DirectSumModular(self.modulars)
-        return luxemburg_norms(theta, [tuple(self.split(row)) for row in np.asarray(xs, dtype=float)])
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise ValueError(f"expected a stack of {self.dim}-vectors, got shape {xs.shape}")
+        # each part's space validates its own rows
+        offs = self.offsets()
+        cols = [xs[:, offs[i]:offs[i + 1]] for i in range(len(self.modulars))]
+        return luxemburg_norms(DirectSumModular(self.modulars), list(zip(*cols)))

@@ -400,9 +400,14 @@ class BlockVector:
 
 def nakano_modular(spec: NakanoSpec, x: BlockVector) -> float:
     """Theta(x) = sum over the support of ||x(n)|| ** p_n."""
+    norms, exps, _ = NakanoModular(spec).batch_terms((x,))
     total = 0.0
-    for nrm, p in zip(*NakanoModular(spec).scale_terms(x)):
-        total += nrm ** p
+    try:
+        for nrm, p in zip(norms.tolist(), exps.tolist()):
+            total += nrm ** p
+    except OverflowError:
+        # a float ** that overflows raises instead of giving inf
+        total = math.inf
     if not math.isfinite(total):
         raise NumericalFailure("modular value is not finite")
     return total
@@ -413,10 +418,6 @@ class NakanoModular(ConvexModular):
     """ConvexModular wrapper around a NakanoSpec."""
 
     spec: NakanoSpec
-
-    def scale_terms(self, point: BlockVector):
-        norms, exps, _ = self.batch_terms((point,))
-        return norms.tolist(), exps.tolist()
 
     def batch_terms(self, points):
         """The block norms and exponents of all points, read in one pass.

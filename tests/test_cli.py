@@ -378,6 +378,13 @@ _REJECTED = {
     "summand_n_phi_true": {"command": "summand", "seed": 0,
                            "summand": {"space": {"kind": "lp", "p": 4.0, "d": 2}, "budget": 1,
                                        "grid": {"n_xi": 4, "n_phi": True}}},
+    # an empty angle grid has no floor
+    "summand_n_xi_0": {"command": "summand", "seed": 0,
+                       "summand": {"space": {"kind": "lp", "p": 4.0, "d": 2}, "budget": 1,
+                                   "grid": {"n_xi": 0, "n_phi": 4}}},
+    "summand_n_phi_negative": {"command": "summand", "seed": 0,
+                               "summand": {"space": {"kind": "lp", "p": 4.0, "d": 2}, "budget": 1,
+                                           "grid": {"n_xi": 4, "n_phi": -3}}},
     "verify_samples_true": {"command": "verify", "seed": 0,
                             "verify": {"check": "clarkson_lower", "space": _LP3, "samples": True}},
     "verify_grid_float": {"command": "verify", "seed": 0, "verify": {"check": "beckner", "p": 4.0, "grid": 11.5}},

@@ -253,6 +253,12 @@ def test_grid_floor_pinned_for_l4():
     assert two_summand_grid_floor(Lp(4.0, 2), n_xi=360, n_phi=360) == 0.17432493467530763
 
 
+@pytest.mark.parametrize("n_xi,n_phi", [(0, 4), (4, -3)])
+def test_grid_floor_rejects_an_empty_grid(n_xi, n_phi):
+    with pytest.raises(ValueError, match="at least one step per angle"):
+        two_summand_grid_floor(Lp(4.0, 2), n_xi=n_xi, n_phi=n_phi)
+
+
 def test_grid_floor_zero_for_euclid():
     floor = two_summand_grid_floor(Euclid(2), n_xi=45, n_phi=45, samples=32, seed=0)
     assert floor <= 1e-10

@@ -340,6 +340,36 @@ def test_luxemburg_space_norm_batch():
     assert got[2] == 0.0
     empty = space.norm_batch(np.zeros((0, 4)))
     assert empty.shape == (0,) and empty.dtype == float
+    with pytest.raises(ValueError):
+        space.norm_batch(np.zeros((2, 5)))
+    xs[4, 1] = np.nan
+    with pytest.raises(ValueError):
+        space.norm_batch(xs)
+
+
+def test_direct_sum_batch_terms_keep_each_points_bits():
+    # power parts, a Nakano part next to a squared scalar as in
+    # modular_sum_norm_with_scalar, and a nested direct sum
+    spec = NakanoSpec(ExplicitExponents((3.0, 2.0, 1.5, 4.0, 2.5)), MatchedLpBlocks(2))
+    inner = DirectSumModular((NakanoModular(spec), square(Euclid(1))))
+    theta = DirectSumModular((PowerModular(Lp(3.0, 2), 3.0), inner, square(Euclid(3))))
+    rng = np.random.default_rng(12)
+    points = []
+    for k in range(30):
+        support = rng.choice(np.arange(1, 6), int(rng.integers(0, 6)), replace=False)
+        x = BlockVector(tuple((int(n), rng.standard_normal(2) * 10.0 ** rng.uniform(-200, 200))
+                              for n in support))
+        points.append((rng.standard_normal(2), (x, rng.standard_normal(1) * (k % 3)), rng.standard_normal(3)))
+    points = [points[i] for i in rng.permutation(len(points))]
+    norms, exps, counts = theta.batch_terms(points)
+    ends = np.cumsum(counts)
+    for point, c, e in zip(points, counts.tolist(), ends.tolist()):
+        n1, e1, c1 = theta.batch_terms((point,))
+        assert c1.tolist() == [c] and c == len(point[1][0].items) + 3
+        assert [float.hex(v) for v in norms[e - c:e]] == [float.hex(v) for v in n1]
+        assert [float.hex(v) for v in exps[e - c:e]] == [float.hex(v) for v in e1]
+    with pytest.raises(ValueError, match="direct-sum point has 2 coordinates, expected 3"):
+        theta.batch_terms(points[:3] + [points[3][:2]])
 
 
 @settings(max_examples=60, deadline=None)

@@ -27,7 +27,8 @@ from modbanach.nakano import (
     spec_to_dict,
     weakly_null_surrogate,
 )
-from modbanach.modular import luxemburg_norm, luxemburg_norms
+from modbanach.geomconst import tail_parallelogram_defect
+from modbanach.modular import NumericalFailure, luxemburg_norm, luxemburg_norms
 from modbanach.spaces import Euclid, Lp, Schatten
 
 import oracles
@@ -199,7 +200,7 @@ def test_block_dimension_validated():
         nakano_modular(spec, bv(n1=[1.0]))
 
 
-def test_scale_terms_reads_each_exponent_once():
+def test_batch_terms_reads_each_exponent_once():
     calls = []
 
     class CountingExponents(ExplicitExponents):
@@ -209,13 +210,14 @@ def test_scale_terms_reads_each_exponent_once():
 
     spec = NakanoSpec(CountingExponents((2.0, 3.0, 4.0)), MatchedLpBlocks(2))
     x = BlockVector(((1, [1.0, 2.0]), (3, [0.5, -1.0])))
-    norms, exps = NakanoModular(spec).scale_terms(x)
+    norms, exps, counts = NakanoModular(spec).batch_terms((x,))
     assert calls == [1, 3]
-    assert exps == [2.0, 4.0]
-    assert norms == [Lp(2.0, 2).norm([1.0, 2.0]), Lp(4.0, 2).norm([0.5, -1.0])]
+    assert exps.tolist() == [2.0, 4.0]
+    assert norms.tolist() == [Lp(2.0, 2).norm([1.0, 2.0]), Lp(4.0, 2).norm([0.5, -1.0])]
+    assert counts.tolist() == [2]
     bad = BlockVector(((1, [1.0, 2.0]), (3, [1.0])))
     with pytest.raises(ValueError, match=r"^block 3 has 1 coordinates, expected 2$"):
-        NakanoModular(spec).scale_terms(bad)
+        NakanoModular(spec).batch_terms((bad,))
 
 
 # --- batch term extraction and the batch solve keep every bit ----------------
@@ -321,6 +323,24 @@ def test_disjoint_additivity():
     assert disjoint_additivity_check(spec, x, y) == 0.0
     with pytest.raises(ValueError, match="overlap at blocks \\[3\\]"):
         disjoint_additivity_check(spec, x, bv(n3=[1.0]))
+
+
+# p_1 = 3, so the one term of _HUGE is 1e900: a float ** raises there
+_OVERFLOW_SPEC = NakanoSpec(FormulaExponents("power", 1.0))
+_HUGE = BlockVector(((1, [1e300]),))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: nakano_modular(_OVERFLOW_SPEC, _HUGE),
+    lambda: tail_parallelogram_defect(_OVERFLOW_SPEC, 1, pairs=[(_HUGE, BlockVector(()))]),
+    lambda: weakly_null_surrogate(_OVERFLOW_SPEC, _HUGE, 1.0, 2),
+    lambda: homogeneity_defect(_OVERFLOW_SPEC, _HUGE, 2.0, 1),
+    lambda: disjoint_additivity_check(_OVERFLOW_SPEC, _HUGE, bv(n2=[1.0])),
+], ids=["nakano_modular", "tail_parallelogram_defect", "weakly_null_surrogate",
+        "homogeneity_defect", "disjoint_additivity_check"])
+def test_overflowing_term_raises_numerical_failure(call):
+    with pytest.raises(NumericalFailure, match=r"^modular value is not finite$"):
+        call()
 
 
 def test_norm_monotone_in_coordinates():

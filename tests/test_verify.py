@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modbanach.modular import modular_sum_norm_with_scalar
 from modbanach.nakano import BlockVector, ExplicitExponents, FormulaExponents, NakanoModular, NakanoSpec, nakano_norm
@@ -21,7 +23,7 @@ from modbanach.verify import (
     verify_parallelogram,
     verify_schatten_inf,
 )
-from modbanach.spaces import Euclid, Lp, Schatten
+from modbanach.spaces import Euclid, Lp, Schatten, TwoSum
 
 
 def bv(**blocks):
@@ -183,6 +185,31 @@ def test_witness_reevaluation_matches_report():
     assert {rep.check for rep in reports} == set(PAIR_CHECKS) | {"beckner", "lp_pair"}
     for rep in reports:
         assert reevaluate_witness(rep) == pytest.approx(rep.max_violation, abs=1e-10)
+
+
+_WITNESS_SPACES = [
+    Lp(1.0, 2), Lp(4.0 / 3.0, 2), Lp(1.5, 3), Lp(2.0, 2), Lp(2.0, 3), Lp(3.0, 2), Lp(3.0, 3),
+    Lp(4.0, 2), Lp(math.inf, 2), Euclid(2), Euclid(3), Schatten(1.5, 2), Schatten(2.0, 2),
+    Schatten(3.0, 2), Schatten(math.inf, 2), TwoSum((Lp(4.0, 2), Euclid(1))),
+]
+
+
+def _applies(check, space):
+    try:
+        PAIR_CHECKS[check].params(space)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("check", sorted(PAIR_CHECKS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), samples=st.integers(0, 300))
+def test_witness_reevaluation_is_exact(check, data, seed, samples):
+    # a witness's violation, recomputed in a batch of one, has the report's bits
+    space = data.draw(st.sampled_from([s for s in _WITNESS_SPACES if _applies(check, s)]))
+    rep = verify_pair(check, space, samples=samples, seed=seed)
+    assert reevaluate_witness(rep) == rep.max_violation
 
 
 def test_report_round_trips_to_json():
