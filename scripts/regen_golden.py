@@ -5,16 +5,24 @@ Run from the repository root after an intentional numerical change:
 
     python3 scripts/regen_golden.py
 
-The regression test compares campaign payload bytes against these files, so
-only regenerate when the change in numbers is understood and wanted.
+It runs the package in this checkout's ``src/``, installed or not, and
+refuses to run a copy imported from anywhere else.  The regression test
+compares campaign payload bytes against these files, so only regenerate when
+the change in numbers is understood and wanted.
 """
 import json
 import sys
 from pathlib import Path
 
-from modbanach.cli import run_campaign
-
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
+
+import modbanach  # noqa: E402
+from modbanach.cli import run_campaign  # noqa: E402
+
+if Path(modbanach.__file__).resolve().parent != (SRC / "modbanach").resolve():
+    sys.exit(f"imported modbanach from {modbanach.__file__}, not from {SRC}")
 
 
 def main() -> int:

@@ -59,14 +59,8 @@ from .geomconst import (
 )
 from .verify import (
     ViolationReport,
-    verify_clarkson_lower,
-    verify_clarkson_upper,
     verify_lp_pair,
     verify_beckner,
-    verify_2smooth,
-    verify_schatten_inf,
-    verify_parallelogram,
-    verify_endpoint_2,
     far_block_limit_gaps,
 )
 from .isolab import (

@@ -95,7 +95,7 @@ def _plain(obj):
 def _block_vector(obj, where: str) -> BlockVector:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: block vector must map block indices to coordinate lists")
-    return BlockVector(tuple((int(k), v) for k, v in obj.items()))
+    return BlockVector.from_dict(obj)
 
 
 def _need(sub: dict, key: str, where: str):

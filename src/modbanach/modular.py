@@ -186,7 +186,11 @@ def luxemburg_norms(theta: ConvexModular, points) -> np.ndarray:
     own.  All points are solved in lockstep, each taking exactly the steps
     it would take alone, so a norm has the same bits in any batch.
     """
-    norms, exps, counts = theta.batch_terms(points)
+    return _solve_terms(*theta.batch_terms(points))
+
+
+def _solve_terms(norms, exps, counts) -> np.ndarray:
+    """The Luxemburg norms of points given as ``batch_terms`` output."""
     out = np.zeros(counts.size)
     if not np.isfinite(norms).all():
         raise NumericalFailure("modular value is not finite")
@@ -316,6 +320,9 @@ class LuxemburgSpace:
 
     ``modulars`` is a tuple of PowerModular parts; the norm of a flat vector
     is the Luxemburg norm of its split against the direct-sum modular.
+    ``norm_batch`` reads each part's norms with one ``norm_batch`` call on
+    its columns and solves all rows in one pass; ``norm`` is ``norm_batch``
+    on one validated row.
     """
 
     modulars: tuple
@@ -345,13 +352,17 @@ class LuxemburgSpace:
         return [arr[offs[i]:offs[i + 1]] for i in range(len(self.modulars))]
 
     def norm(self, x) -> float:
-        return luxemburg_norm(DirectSumModular(self.modulars), tuple(self.split(x)))
+        return float(self.norm_batch(as_real_vector(x, self.dim)[None, :])[0])
 
     def norm_batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ValueError(f"expected a stack of {self.dim}-vectors, got shape {xs.shape}")
-        # each part's space validates its own rows
+        if not np.isfinite(xs).all():
+            raise ValueError("vector has non-finite entries")
         offs = self.offsets()
-        cols = [xs[:, offs[i]:offs[i + 1]] for i in range(len(self.modulars))]
-        return luxemburg_norms(DirectSumModular(self.modulars), list(zip(*cols)))
+        # row i's terms are row i of the (rows, parts) norm array, in part order
+        norms = np.stack([m.space.norm_batch(xs[:, offs[i]:offs[i + 1]])
+                          for i, m in enumerate(self.modulars)], axis=1)
+        exps = np.tile([m.q for m in self.modulars], xs.shape[0])
+        return _solve_terms(norms.ravel(), exps, np.full(xs.shape[0], len(self.modulars)))

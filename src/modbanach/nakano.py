@@ -501,18 +501,26 @@ def homogeneity_defect(spec: NakanoSpec, x: BlockVector, lam: float, n: int) -> 
 
     Requires the support of x to sit in blocks >= n.  The bound is
     max_{k in supp} | |lam|**p_k - lam**2 | * Theta(x), which collapses as the
-    exponents approach 2 along the tail.
+    exponents approach 2 along the tail.  A defect or bound that is not a
+    finite float raises ``NumericalFailure``.
     """
     n = _check_index(n)
     if x.support and min(x.support) < n:
         raise ValueError(f"support of x dips below the cutoff {n}")
     lam = float(lam)
-    theta_x = nakano_modular(spec, x)
-    defect = abs(nakano_modular(spec, x.scale(lam)) - lam ** 2 * theta_x)
     if not x.support:
         return 0.0, 0.0
-    factors = [abs(abs(lam) ** spec.exponent(k) - lam ** 2) for k in x.support]
-    return defect, max(factors) * theta_x
+    theta_x = nakano_modular(spec, x)
+    theta_lam = nakano_modular(spec, x.scale(lam))
+    try:
+        defect = abs(theta_lam - lam ** 2 * theta_x)
+        bound = max(abs(abs(lam) ** spec.exponent(k) - lam ** 2) for k in x.support) * theta_x
+    except OverflowError:
+        # a float ** that overflows raises instead of giving inf
+        defect = bound = math.inf
+    if not (math.isfinite(defect) and math.isfinite(bound)):
+        raise NumericalFailure("homogeneity defect is not finite")
+    return defect, bound
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +580,6 @@ class ConditionReport:
     overall: str
     window: tuple
     margin: float
-
-    def verdict_for(self, c: float) -> str:
-        for v in self.verdicts:
-            if v.c == c:
-                return v.verdict
-        raise KeyError(c)
 
 
 def nakano_condition_verdict(

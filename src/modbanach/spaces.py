@@ -3,8 +3,9 @@
 Space descriptors are small frozen dataclasses; norm evaluation is a pure
 function of the descriptor and the input array.  Scalars are real everywhere
 except for Schatten spaces, which own complex d x d matrices (their ambient
-dimension is d*d).  Batched variants operate on stacked inputs and are used
-by the sampling-heavy verifiers.
+dimension is d*d).  ``norm_batch`` takes a stack of inputs and does not
+validate them; ``norm`` validates one input and returns ``norm_batch`` of it
+as a one-row stack, so the two agree bit for bit at any stack height.
 """
 from __future__ import annotations
 
@@ -87,17 +88,6 @@ def as_matrix(x, d: int | None = None) -> np.ndarray:
     return arr
 
 
-def _lp_of_abs(a: np.ndarray, p: float) -> float:
-    """l_p norm of a nonnegative 1-d array, scaled against overflow."""
-    m = float(a.max()) if a.size else 0.0
-    # one coordinate: a / m is 1.0, and 1.0 ** p and 1.0 ** (1/p) are 1.0
-    if m == 0.0 or a.size == 1 or p == INF:
-        return m
-    if p == 1.0:
-        return float(a.sum())
-    return float(m * np.power(a / m, p).sum() ** (1.0 / p))
-
-
 def reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
     """``ufunc.reduce(a, axis=1)`` for np.add, np.maximum or np.minimum, bit for bit.
 
@@ -131,10 +121,11 @@ def lp_norms_stack(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """Norms of the real rows of a (k, d) stack, row i in l_{ps[i]}^d.
 
     Each row gets the bits of ``Lp(ps[i], d).norm`` of that row alone: the
-    sums run over rows of the same length, and the root is ``math.pow``, which
-    rounds as a scalar ``** (1/p)`` does and a vector power does not.  A
-    scalar exponent 2 makes ``np.power`` square, while a per-row exponent
-    array takes the general power, so p = 2 rows are squared here.
+    sums run over rows of the same length, and the powers and roots are the
+    vector ones that ``Lp.norm_batch`` takes with its scalar exponent.  For a
+    scalar 2 numpy squares and roots by ``sqrt``, while a per-row exponent
+    array would take the general power, so p = 2 rows are squared and rooted
+    by ``sqrt`` here.
     """
     a = np.abs(xs)
     m = reduce_rows(np.maximum, a)
@@ -143,10 +134,11 @@ def lp_norms_stack(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     out = np.where(ps == 1.0, reduce_rows(np.add, a), m)
     root = np.flatnonzero((m > 0.0) & (ps != 1.0) & (ps < INF))
     if root.size:
-        mr, pr = m[root], ps[root, None]
+        mr, pr = m[root], ps[root]
+        two = pr == 2.0
         r = a[root] / mr[:, None]
-        sums = reduce_rows(np.add, np.where(pr == 2.0, r * r, np.power(r, pr)))
-        out[root] = mr * np.array(list(map(math.pow, sums.tolist(), (1.0 / pr[:, 0]).tolist())))
+        sums = reduce_rows(np.add, np.where(two[:, None], r * r, np.power(r, pr[:, None])))
+        out[root] = mr * np.where(two, np.sqrt(sums), np.power(sums, 1.0 / pr))
     return out
 
 
@@ -193,8 +185,7 @@ class Lp:
         return self.d
 
     def norm(self, x) -> float:
-        arr = as_real_vector(x, self.d)
-        return _lp_of_abs(np.abs(arr), self.p)
+        return float(self.norm_batch(as_real_vector(x, self.d)[None, :])[0])
 
     def norm_batch(self, xs: np.ndarray) -> np.ndarray:
         return _lp_of_abs_rows(np.abs(np.asarray(xs, dtype=float)), self.p)
@@ -214,12 +205,11 @@ class Euclid:
         return self.d
 
     def norm(self, x) -> float:
-        # not np.linalg.norm: that squares without rescaling and drowns
-        # at ~1e-154 / overflows at ~1e154
-        arr = as_real_vector(x, self.d)
-        return _lp_of_abs(np.abs(arr), 2.0)
+        return float(self.norm_batch(as_real_vector(x, self.d)[None, :])[0])
 
     def norm_batch(self, xs: np.ndarray) -> np.ndarray:
+        # not np.linalg.norm: that squares without rescaling and drowns
+        # at ~1e-154 / overflows at ~1e154
         return _lp_of_abs_rows(np.abs(np.asarray(xs, dtype=float)), 2.0)
 
 
@@ -243,8 +233,7 @@ class Schatten:
         return self.d * self.d
 
     def norm(self, x) -> float:
-        s = singular_values(as_matrix(x, self.d))
-        return _lp_of_abs(s, self.p)
+        return float(self.norm_batch(as_matrix(x, self.d)[None])[0])
 
     def norm_batch(self, xs: np.ndarray) -> np.ndarray:
         a = np.asarray(xs, dtype=complex)
@@ -315,8 +304,7 @@ class TwoSum:
         return [arr[offs[i]:offs[i + 1]] for i in range(len(self.parts))]
 
     def norm(self, x) -> float:
-        pieces = self.split(x)
-        return math.hypot(*(s.norm(v) for s, v in zip(self.parts, pieces)))
+        return float(self.norm_batch(as_real_vector(x, self.dim)[None, :])[0])
 
     def norm_batch(self, xs: np.ndarray) -> np.ndarray:
         arr = np.asarray(xs, dtype=float)

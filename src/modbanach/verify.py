@@ -32,14 +32,8 @@ __all__ = [
     "PairCheck",
     "PAIR_CHECKS",
     "verify_pair",
-    "verify_clarkson_lower",
-    "verify_clarkson_upper",
     "verify_lp_pair",
     "verify_beckner",
-    "verify_2smooth",
-    "verify_schatten_inf",
-    "verify_parallelogram",
-    "verify_endpoint_2",
     "far_block_limit_gaps",
     "reevaluate_witness",
     "clarkson_rhs",
@@ -239,13 +233,25 @@ class PairCheck(NamedTuple):
 
 
 PAIR_CHECKS = {
+    # ||x+y||^2 + ||x-y||^2 >= 2 (||x||^p + ||y||^p) ** (2/p) for p > 2
     "clarkson_lower": PairCheck(partial(_clarkson_params, lower=True),
                                 partial(_clarkson_batch, lower=True)),
+    # ||x+y||^2 + ||x-y||^2 <= 2 (||x||^p + ||y||^p) ** (2/p) for p < 2
     "clarkson_upper": PairCheck(partial(_clarkson_params, lower=False),
                                 partial(_clarkson_batch, lower=False)),
+    # ||x+y||^2 + ||x-y||^2 <= 2 (||x||^2 + C^2 ||y||^2), by default with
+    # C = sqrt(p-1): holds for l_p and Schatten-p with p >= 2; shrinking C
+    # below 1 breaks it already on collinear pairs, which the structured
+    # seeds cover
     "two_smooth": PairCheck(_two_smooth_params, _two_smooth_batch),
+    # (||x+y||^2 + ||x-y||^2) / 2 >= max(||x||, ||y||)^2 in Schatten(inf, d),
+    # the operator norm
     "schatten_inf": PairCheck(_schatten_inf_params, _schatten_inf_batch),
+    # absolute deviation | ||x+y||^2 + ||x-y||^2 - 2(||x||^2 + ||y||^2) |:
+    # zero exactly on inner-product spaces; elsewhere the report's witness is
+    # a certified non-Hilbert pair
     "parallelogram": PairCheck(_space_params, _parallelogram_batch),
+    # at p = 2 the whole inequality chain collapses to the parallelogram law
     "endpoint_2": PairCheck(_endpoint_2_params, _parallelogram_batch),
 }
 
@@ -260,44 +266,6 @@ def verify_pair(check: str, space, samples=10000, seed=0, tolerance=1e-10, jobs=
     params = entry.params(space, **options)
     batch_fn = partial(entry.batch, space, params)
     return _pair_campaign(check, params, space, batch_fn, samples, seed, tolerance, jobs)
-
-
-def verify_clarkson_lower(space, samples=10000, seed=0, tolerance=1e-10, jobs=1):
-    """||x+y||^2 + ||x-y||^2 >= 2 (||x||^p + ||y||^p) ** (2/p) for p > 2."""
-    return verify_pair("clarkson_lower", space, samples, seed, tolerance, jobs)
-
-
-def verify_clarkson_upper(space, samples=10000, seed=0, tolerance=1e-10, jobs=1):
-    """||x+y||^2 + ||x-y||^2 <= 2 (||x||^p + ||y||^p) ** (2/p) for p < 2."""
-    return verify_pair("clarkson_upper", space, samples, seed, tolerance, jobs)
-
-
-def verify_2smooth(space, samples=10000, seed=0, c=None, tolerance=1e-10, jobs=1):
-    """||x+y||^2 + ||x-y||^2 <= 2 (||x||^2 + C^2 ||y||^2) with C = sqrt(p-1).
-
-    Holds for l_p and Schatten-p with p >= 2; shrinking C below 1 breaks it
-    already on collinear pairs, which the structured seeds cover.
-    """
-    return verify_pair("two_smooth", space, samples, seed, tolerance, jobs, c=c)
-
-
-def verify_schatten_inf(d: int, samples=10000, seed=0, tolerance=1e-10, jobs=1):
-    """(||x+y||^2 + ||x-y||^2) / 2 >= max(||x||, ||y||)^2 in operator norm."""
-    return verify_pair("schatten_inf", Schatten(math.inf, int(d)), samples, seed, tolerance, jobs)
-
-
-def verify_parallelogram(space, samples=10000, seed=0, tolerance=1e-10, jobs=1):
-    """Absolute deviation | ||x+y||^2 + ||x-y||^2 - 2(||x||^2 + ||y||^2) |.
-
-    Zero exactly on inner-product spaces; elsewhere the report's witness is a
-    certified non-Hilbert pair.
-    """
-    return verify_pair("parallelogram", space, samples, seed, tolerance, jobs)
-
-
-def verify_endpoint_2(space, samples=10000, seed=0, tolerance=1e-10, jobs=1):
-    """At p = 2 the whole inequality chain collapses to the parallelogram law."""
-    return verify_pair("endpoint_2", space, samples, seed, tolerance, jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,7 @@ from modbanach.nakano import (
     nakano_norm,
 )
 from modbanach.spaces import Euclid, Lp, Schatten, TwoSum
-from modbanach.verify import (
-    verify_beckner,
-    verify_clarkson_lower,
-    verify_clarkson_upper,
-)
+from modbanach.verify import verify_beckner, verify_pair
 
 import oracles
 
@@ -125,23 +121,23 @@ def test_criterion_03_clarkson_suites(capsys):
     suites = 0
     for d in (2, 3, 5):
         for p in (2.1, 2.5, 3.0, 4.0):
-            rep = verify_clarkson_lower(Lp(p, d), samples=100000, seed=suites, tolerance=1e-12, jobs=4)
+            rep = verify_pair("clarkson_lower", Lp(p, d), samples=100000, seed=suites, tolerance=1e-12, jobs=4)
             worst = max(worst, rep.max_violation)
             suites += 1
             assert rep.verdict == "holds", (p, d)
         for p in (1.0, 1.5, 1.9):
-            rep = verify_clarkson_upper(Lp(p, d), samples=100000, seed=suites, tolerance=1e-12, jobs=4)
+            rep = verify_pair("clarkson_upper", Lp(p, d), samples=100000, seed=suites, tolerance=1e-12, jobs=4)
             worst = max(worst, rep.max_violation)
             suites += 1
             assert rep.verdict == "holds", (p, d)
     for d in (2, 3):
         for p in (2.1, 2.5, 3.0, 4.0):
-            rep = verify_clarkson_lower(Schatten(p, d), samples=10000, seed=suites, tolerance=1e-12, jobs=4)
+            rep = verify_pair("clarkson_lower", Schatten(p, d), samples=10000, seed=suites, tolerance=1e-12, jobs=4)
             worst = max(worst, rep.max_violation)
             suites += 1
             assert rep.verdict == "holds", ("schatten", p, d)
         for p in (1.0, 1.5, 1.9):
-            rep = verify_clarkson_upper(Schatten(p, d), samples=10000, seed=suites, tolerance=1e-12, jobs=4)
+            rep = verify_pair("clarkson_upper", Schatten(p, d), samples=10000, seed=suites, tolerance=1e-12, jobs=4)
             worst = max(worst, rep.max_violation)
             suites += 1
             assert rep.verdict == "holds", ("schatten", p, d)

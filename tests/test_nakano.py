@@ -400,6 +400,17 @@ def test_homogeneity_defect_bounded():
         homogeneity_defect(spec, bv(n3=[1.0]), 2.0, 5)
 
 
+@pytest.mark.parametrize("x, lam", [
+    # lam ** 2 = 1e400 overflows
+    (BlockVector(((1, [1e-200]),)), 1e200),
+    # lam ** 2 = 1e300 stays finite, |lam| ** p_1 = 1e450 overflows
+    (BlockVector(((1, [1e-150]),)), 1e150),
+], ids=["lam_squared", "lam_to_the_p"])
+def test_homogeneity_defect_overflow_raises_numerical_failure(x, lam):
+    with pytest.raises(NumericalFailure, match="homogeneity defect is not finite"):
+        homogeneity_defect(_OVERFLOW_SPEC, x, lam, 1)
+
+
 def test_homogeneity_bound_closed_form():
     # single unit block at the cutoff, lam = 2: bound is |2^p - 4| * Theta(x)
     spec = NakanoSpec(FormulaExponents("power", 1.0))  # p_5 = 2.2

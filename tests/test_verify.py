@@ -13,15 +13,9 @@ from modbanach.verify import (
     clarkson_rhs,
     far_block_limit_gaps,
     reevaluate_witness,
-    verify_2smooth,
     verify_beckner,
-    verify_clarkson_lower,
-    verify_clarkson_upper,
-    verify_endpoint_2,
     verify_lp_pair,
     verify_pair,
-    verify_parallelogram,
-    verify_schatten_inf,
 )
 from modbanach.spaces import Euclid, Lp, Schatten, TwoSum
 
@@ -32,7 +26,7 @@ def bv(**blocks):
 
 def test_clarkson_lower_holds():
     for space in (Lp(3.0, 3), Lp(4.0, 2), Schatten(2.5, 2)):
-        rep = verify_clarkson_lower(space, samples=2000, seed=0)
+        rep = verify_pair("clarkson_lower", space, samples=2000, seed=0)
         assert rep.verdict == "holds"
         assert rep.max_violation <= 1e-12
         assert rep.samples > 2000  # structured pairs ride along
@@ -40,20 +34,20 @@ def test_clarkson_lower_holds():
 
 def test_clarkson_upper_holds():
     for space in (Lp(1.0, 3), Lp(1.5, 2), Schatten(1.5, 2)):
-        rep = verify_clarkson_upper(space, samples=2000, seed=0)
+        rep = verify_pair("clarkson_upper", space, samples=2000, seed=0)
         assert rep.verdict == "holds"
         assert rep.max_violation <= 1e-12
 
 
 def test_clarkson_exponent_domain():
     with pytest.raises(ValueError, match="p > 2"):
-        verify_clarkson_lower(Lp(1.5, 2), samples=10)
+        verify_pair("clarkson_lower", Lp(1.5, 2), samples=10)
     with pytest.raises(ValueError, match="p < 2"):
-        verify_clarkson_upper(Lp(3.0, 2), samples=10)
+        verify_pair("clarkson_upper", Lp(3.0, 2), samples=10)
     with pytest.raises(TypeError):
-        verify_clarkson_lower(Euclid(2), samples=10)
+        verify_pair("clarkson_lower", Euclid(2), samples=10)
     with pytest.raises(ValueError, match="finite exponent"):
-        verify_clarkson_lower(Lp(math.inf, 2), samples=10)
+        verify_pair("clarkson_lower", Lp(math.inf, 2), samples=10)
 
 
 def test_clarkson_rhs_meets_parallelogram_at_two():
@@ -78,23 +72,23 @@ def test_clarkson_equality_on_disjoint_pairs():
 
 
 def test_parallelogram_dichotomy():
-    assert verify_parallelogram(Euclid(3), samples=500, seed=0).verdict == "holds"
-    rep = verify_parallelogram(Lp(4.0, 2), samples=500, seed=0)
+    assert verify_pair("parallelogram", Euclid(3), samples=500, seed=0).verdict == "holds"
+    rep = verify_pair("parallelogram", Lp(4.0, 2), samples=500, seed=0)
     assert rep.verdict == "violated"
     assert rep.max_violation > 1e-3
 
 
 def test_endpoint_two_collapses_to_parallelogram():
-    rep = verify_endpoint_2(Lp(2.0, 4), samples=500, seed=0)
+    rep = verify_pair("endpoint_2", Lp(2.0, 4), samples=500, seed=0)
     assert rep.check == "endpoint_2"
     assert rep.verdict == "holds"
     with pytest.raises(ValueError, match="p = 2"):
-        verify_endpoint_2(Lp(3.0, 2), samples=10)
+        verify_pair("endpoint_2", Lp(3.0, 2), samples=10)
 
 
 def test_two_smooth_holds_with_optimal_constant():
     for p in (2.0, 3.0, 4.0):
-        rep = verify_2smooth(Lp(p, 3), samples=1500, seed=0)
+        rep = verify_pair("two_smooth", Lp(p, 3), samples=1500, seed=0)
         assert rep.verdict == "holds"
         assert rep.params["c"] == pytest.approx(math.sqrt(p - 1.0), rel=1e-15)
 
@@ -102,7 +96,7 @@ def test_two_smooth_holds_with_optimal_constant():
 def test_two_smooth_catches_false_constant():
     # c = 1 asserts the parallelogram upper bound, false in l_4: disjoint
     # unit vectors give lhs = 2 * 2^(1/2) > 4 = rhs ... in l_4 lhs = 2*sqrt(2)
-    rep = verify_2smooth(Lp(4.0, 2), c=1.0, samples=200, seed=0)
+    rep = verify_pair("two_smooth", Lp(4.0, 2), c=1.0, samples=200, seed=0)
     assert rep.verdict == "violated"
     # the structured pseudo-batch finds the disjoint pair deterministically
     expected = (2.0 * 2.0 ** 0.5 - 4.0) / 4.0
@@ -111,13 +105,13 @@ def test_two_smooth_catches_false_constant():
 
 def test_two_smooth_needs_constant_below_two():
     with pytest.raises(ValueError):
-        verify_2smooth(Lp(1.5, 2), samples=10)  # no default c for p < 2
+        verify_pair("two_smooth", Lp(1.5, 2), samples=10)  # no default c for p < 2
 
 
 def test_schatten_inf_holds():
-    rep = verify_schatten_inf(2, samples=1000, seed=0)
+    rep = verify_pair("schatten_inf", Schatten(math.inf, 2), samples=1000, seed=0)
     assert rep.verdict == "holds"
-    rep3 = verify_schatten_inf(3, samples=500, seed=1)
+    rep3 = verify_pair("schatten_inf", Schatten(math.inf, 3), samples=500, seed=1)
     assert rep3.verdict == "holds"
 
 
@@ -178,7 +172,6 @@ def test_witness_reevaluation_matches_report():
         for check in PAIR_CHECKS
     ]
     reports += [
-        verify_clarkson_lower(Lp(3.0, 3), samples=500, seed=2),
         verify_beckner(3.0, grid=51),
         verify_lp_pair(Lp(3.0, 2), np.array([1.0, 0.0]), np.array([1.0, 0.0])),
     ]
@@ -213,7 +206,7 @@ def test_witness_reevaluation_is_exact(check, data, seed, samples):
 
 
 def test_report_round_trips_to_json():
-    rep = verify_clarkson_lower(Schatten(3.0, 2), samples=300, seed=0)
+    rep = verify_pair("clarkson_lower", Schatten(3.0, 2), samples=300, seed=0)
     text = json.dumps(rep.to_dict(), sort_keys=True)
     back = json.loads(text)
     assert back["check"] == "clarkson_lower"
@@ -223,8 +216,8 @@ def test_report_round_trips_to_json():
 
 
 def test_reports_identical_across_jobs():
-    one = verify_clarkson_lower(Lp(3.0, 3), samples=9000, seed=5, jobs=1)
-    many = verify_clarkson_lower(Lp(3.0, 3), samples=9000, seed=5, jobs=8)
+    one = verify_pair("clarkson_lower", Lp(3.0, 3), samples=9000, seed=5, jobs=1)
+    many = verify_pair("clarkson_lower", Lp(3.0, 3), samples=9000, seed=5, jobs=8)
     assert json.dumps(one.to_dict(), sort_keys=True) == json.dumps(many.to_dict(), sort_keys=True)
 
 
