@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nakano import (
-    BlockVector,
     FormulaExponents,
     NakanoSpec,
     P_MAX,
-    nakano_modular,
+    _check_index,
+    _theta_rows,
 )
 from .sampling import Descent, descend, gaussian_batch, rng_stream, stop_counts, structured_pairs
 from .spaces import Lp, Schatten, dual_exponent, norm_batch
@@ -257,16 +257,42 @@ def clarkson_beta_bound(spec: NakanoSpec, cutoff: int, horizon: int = 1000) -> f
     return beta
 
 
-def _tail_pairs(spec: NakanoSpec, cutoff: int, samples: int, seed: int, window: int):
-    blocks = list(range(cutoff, cutoff + window))
-    dims = [spec.block(n).dim for n in blocks]
-    out = []
+def _tail_pairs(samples: int, seed: int, dims: list) -> tuple:
+    """x and y of the sampled pairs, one dense ``(samples, d)`` array each per window block.
+
+    Pair i draws x and then y from ``rng_stream(seed, i)``, each with one
+    ``standard_normal`` call over all window coordinates: the values one draw
+    per block gives, in the same order.
+    """
+    xs = np.empty((samples, sum(dims)))
+    ys = np.empty_like(xs)
     for i in range(samples):
         rng = rng_stream(seed, i)
-        x = BlockVector(tuple((n, rng.standard_normal(d)) for n, d in zip(blocks, dims)))
-        y = BlockVector(tuple((n, rng.standard_normal(d)) for n, d in zip(blocks, dims)))
-        out.append((x, y))
-    return out
+        rng.standard_normal(out=xs[i])
+        rng.standard_normal(out=ys[i])
+    offs = np.cumsum(dims)[:-1]
+    return np.split(xs, offs, axis=1), np.split(ys, offs, axis=1)
+
+
+def _explicit_pairs(pairs: list, support: list, dims: list) -> tuple:
+    """x and y of given pairs, one dense ``(pairs, d)`` array each per support block.
+
+    A block that a vector lacks stays zero, and a block with a complex entry
+    anywhere is complex for every pair.
+    """
+    col = {n: j for j, n in enumerate(support)}
+    xs = [np.zeros((len(pairs), d)) for d in dims]
+    ys = [np.zeros((len(pairs), d)) for d in dims]
+    for i, pair in enumerate(pairs):
+        for stacks, v in zip((xs, ys), pair):
+            for n, arr in v.items:
+                j = col[n]
+                if arr.shape[0] != dims[j]:
+                    raise ValueError(f"block {n} has {arr.shape[0]} coordinates, expected {dims[j]}")
+                if arr.dtype.kind == "c" and xs[j].dtype.kind != "c":
+                    xs[j], ys[j] = xs[j].astype(complex), ys[j].astype(complex)
+                stacks[j][i] = arr
+    return xs, ys
 
 
 def tail_parallelogram_defect(
@@ -282,18 +308,40 @@ def tail_parallelogram_defect(
     Pairs are supported on blocks >= cutoff (a fixed window right of the
     cutoff when they are sampled here); the max ratio never exceeds the
     suffix bound beta_cutoff.
+
+    All pairs are read as dense arrays over one support, the window or the
+    union of the given pairs' supports, where a missing block is a zero
+    block.  Each block's norms of x+y, x-y, x and y come from one
+    ``norm_batch`` call, and Theta is the formula of ``nakano_modular``, so
+    the defect has the bits of one ``nakano_modular`` call per vector.
     """
     if pairs is None:
-        pairs = _tail_pairs(spec, cutoff, samples, seed, window)
-    worst = 0.0
-    for x, y in pairs:
-        if x.support and min(x.support) < cutoff:
-            raise ValueError(f"pair supported below the cutoff {cutoff}")
-        if y.support and min(y.support) < cutoff:
-            raise ValueError(f"pair supported below the cutoff {cutoff}")
-        num = nakano_modular(spec, x + y) + nakano_modular(spec, x - y)
-        den = 2.0 * (nakano_modular(spec, x) + nakano_modular(spec, y))
-        if den == 0.0:
-            continue
-        worst = max(worst, num / den)
-    return worst
+        support = list(range(_check_index(cutoff), cutoff + window))
+    else:
+        pairs = list(pairs)
+        for x, y in pairs:
+            if x.support and min(x.support) < cutoff:
+                raise ValueError(f"pair supported below the cutoff {cutoff}")
+            if y.support and min(y.support) < cutoff:
+                raise ValueError(f"pair supported below the cutoff {cutoff}")
+        support = sorted({n for x, y in pairs for n in x.support + y.support})
+    exps = spec.exponents.values(np.array(support, dtype=np.intp))
+    blocks = [spec.blocks.block(n, p) for n, p in zip(support, exps.tolist())]
+    dims = [blk.dim for blk in blocks]
+    if pairs is None:
+        rows = max(samples, 0)
+        xs, ys = _tail_pairs(rows, seed, dims)
+    else:
+        rows = len(pairs)
+        xs, ys = _explicit_pairs(pairs, support, dims)
+    norms = np.empty((4 * rows, len(blocks)))
+    for j, (blk, x, y) in enumerate(zip(blocks, xs, ys)):
+        if x.dtype.kind == "c" and not isinstance(blk, Schatten):
+            raise TypeError("complex entries are only supported in Schatten spaces")
+        norms[:, j] = blk.norm_batch(np.concatenate((x + y, x - y, x, y)))
+    theta = _theta_rows(norms, exps).reshape(4, -1)
+    with np.errstate(over="ignore"):
+        num = theta[0] + theta[1]
+        den = 2.0 * (theta[2] + theta[3])
+    live = den != 0.0
+    return float((num[live] / den[live]).max(initial=0.0))

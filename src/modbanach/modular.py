@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import Euclid, as_real_vector, reduce_rows
+from .spaces import Euclid, Schatten, as_matrix, as_real_vector, reduce_rows
 
 __all__ = [
     "ConvexModular",
@@ -94,7 +94,14 @@ class PowerModular(ConvexModular):
         object.__setattr__(self, "q", q)
 
     def batch_terms(self, points):
-        norms = np.array([self.space.norm(x) for x in points], dtype=float)
+        """The points' norms from one ``space.norm_batch`` call on their stack,
+        each point validated as ``space.norm`` validates it."""
+        space = self.space
+        if isinstance(space, Schatten):
+            stack = [as_matrix(x, space.d) for x in points]
+        else:
+            stack = [as_real_vector(x, space.dim) for x in points]
+        norms = np.asarray(space.norm_batch(np.stack(stack)), dtype=float) if stack else np.empty(0)
         return norms, np.full(norms.size, self.q), np.ones(norms.size, dtype=np.intp)
 
     def exponent_range(self):

@@ -12,6 +12,7 @@ finite, which governs the existence of an equivalent hilbertian norm.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -398,19 +399,35 @@ class BlockVector:
         return {str(n): np.asarray(arr, dtype=float).tolist() for n, arr in self.items}
 
 
+def _theta_rows(norms: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """Theta of each row of a ``(rows, w)`` block-norm array: sum_j norms[i, j] ** exps[j].
+
+    Each term is a libm pow, Python's float ``**``, which ``np.power`` does
+    not match in the last bit for every term.  The terms are summed left to
+    right, one column at a time at every width, as a plain ``total += nrm **
+    p`` loop does; numpy's reduce along a row regroups from 8 terms on.  So a
+    row's Theta has the same bits at any batch height, and a zero norm adds
+    exactly +0.0.  An overflowing term or a non-finite total raises
+    ``NumericalFailure``.
+    """
+    rows = norms.shape[0]
+    total = np.zeros(rows)
+    try:
+        with np.errstate(over="ignore"):
+            for column, p in zip(norms.T.tolist(), exps.tolist()):
+                total += np.fromiter(map(pow, column, itertools.repeat(p, rows)), float, rows)
+    except OverflowError:
+        # a float ** that overflows raises instead of giving inf
+        raise NumericalFailure("modular value is not finite") from None
+    if not np.isfinite(total).all():
+        raise NumericalFailure("modular value is not finite")
+    return total
+
+
 def nakano_modular(spec: NakanoSpec, x: BlockVector) -> float:
     """Theta(x) = sum over the support of ||x(n)|| ** p_n."""
     norms, exps, _ = NakanoModular(spec).batch_terms((x,))
-    total = 0.0
-    try:
-        for nrm, p in zip(norms.tolist(), exps.tolist()):
-            total += nrm ** p
-    except OverflowError:
-        # a float ** that overflows raises instead of giving inf
-        total = math.inf
-    if not math.isfinite(total):
-        raise NumericalFailure("modular value is not finite")
-    return total
+    return float(_theta_rows(norms[None, :], exps)[0])
 
 
 @dataclass(frozen=True)
@@ -464,7 +481,13 @@ def disjoint_additivity_check(spec: NakanoSpec, x: BlockVector, y: BlockVector) 
     overlap = set(x.support) & set(y.support)
     if overlap:
         raise ValueError(f"supports overlap at blocks {sorted(overlap)}")
-    return abs(nakano_modular(spec, x + y) - nakano_modular(spec, x) - nakano_modular(spec, y))
+    both = x + y
+    # the blocks of x + y are those of x and of y, so its terms are theirs too
+    norms, exps, _ = NakanoModular(spec).batch_terms((both,))
+    in_x = np.isin(both.support, x.support)
+    rows = np.stack((norms, np.where(in_x, norms, 0.0), np.where(in_x, 0.0, norms)))
+    theta_both, theta_x, theta_y = _theta_rows(rows, exps).tolist()
+    return abs(theta_both - theta_x - theta_y)
 
 
 def _unit_block(spec: NakanoSpec, n: int) -> np.ndarray:
@@ -510,8 +533,15 @@ def homogeneity_defect(spec: NakanoSpec, x: BlockVector, lam: float, n: int) -> 
     lam = float(lam)
     if not x.support:
         return 0.0, 0.0
-    theta_x = nakano_modular(spec, x)
-    theta_lam = nakano_modular(spec, x.scale(lam))
+    try:
+        scaled = x.scale(lam)
+    except ValueError:
+        # lam x overflowed; a non-finite Theta(x) still raises first
+        nakano_modular(spec, x)
+        raise
+    norms, exps, _ = NakanoModular(spec).batch_terms((x, scaled))
+    w = len(x.items)
+    theta_x, theta_lam = _theta_rows(norms.reshape(2, w), exps[:w]).tolist()
     try:
         defect = abs(theta_lam - lam ** 2 * theta_x)
         bound = max(abs(abs(lam) ** spec.exponent(k) - lam ** 2) for k in x.support) * theta_x

@@ -134,6 +134,28 @@ def nakano_block_terms(spec, points):
     return norms, exps, counts
 
 
+def nakano_theta_loop(spec, x):
+    """Theta(x) as a plain left-to-right loop of Python float ``**`` over
+    the block norms of :func:`nakano_block_terms`."""
+    norms, exps, _ = nakano_block_terms(spec, (x,))
+    total = 0.0
+    for nrm, p in zip(norms, exps):
+        total += nrm ** p
+    return total
+
+
+def tail_defect_loop(spec, pairs):
+    """max (Theta(x+y) + Theta(x-y)) / (2 (Theta(x) + Theta(y))) over the pairs,
+    one :func:`nakano_theta_loop` per vector and block-vector arithmetic."""
+    worst = 0.0
+    for x, y in pairs:
+        num = nakano_theta_loop(spec, x + y) + nakano_theta_loop(spec, x - y)
+        den = 2.0 * (nakano_theta_loop(spec, x) + nakano_theta_loop(spec, y))
+        if den != 0.0:
+            worst = max(worst, num / den)
+    return worst
+
+
 def luxemburg_lone(norms, exps):
     """The Luxemburg norm of sum n_i ** q_i from its terms, solved alone.
 

@@ -19,7 +19,7 @@ from modbanach.modular import (
     square,
 )
 from modbanach.nakano import BlockVector, ExplicitExponents, MatchedLpBlocks, NakanoModular, NakanoSpec
-from modbanach.spaces import Euclid, Lp
+from modbanach.spaces import CustomSpace, Euclid, Lp, Schatten, TwoSum
 
 import oracles
 
@@ -370,6 +370,33 @@ def test_direct_sum_batch_terms_keep_each_points_bits():
         assert [float.hex(v) for v in exps[e - c:e]] == [float.hex(v) for v in e1]
     with pytest.raises(ValueError, match="direct-sum point has 2 coordinates, expected 3"):
         theta.batch_terms(points[:3] + [points[3][:2]])
+
+
+@pytest.mark.parametrize("space, draw", [
+    (Lp(3.0, 4), lambda rng: rng.standard_normal(4)),
+    (Euclid(3), lambda rng: rng.standard_normal(3)),
+    (Schatten(3.0, 2), lambda rng: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))),
+    (TwoSum((Lp(4.0, 2), Euclid(1))), lambda rng: rng.standard_normal(3)),
+    (CustomSpace(lambda v: float(np.abs(v).sum()), 2), lambda rng: rng.standard_normal(2)),
+], ids=["lp", "euclid", "schatten", "two_sum", "custom"])
+def test_power_modular_batch_terms_are_each_points_norm(space, draw):
+    rng = np.random.default_rng(3)
+    points = [draw(rng) * 10.0 ** rng.uniform(-100, 100) for _ in range(9)]
+    norms, exps, counts = PowerModular(space, 2.5).batch_terms(points)
+    assert [float.hex(v) for v in norms] == [float.hex(space.norm(x)) for x in points]
+    assert exps.tolist() == [2.5] * 9 and counts.tolist() == [1] * 9
+
+
+def test_power_modular_batch_terms_validate_each_point():
+    theta = PowerModular(Lp(3.0, 2), 3.0)
+    with pytest.raises(TypeError, match="complex entries are only supported in Schatten spaces"):
+        theta.batch_terms([np.ones(2), np.array([1j, 0.0])])
+    with pytest.raises(ValueError, match="dimension mismatch: expected 2, got 3"):
+        theta.batch_terms([np.ones(2), np.ones(3)])
+    with pytest.raises(ValueError, match="non-finite"):
+        theta.batch_terms([np.array([np.inf, 0.0])])
+    norms, exps, counts = theta.batch_terms([])
+    assert norms.size == exps.size == counts.size == 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,6 +17,7 @@ from modbanach.nakano import (
     NakanoSpec,
     ScalarBlocks,
     UniformBlocks,
+    _theta_rows,
     disjoint_additivity_check,
     homogeneity_defect,
     nakano_condition_terms,
@@ -418,6 +419,62 @@ def test_homogeneity_bound_closed_form():
     defect, bound = homogeneity_defect(spec, x, 2.0, 5)
     assert bound == pytest.approx(2.0 ** 2.2 - 4.0, rel=1e-12)
     assert defect == pytest.approx(bound, rel=1e-12)  # defect is exact here
+
+
+def test_homogeneity_defect_overflowing_scale():
+    # Theta(x) = 1e900 is read before lam x = 1e310 and raises first
+    with pytest.warns(RuntimeWarning), pytest.raises(NumericalFailure, match=r"^modular value is not finite$"):
+        homogeneity_defect(_OVERFLOW_SPEC, _HUGE, 1e10, 1)
+    # with p = 1, Theta(x) = 1e300 is finite and the overflowing lam x is rejected
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="non-finite entries"):
+        homogeneity_defect(NakanoSpec(ConstantExponents(1.0)), _HUGE, 1e10, 1)
+
+
+def test_homogeneity_and_disjoint_additivity_are_the_loop_thetas():
+    spec = NakanoSpec(FormulaExponents("power", 1.0), CycledBlocks((Euclid(1), Lp(3.0, 2))))
+    rng = np.random.default_rng(4)
+
+    def vec(idx):
+        return BlockVector(tuple(
+            (int(n), rng.standard_normal(spec.block(int(n)).dim) * 10.0 ** rng.uniform(-2, 2)) for n in idx))
+    for _ in range(20):
+        idx = rng.choice(np.arange(3, 40), size=12, replace=False)
+        x, y = vec(idx[:7]), vec(idx[7:])
+        lam = float(rng.uniform(-3.0, 3.0))
+        theta_x = oracles.nakano_theta_loop(spec, x)
+        defect, _ = homogeneity_defect(spec, x, lam, 3)
+        assert defect == abs(oracles.nakano_theta_loop(spec, x.scale(lam)) - lam ** 2 * theta_x)
+        assert disjoint_additivity_check(spec, x, y) == abs(
+            oracles.nakano_theta_loop(spec, x + y) - theta_x - oracles.nakano_theta_loop(spec, y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 4), width=st.integers(1, 20), top=st.floats(-300.0, 300.0))
+def test_theta_rows_is_the_left_to_right_pow_loop(data, rows, width, top):
+    """Every row's Theta has the plain loop's bits at any batch height, and
+    an overflow raises.  Norms lie in [10 ** low, 10 ** top] within
+    [1e-300, 1e300]; a narrow range gives terms of one size, whose sum
+    depends on the order of the additions."""
+    low = data.draw(st.floats(-300.0, top))
+    exps = data.draw(st.one_of(
+        st.lists(st.floats(1.0, P_MAX), min_size=width, max_size=width),
+        st.floats(1.0, P_MAX).map(lambda p: [p] * width)))
+    magnitude = st.one_of(st.just(0.0), st.floats(low, top).map(lambda e: 10.0 ** e))
+    norms = [data.draw(st.lists(magnitude, min_size=width, max_size=width)) for _ in range(rows)]
+    expected = []
+    for row in norms:
+        total = 0.0
+        try:
+            for nrm, p in zip(row, exps):
+                total += nrm ** p
+        except OverflowError:
+            total = math.inf
+        expected.append(total)
+    if all(math.isfinite(t) for t in expected):
+        assert _hex(_theta_rows(np.array(norms), np.array(exps))) == _hex(expected)
+    else:
+        with pytest.raises(NumericalFailure, match=r"^modular value is not finite$"):
+            _theta_rows(np.array(norms), np.array(exps))
 
 
 # --- summability of the renorming series ------------------------------------
