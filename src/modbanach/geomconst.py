@@ -281,16 +281,16 @@ def _explicit_pairs(pairs: list, support: list, dims: list) -> tuple:
     anywhere is complex for every pair.
     """
     col = {n: j for j, n in enumerate(support)}
-    xs = [np.zeros((len(pairs), d)) for d in dims]
-    ys = [np.zeros((len(pairs), d)) for d in dims]
+    cplx = {n for pair in pairs for v in pair for n, arr in v.items if arr.dtype.kind == "c"}
+    kinds = [complex if n in cplx else float for n in support]
+    xs = [np.zeros((len(pairs), d), kind) for d, kind in zip(dims, kinds)]
+    ys = [np.zeros((len(pairs), d), kind) for d, kind in zip(dims, kinds)]
     for i, pair in enumerate(pairs):
         for stacks, v in zip((xs, ys), pair):
             for n, arr in v.items:
                 j = col[n]
                 if arr.shape[0] != dims[j]:
                     raise ValueError(f"block {n} has {arr.shape[0]} coordinates, expected {dims[j]}")
-                if arr.dtype.kind == "c" and xs[j].dtype.kind != "c":
-                    xs[j], ys[j] = xs[j].astype(complex), ys[j].astype(complex)
                 stacks[j][i] = arr
     return xs, ys
 
