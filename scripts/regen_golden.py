@@ -5,11 +5,19 @@ Run from the repository root after an intentional numerical change:
 
     python3 scripts/regen_golden.py
 
+or, to compare without writing anything:
+
+    python3 scripts/regen_golden.py --check
+
+which exits 1 and names every golden whose payload bytes differ (or whose
+file is missing), and 0 when all match.
+
 It runs the package in this checkout's ``src/``, installed or not, and
 refuses to run a copy imported from anywhere else.  The regression test
 compares campaign payload bytes against these files, so only regenerate when
 the change in numbers is understood and wanted.
 """
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -25,22 +33,36 @@ if Path(modbanach.__file__).resolve().parent != (SRC / "modbanach").resolve():
     sys.exit(f"imported modbanach from {modbanach.__file__}, not from {SRC}")
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 if any stored payload differs")
+    args = parser.parse_args(argv)
     configs = sorted((ROOT / "configs" / "golden").glob("*.json"))
     if not configs:
         print("no golden configs found", file=sys.stderr)
         return 1
     out_dir = ROOT / "tests" / "golden"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    differ = []
     for path in configs:
         config = json.loads(path.read_text())
         result = run_campaign(config)
         payload = json.dumps(
             result.to_json_obj(include_meta=False)["payload"], sort_keys=True
-        ).encode()
+        ).encode() + b"\n"
         target = out_dir / f"{config['name']}.payload.json"
-        target.write_bytes(payload + b"\n")
-        print(f"wrote {target} ({len(payload)} bytes)")
+        if args.check:
+            if not target.is_file() or target.read_bytes() != payload:
+                differ.append(target)
+            continue
+        out_dir.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(payload)
+        print(f"wrote {target} ({len(payload) - 1} bytes)")
+    if args.check:
+        for target in differ:
+            print(f"differs: {target}")
+        print(f"{len(configs) - len(differ)} of {len(configs)} golden payloads match")
+        return 1 if differ else 0
     return 0
 
 

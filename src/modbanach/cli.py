@@ -92,10 +92,18 @@ def _plain(obj):
     return obj
 
 
-def _block_vector(obj, where: str) -> BlockVector:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: block vector must map block indices to coordinate lists")
-    return BlockVector.from_dict(obj)
+def _block_vectors(objs, where: str) -> list:
+    for obj in objs:
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{where}: block vector must map block indices to coordinate lists")
+    return BlockVector.from_dicts(objs)
+
+
+def _floats(obj, where: str) -> np.ndarray:
+    try:
+        return np.asarray(obj, dtype=float)
+    except OverflowError:
+        raise ConfigError(f"{where}: an integer too large for a float") from None
 
 
 def _need(sub: dict, key: str, where: str):
@@ -158,10 +166,10 @@ def _run_norm(sub: dict, seed: int, jobs: int):
     vectors = _need(sub, "vectors", where)
     if "space" in sub:
         space = space_from_dict(sub["space"])
-        norms = [space.norm(np.asarray(v, dtype=float)) for v in vectors]
+        norms = [space.norm(_floats(v, where + ".vectors")) for v in vectors]
     else:
         theta = NakanoModular(spec_from_dict(sub["nakano"]))
-        norms = luxemburg_norms(theta, [_block_vector(v, where + ".vectors") for v in vectors]).tolist()
+        norms = luxemburg_norms(theta, _block_vectors(vectors, where + ".vectors")).tolist()
     return {"norms": norms}, True, False, False
 
 
@@ -220,15 +228,15 @@ def _run_verify(sub: dict, seed: int, jobs: int):
     elif check == "lp_pair":
         rep = vf.verify_lp_pair(
             space_from_dict(_need(sub, "space", where)),
-            np.asarray(_need(sub, "x", where), dtype=float),
-            np.asarray(_need(sub, "y", where), dtype=float),
+            _floats(_need(sub, "x", where), where + ".x"),
+            _floats(_need(sub, "y", where), where + ".y"),
             p=sub.get("p"),
             lambdas=sub.get("lambdas"),
             **tol,
         )
     elif check == "far_block_limit":
         spec = spec_from_dict(_need(sub, "nakano", where))
-        x = _block_vector(_need(sub, "x", where), where + ".x")
+        x, = _block_vectors([_need(sub, "x", where)], where + ".x")
         schedule = [_integer(n, where + ".schedule") for n in _need(sub, "schedule", where)]
         gaps = vf.far_block_limit_gaps(spec, x, float(sub.get("t", 1.0)), schedule)
         slack = 1e-12
@@ -287,7 +295,7 @@ def _run_asymptotics(sub: dict, seed: int, jobs: int):
     if source == "clarkson":
         avals = np.array([geomconst.jvn_upper_bound_clarkson(p) for p in ps])
     else:
-        avals = np.asarray(source, dtype=float)
+        avals = _floats(source, where + ".jvn_values")
     tail = None
     if isinstance(exponents, FormulaExponents) and source == "clarkson":
         tail = geomconst.clarkson_alpha_tail_bound(exponents, horizon)
@@ -352,7 +360,7 @@ def _run_iterate(sub: dict, seed: int, jobs: int):
         x = np.zeros(t.domain.dim)
         x[-1] = 1.0
     else:
-        x = np.asarray(xspec, dtype=float)
+        x = _floats(xspec, where + ".x")
         if x.shape != (t.domain.dim,):
             raise ConfigError(f"{where}.x: expected {t.domain.dim} coordinates")
     n_max = _integer(sub.get("n_max", 50), where + ".n_max")

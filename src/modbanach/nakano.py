@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,18 +318,36 @@ class NakanoSpec:
 # block vectors
 
 
+_NOT_A_FLOAT = "block has an integer too large for a float"
+#: the coordinate types a flat read takes: JSON's numbers, and booleans,
+#: which numpy reads as 1 and 0 either way
+_NUMBERS = frozenset((float, int, bool))
+_index = operator.itemgetter(0)
+
+
+def _number_lists(values) -> bool:
+    """Whether every block is a list of numbers (two type scans, in C)."""
+    return {list}.issuperset(map(type, values)) and _NUMBERS.issuperset(
+        map(type, itertools.chain.from_iterable(values)))
+
+
+def _checked(a: np.ndarray) -> np.ndarray:
+    # isfinite of a complex entry is False once either part is inf or NaN
+    if not np.isfinite(a).all():
+        raise ValueError("block has non-finite entries")
+    a.flags.writeable = False
+    return a
+
+
 def _coerce_block(arr) -> np.ndarray:
     # np.array copies an array and reads a list once, and the cast below
     # copies only when the dtype changes
     a = np.array(arr)
-    a = a.astype(complex if a.dtype.kind == "c" else float, copy=False)
-    # isfinite of a complex entry is False once either part is inf or NaN
-    if not np.isfinite(a).all():
-        raise ValueError("block has non-finite entries")
-    if a.ndim != 1:
-        a = a.ravel()
-    a.flags.writeable = False
-    return a
+    try:
+        a = a.astype(complex if a.dtype.kind == "c" else float, copy=False)
+    except OverflowError:
+        raise ValueError(_NOT_A_FLOAT) from None
+    return _checked(a if a.ndim == 1 else a.ravel())
 
 
 @dataclass(frozen=True)
@@ -354,9 +373,58 @@ class BlockVector:
         object.__setattr__(self, "items", tuple(norm_items))
 
     @classmethod
+    def _of(cls, items: tuple) -> "BlockVector":
+        """A block vector of items already checked, sorted and coerced."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "items", items)
+        return x
+
+    @classmethod
     def from_dict(cls, d: dict) -> "BlockVector":
-        # JSON round trips turn block indices into strings
-        return cls(tuple((int(k), v) for k, v in d.items()))
+        """The one-vector case of :meth:`from_dicts`."""
+        return cls.from_dicts((d,))[0]
+
+    @classmethod
+    def from_dicts(cls, ds) -> list:
+        """The block vectors of many ``{index: coordinates}`` dicts, read in one pass.
+
+        An index is read by ``int``, as JSON round trips turn it into a
+        string.  When every block is a list of numbers, all coordinates go
+        into one float array, checked once and read-only, and each block is
+        a view into it.  Otherwise each block is coerced on its own, as
+        ``BlockVector`` does: read by ``np.array``, flattened, cast to float
+        or complex.  Both ways read a list of numbers to the same bits, and a
+        coordinate that is not finite, or an integer too large for a float,
+        raises ``ValueError``.
+        """
+        supports, values = [], []
+        for d in ds:
+            items = sorted(zip(map(int, d.keys()), d.values()), key=_index)
+            support, vals = zip(*items) if items else ((), ())
+            if support and support[0] < 1:
+                raise ValueError(f"block index must be a positive integer, got {support[0]!r}")
+            if len(set(support)) < len(support):
+                n = next(n for n, m in zip(support, support[1:]) if n == m)
+                raise ValueError(f"duplicate block index {n}")
+            supports.append(support)
+            values.extend(vals)
+        if _number_lists(values):
+            try:
+                flat = np.array(list(itertools.chain.from_iterable(values)), dtype=float)
+            except OverflowError:
+                raise ValueError(_NOT_A_FLOAT) from None
+            _checked(flat)
+            sizes = list(map(len, values))
+            if len(set(sizes)) == 1:
+                # blocks of one size are the rows of the coordinates
+                blocks = iter(flat.reshape(len(sizes), -1))
+            else:
+                ends = list(itertools.accumulate(sizes))
+                blocks = iter(map(flat.__getitem__, map(slice, [0] + ends[:-1], ends)))
+        else:
+            blocks = iter(map(_coerce_block, values))
+        # zip stops at the end of a support before it takes a block
+        return [cls._of(tuple(zip(support, blocks))) for support in supports]
 
     @property
     def support(self) -> tuple:
@@ -430,6 +498,11 @@ def nakano_modular(spec: NakanoSpec, x: BlockVector) -> float:
     return float(_theta_rows(norms[None, :], exps)[0])
 
 
+def _block_info(blk) -> tuple:
+    kind = type(blk)
+    return blk, blk.dim, 2.0 if kind is Euclid else blk.p if kind is Lp else 0.0
+
+
 @dataclass(frozen=True)
 class NakanoModular(ConvexModular):
     """ConvexModular wrapper around a NakanoSpec."""
@@ -439,32 +512,45 @@ class NakanoModular(ConvexModular):
     def batch_terms(self, points):
         """The block norms and exponents of all points, read in one pass.
 
-        The exponents come from one ``values`` call over every block index.
-        Real blocks of an l_p or Euclidean space are stacked by dimension and
-        normed by one :func:`spaces.lp_norms_stack` call per stack, with the
-        bits of ``blk.norm``; every other block, complex ones included, goes
-        through ``blk.norm`` and keeps its errors.
+        The exponents come from one ``values`` call over every block index,
+        and each distinct index gets one ``block`` call.  Real blocks of an
+        l_p or Euclidean space are gathered by dimension from one array of
+        all coordinates and normed by one :func:`spaces.lp_norms_stack` call
+        per dimension, with the bits of ``blk.norm``; every other block,
+        complex ones included, goes through ``blk.norm`` and keeps its errors.
         """
         items = [item for point in points for item in point.items]
-        ns = np.fromiter((n for n, _ in items), dtype=np.intp, count=len(items))
-        exps = self.spec.exponents.values(ns)
-        norms = np.empty(len(items))
-        stacks: dict = {}
-        block = self.spec.blocks.block
-        for i, ((n, arr), p) in enumerate(zip(items, exps.tolist())):
-            blk = block(n, p)
-            d = blk.dim
-            if arr.shape[0] != d:
-                raise ValueError(f"block {n} has {arr.shape[0]} coordinates, expected {d}")
-            kind = type(blk)
-            if (kind is Euclid or kind is Lp) and arr.dtype.kind == "f":
-                stacks.setdefault(d, []).append((i, arr, 2.0 if kind is Euclid else blk.p))
-            else:
-                norms[i] = blk.norm(arr)
-        for d, stack in stacks.items():
-            rows, arrs, ps = zip(*stack)
-            norms[list(rows)] = spaces.lp_norms_stack(np.concatenate(arrs).reshape(-1, d), np.array(ps))
         counts = np.fromiter((len(point.items) for point in points), dtype=np.intp, count=len(points))
+        ns, arrs = zip(*items) if items else ((), ())
+        exps = self.spec.exponents.values(np.array(ns, dtype=np.intp))
+        if not items:
+            return np.empty(0), exps, counts
+        # each distinct index's block, its dimension and its l_p exponent
+        # (0 for a block that is not l_p or Euclidean)
+        info = {n: _block_info(self.spec.blocks.block(n, p)) for n, p in dict(zip(ns, exps.tolist())).items()}
+        blks, dims, ps = zip(*map(info.__getitem__, ns))
+        sizes = tuple(map(len, arrs))
+        if sizes != dims:
+            i = next(i for i, (k, d) in enumerate(zip(sizes, dims)) if k != d)
+            raise ValueError(f"block {ns[i]} has {sizes[i]} coordinates, expected {dims[i]}")
+        flat = np.concatenate(arrs)
+        real = flat.dtype.kind != "c"
+        if real and 0.0 not in ps and len(set(dims)) == 1:
+            # one stack takes every block, in order
+            return spaces.lp_norms_stack(flat.reshape(len(ns), -1), np.array(ps)), exps, counts
+        ps = np.array(ps)
+        if not real:
+            ps[[arr.dtype.kind == "c" for arr in arrs]] = 0.0
+            flat = flat.real
+        stacked = ps > 0.0
+        norms = np.empty(len(ns))
+        for i in np.flatnonzero(~stacked).tolist():
+            norms[i] = blks[i].norm(arrs[i])
+        dims = np.array(dims)
+        starts = np.cumsum(dims) - dims
+        for d in np.unique(dims[stacked]).tolist():
+            rows = np.flatnonzero(stacked & (dims == d))
+            norms[rows] = spaces.lp_norms_stack(flat[starts[rows, None] + np.arange(d)], ps[rows])
         return norms, exps, counts
 
     def exponent_range(self):

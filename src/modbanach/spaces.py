@@ -132,13 +132,19 @@ def lp_norms_stack(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     if a.shape[1] == 1:
         return m
     out = np.where(ps == 1.0, reduce_rows(np.add, a), m)
-    root = np.flatnonzero((m > 0.0) & (ps != 1.0) & (ps < INF))
-    if root.size:
-        mr, pr = m[root], ps[root]
-        two = pr == 2.0
-        r = a[root] / mr[:, None]
-        sums = reduce_rows(np.add, np.where(two[:, None], r * r, np.power(r, pr[:, None])))
-        out[root] = mr * np.where(two, np.sqrt(sums), np.power(sums, 1.0 / pr))
+    root = (m > 0.0) & (ps != 1.0) & (ps < INF)
+    two = ps == 2.0
+    # a row's square and root, or its powers, depend on the row alone, so
+    # each kind is computed on its own rows only
+    rows = np.flatnonzero(root & two)
+    if rows.size:
+        r = a[rows] / m[rows, None]
+        out[rows] = m[rows] * np.sqrt(reduce_rows(np.add, r * r))
+    rows = np.flatnonzero(root & ~two)
+    if rows.size:
+        mr, pr = m[rows], ps[rows]
+        r = a[rows] / mr[:, None]
+        out[rows] = mr * np.power(reduce_rows(np.add, np.power(r, pr[:, None])), 1.0 / pr)
     return out
 
 

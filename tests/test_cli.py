@@ -3,18 +3,25 @@ import dataclasses
 import json
 import math
 import os
+import shutil
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modbanach import cli
 from modbanach import verify as vf
 from modbanach.cli import CampaignResult, ConfigError, emit_plot_data, run_campaign, validate_config
 from modbanach.nakano import BlockVector, nakano_norm, spec_from_dict
 
-GOLDEN_CONFIGS = sorted((Path(__file__).parent.parent / "configs" / "golden").glob("*.json"))
+ROOT = Path(__file__).parent.parent
+GOLDEN_CONFIGS = sorted((ROOT / "configs" / "golden").glob("*.json"))
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -409,6 +416,23 @@ _REJECTED = {
     "iterate_n_max_float": {"command": "iterate", "seed": 0,
                             "iterate": {"embedding": {"kind": "counterexample", "e1": {"kind": "lp", "p": 4.0, "d": 2}},
                                         "n_max": 6.5}},
+    # an integer too large for a float is a bad config, not a traceback
+    "norm_nakano_huge_int": {"command": "norm", "seed": 0,
+                             "norm": {"nakano": {"exponents": {"kind": "constant", "p": 2.0}},
+                                      "vectors": [{"1": [10 ** 400]}]}},
+    "norm_space_huge_int": {"command": "norm", "seed": 0, "norm": {"space": _LP3, "vectors": [[10 ** 400, 0, 0]]}},
+    "far_block_huge_int": {"command": "verify", "seed": 0,
+                           "verify": {"check": "far_block_limit", "nakano": {"exponents": {"kind": "power", "a": 1.0}},
+                                      "x": {"1": [10 ** 400]}, "schedule": [10, 100]}},
+    "lp_pair_huge_int": {"command": "verify", "seed": 0,
+                         "verify": {"check": "lp_pair", "space": {"kind": "lp", "p": 3.0, "d": 2},
+                                    "x": [1.0, 0.0], "y": [0.0, 10 ** 400]}},
+    "iterate_x_huge_int": {"command": "iterate", "seed": 0,
+                           "iterate": {"embedding": {"kind": "counterexample", "e1": {"kind": "lp", "p": 4.0, "d": 2}},
+                                       "x": [10 ** 400], "n_max": 6}},
+    "asymptotics_jvn_values_huge_int": {"command": "asymptotics", "seed": 0,
+                                        "asymptotics": {"exponents": {"kind": "power", "a": 1.0}, "horizon": 2,
+                                                        "jvn_values": [1.5, 10 ** 400]}},
     "iterate_h_dim_float": {"command": "iterate", "seed": 0,
                             "iterate": {"embedding": {"kind": "counterexample", "e1": {"kind": "lp", "p": 4.0, "d": 2},
                                                       "h_dim": 2.9}, "n_max": 6}},
@@ -465,6 +489,145 @@ def test_main_overflowing_norm_exits_3(exponents, tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "--format", "json"]) == 3
     assert capsys.readouterr().err == "numerical failure: Luxemburg norm is not finite\n"
+
+
+_EXPLICIT = {"exponents": {"kind": "explicit", "values": [2.0, 3.0, 4.0]}}
+_EUCLID2 = {"exponents": {"kind": "constant", "p": 3.0},
+            "blocks": {"kind": "uniform", "space": {"kind": "euclid", "d": 2}}}
+# (spec, vector, outcome): the norm's float.hex, or the exception class
+# BlockVector.from_dict or nakano_norm raises, which the CLI reports as a
+# config error (exit 2)
+_BLOCK_FORMS = {
+    "scalar_block": (_EXPLICIT, {"1": 3.0}, "0x1.8000000000000p+1"),
+    "nested_block": (_EXPLICIT, {"1": [[3.0]]}, "0x1.8000000000000p+1"),
+    "nested_column": (_EUCLID2, {"1": [[3.0], [4.0]]}, "0x1.4000000000000p+2"),
+    "boolean": (_EXPLICIT, {"1": [True]}, "0x1.0000000000000p+0"),
+    "integers": (_EXPLICIT, {"1": [3], "2": [-2]}, "0x1.afa6ea162d0f0p+1"),
+    "unsorted_keys": (_EXPLICIT, {"3": [1.0], "1": [2.0]}, "0x1.077225f1da572p+1"),
+    "empty_vector": (_EXPLICIT, {}, "0x0.0p+0"),
+    "ragged": (_EUCLID2, {"1": [[1.0], [2.0, 3.0]]}, ValueError),
+    "string": (_EXPLICIT, {"1": ["a"]}, ValueError),
+    "null": (_EXPLICIT, {"1": [None]}, ValueError),
+    "object": (_EXPLICIT, {"1": [{"a": 1.0}]}, TypeError),
+    "inf": (_EXPLICIT, {"1": [math.inf]}, ValueError),
+    "nan": (_EXPLICIT, {"1": [math.nan]}, ValueError),
+    "duplicate_keys": (_EXPLICIT, {"1": [1.0], "01": [2.0]}, ValueError),
+    "index_0": (_EXPLICIT, {"0": [1.0]}, ValueError),
+    "index_-1": (_EXPLICIT, {"-1": [1.0]}, ValueError),
+    "non_integer_key": (_EXPLICIT, {"1.5": [1.0]}, ValueError),
+    "empty_block": (_EXPLICIT, {"1": []}, ValueError),
+    "wrong_dimension": (_EUCLID2, {"1": [1.0, 2.0, 3.0]}, ValueError),
+    "beyond_explicit_exponents": (_EXPLICIT, {"4": [1.0]}, ValueError),
+    "list_not_dict": (_EXPLICIT, [[1.0]], AttributeError),
+    # the one changed outcome: an OverflowError and a traceback before
+    "integer_beyond_float": (_EXPLICIT, {"1": [10 ** 400]}, ValueError),
+    "scalar_integer_beyond_float": (_EXPLICIT, {"1": 10 ** 400}, ValueError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_FORMS))
+def test_norm_block_forms_keep_their_outcomes(name, tmp_path, capsys):
+    spec, vector, outcome = _BLOCK_FORMS[name]
+    cfg_path = tmp_path / "form.json"
+    cfg_path.write_text(json.dumps({"command": "norm", "seed": 0, "norm": {"nakano": spec, "vectors": [vector]}}))
+    code = cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "--format", "json"])
+    compute = lambda: nakano_norm(spec_from_dict(spec), BlockVector.from_dict(vector))  # noqa: E731
+    if isinstance(outcome, str):
+        assert code == 0
+        norms = json.loads((tmp_path / "out" / "form.json").read_text())["payload"]["norms"]
+        assert [float.hex(v) for v in norms] == [outcome]
+        assert float.hex(compute()) == outcome
+    else:
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        with pytest.raises(outcome):
+            compute()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=3)
+    # integers about the largest float, on both sides of it
+    | st.integers(10 ** 308, 10 ** 400) | st.integers(-10 ** 400, -10 ** 308),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+_VECTOR = st.dictionaries(st.sampled_from(["1", "2", "7", "01", "0", "-1", "1.5", "a"]) | st.text(max_size=3),
+                          _JSON, max_size=4) | _JSON
+_NORM_TARGETS = [
+    {"nakano": {"exponents": {"kind": "power", "a": 1.0}}},
+    {"nakano": {"exponents": {"kind": "log", "a": 1.0, "b": 1.0}, "blocks": _EUCLID2["blocks"]}},
+    {"space": {"kind": "lp", "p": 3.0, "d": 2}},
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(target=st.sampled_from(_NORM_TARGETS), vectors=st.lists(_VECTOR, max_size=4) | _JSON)
+def test_norm_campaign_on_any_json_exits_0_2_or_3(target, vectors):
+    with tempfile.TemporaryDirectory() as out:
+        cfg_path = Path(out) / "fuzz.json"
+        cfg_path.write_text(json.dumps({"command": "norm", "seed": 0, "norm": {**target, "vectors": vectors}}))
+        with np.errstate(all="ignore"):
+            code = cli.main(["--config", str(cfg_path), "--out", out, "--format", "json"])
+    assert code in (0, 2, 3)
+
+
+# the five block families of the benchmark's norm campaigns, with their block dimension
+_SOLVE_SPECS = [
+    ({"exponents": {"kind": "power", "a": 1.0}}, 1),
+    ({"exponents": {"kind": "log", "a": 1.0, "b": 1.0}}, 1),
+    ({"exponents": {"kind": "loglog", "a": 1.0, "b": 3.0}}, 1),
+    ({"exponents": {"kind": "log", "a": 1.0, "b": 1.0},
+      "blocks": {"kind": "uniform", "space": {"kind": "euclid", "d": 2}}}, 2),
+    ({"exponents": {"kind": "power", "a": 1.0}, "blocks": {"kind": "lp_matched", "d": 2}}, 2),
+]
+_MAGNITUDE = st.floats(1e-300, 1e300) | st.just(0.0)
+
+
+@st.composite
+def _solve_campaign(draw):
+    spec, d = draw(st.sampled_from(_SOLVE_SPECS))
+    coordinates = st.lists(st.builds(lambda m, sign: sign * m, _MAGNITUDE, st.sampled_from([1.0, -1.0])),
+                           min_size=d, max_size=d)
+    vector = st.dictionaries(st.integers(1, 40).map(str), coordinates, max_size=6)
+    vectors = draw(st.lists(vector, min_size=1, max_size=12))
+    cuts = sorted(draw(st.lists(st.integers(0, len(vectors)), max_size=3)))
+    return spec, vectors, cuts
+
+
+@settings(max_examples=100, deadline=None)
+@given(_solve_campaign())
+def test_campaign_norms_are_lone_norms_bitwise(campaign):
+    # the vectors read in one pass, split into campaigns at random, keep the
+    # bits each has when read and solved alone
+    spec, vectors, cuts = campaign
+    got = []
+    for lo, hi in zip([0] + cuts, cuts + [len(vectors)]):
+        res = run_campaign({"command": "norm", "seed": 0, "norm": {"nakano": spec, "vectors": vectors[lo:hi]}})
+        got += res.payload["norms"]
+    nakano = spec_from_dict(spec)
+    assert [float.hex(v) for v in got] == [float.hex(nakano_norm(nakano, BlockVector.from_dict(v))) for v in vectors]
+
+
+def test_regen_golden_check_writes_nothing_and_names_differences(tmp_path):
+    script = ROOT / "scripts" / "regen_golden.py"
+    before = {p: p.read_bytes() for p in GOLDEN_DIR.glob("*.payload.json")}
+    out = subprocess.run([sys.executable, str(script), "--check"], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert f"{len(GOLDEN_CONFIGS)} of {len(GOLDEN_CONFIGS)} golden payloads match" in out.stdout
+    assert {p: p.read_bytes() for p in GOLDEN_DIR.glob("*.payload.json")} == before
+    # a copy of the checkout with one golden changed and one missing
+    copy = tmp_path / "checkout"
+    for part in ("scripts", "src", "configs", "tests/golden"):
+        shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+    goldens = sorted((copy / "tests" / "golden").glob("*.payload.json"))
+    goldens[0].write_bytes(goldens[0].read_bytes().replace(b"}", b" }", 1))
+    goldens[1].unlink()
+    out = subprocess.run([sys.executable, str(copy / "scripts" / "regen_golden.py"), "--check"],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 1
+    assert [line for line in out.stdout.splitlines() if line.startswith("differs: ")] == [
+        f"differs: {goldens[0]}", f"differs: {goldens[1]}"]
+    assert not goldens[1].exists()
 
 
 def test_schema_commands_match_runner_table():

@@ -149,6 +149,45 @@ def test_block_vector_round_trip():
         np.testing.assert_array_equal(again.entry(n), x.entry(n))
 
 
+@pytest.mark.parametrize("ds,coordinates", [
+    # blocks of one size, and of several
+    ([{"3": [1.0, -2.0], "1": [0.5, 4]}, {}, {"2": [True, 1e-300]}], [0.5, 4.0, 1.0, -2.0, 1.0, 1e-300]),
+    ([{"3": [1.0], "1": [0.5, 4, 7]}, {}, {"2": [False, -0.0]}], [0.5, 4.0, 7.0, 1.0, 0.0, -0.0]),
+])
+def test_from_dicts_reads_one_read_only_array(ds, coordinates):
+    xs = BlockVector.from_dicts(ds)
+    assert [x.support for x in xs] == [(1, 3), (), (2,)]
+    blocks = [arr for x in xs for _, arr in x.items]
+    base = blocks[0].base
+    assert base is not None and not base.flags.writeable
+    assert all(arr.base is base and arr.dtype == float and not arr.flags.writeable for arr in blocks)
+    assert [float.hex(v) for v in base.tolist()] == [float.hex(v) for v in coordinates]
+    assert [len(arr) for arr in blocks] == [len(ds[0]["1"]), len(ds[0]["3"]), 2]
+    for d, x in zip(ds, xs):
+        one = BlockVector.from_dict(d)
+        assert one.support == x.support
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(one.items, x.items))
+
+
+def test_from_dicts_reads_other_forms_block_by_block():
+    # a block that is not a list of numbers is coerced as BlockVector does
+    x, y = BlockVector.from_dicts([{"1": 3.0, "2": [[1.0], [2.0]]}, {"1": np.array([1j, 2.0])}])
+    assert x.entry(1).tolist() == [3.0] and x.entry(2).tolist() == [1.0, 2.0]
+    assert y.entry(1).dtype == complex and not y.entry(1).flags.writeable
+    with pytest.raises(ValueError, match="duplicate block index 1"):
+        BlockVector.from_dicts([{"2": [1.0]}, {"1": [1.0], "01": [2.0]}])
+    with pytest.raises(ValueError, match="positive integer"):
+        BlockVector.from_dicts([{"1": [1.0]}, {"0": [1.0]}])
+    with pytest.raises(ValueError, match="non-finite"):
+        BlockVector.from_dicts([{"1": [1.0]}, {"1": [math.inf]}])
+    # an integer beyond the float range is a ValueError on both ways of reading
+    for block in ([10 ** 400], 10 ** 400):
+        with pytest.raises(ValueError, match="too large for a float"):
+            BlockVector.from_dicts([{"1": [1.0]}, {"2": block}])
+        with pytest.raises(ValueError, match="too large for a float"):
+            BlockVector(((1, block),))
+
+
 # --- modular and norm -------------------------------------------------------
 
 
@@ -219,6 +258,51 @@ def test_batch_terms_reads_each_exponent_once():
     bad = BlockVector(((1, [1.0, 2.0]), (3, [1.0])))
     with pytest.raises(ValueError, match=r"^block 3 has 1 coordinates, expected 2$"):
         NakanoModular(spec).batch_terms((bad,))
+
+
+def test_batch_terms_asks_each_distinct_index_for_its_block_once():
+    calls = []
+
+    class CountingBlocks(MatchedLpBlocks):
+        def block(self, n, p):
+            calls.append(n)
+            return super().block(n, p)
+
+    spec = NakanoSpec(FormulaExponents("power", 1.0), CountingBlocks(2))
+    points = [BlockVector(((3, [1.0, 2.0]), (5, [0.5, 0.0]))), BlockVector(((1, [1.0, 1.0]), (3, [2.0, -1.0])))]
+    norms, exps, counts = NakanoModular(spec).batch_terms(points)
+    assert sorted(calls) == [1, 3, 5]
+    ref_norms, ref_exps, ref_counts = oracles.nakano_block_terms(spec, points)
+    assert _hex(norms) == _hex(ref_norms) and _hex(exps) == _hex(ref_exps)
+    assert counts.tolist() == ref_counts == [2, 2]
+
+
+_MIXED = NakanoSpec(FormulaExponents("power", 1.0),
+                    CycledBlocks((Euclid(2), Lp(3.0, 3), Schatten(2.5, 2), Lp(1.0, 2), Euclid(1), Lp(math.inf, 2))))
+
+
+def test_batch_terms_gather_mixed_blocks_bitwise():
+    # blocks of five dimensions and kinds in one batch, a complex Schatten
+    # block among them: each gets the bits of its own block's norm
+    rng = np.random.default_rng(34)
+    points = []
+    for _ in range(30):
+        idx = rng.choice(np.arange(1, 25), int(rng.integers(1, 10)), replace=False)
+        blocks = []
+        for n in idx:
+            d = _MIXED.block(int(n)).dim
+            v = rng.standard_normal(d) * 10.0 ** rng.uniform(-200.0, 200.0)
+            if d == 4 and rng.uniform() < 0.5:
+                v = v + 1j * rng.standard_normal(d)
+            blocks.append((int(n), v))
+        points.append(BlockVector(tuple(blocks)))
+    norms, exps, counts = NakanoModular(_MIXED).batch_terms(points)
+    ref_norms, ref_exps, ref_counts = oracles.nakano_block_terms(_MIXED, points)
+    assert _hex(norms) == _hex(ref_norms)
+    assert _hex(exps) == _hex(ref_exps)
+    assert counts.tolist() == ref_counts
+    empty = NakanoModular(_MIXED).batch_terms([BlockVector(()), BlockVector(())])
+    assert empty[0].shape == empty[1].shape == (0,) and empty[2].tolist() == [0, 0]
 
 
 # --- batch term extraction and the batch solve keep every bit ----------------

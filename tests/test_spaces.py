@@ -176,6 +176,22 @@ def _check_row_kernel_bits(rng, d):
         assert Schatten(3.0, d).norm_batch(ms[:0]).shape == (0,)
 
 
+def test_lp_norms_stack_keeps_bits_on_mixed_exponent_rows():
+    # 12k rows, squared and rooted or powered each on its own: the bits of
+    # the formula that took both for every row and kept one
+    rng = np.random.default_rng(12)
+    for d in (2, 3, 7, 8, 9, 16):
+        xs = rng.standard_normal((2000, d)) * 10.0 ** rng.uniform(-300.0, 300.0, (2000, 1))
+        xs[rng.uniform(size=2000) < 0.05] = 0.0
+        ps = rng.choice(_BIT_PS + (2.0, 2.0), size=2000)
+        free = rng.uniform(size=2000) < 0.3
+        ps[free] = rng.uniform(1.0, 64.0, int(free.sum()))
+        assert np.array_equal(_bits(lp_norms_stack(xs, ps)), _bits(_axis_lp_norms_stack(xs, ps)))
+        for two in (ps == 2.0, ps != 2.0):
+            assert np.array_equal(_bits(lp_norms_stack(xs[two], ps[two])),
+                                  _bits(_axis_lp_norms_stack(xs[two], ps[two])))
+
+
 def _hypothesis_space(kind, d, p):
     if kind == "lp":
         return Lp(p, d)
