@@ -40,7 +40,7 @@ from .nakano import (
     nakano_condition_verdict,
     spec_from_dict,
 )
-from .spaces import Schatten, space_from_dict
+from .spaces import Schatten, as_real, space_from_dict
 
 ENV_OUT = "MODBANACH_OUT"
 
@@ -100,10 +100,14 @@ def _block_vectors(objs, where: str) -> list:
 
 
 def _floats(obj, where: str) -> np.ndarray:
+    """An array of real parameters, read by the rule of ``spaces.as_real``."""
     try:
-        return np.asarray(obj, dtype=float)
+        arr = np.asarray(obj, dtype=float)
     except OverflowError:
         raise ConfigError(f"{where}: an integer too large for a float") from None
+    if np.isnan(arr).any():
+        raise ConfigError(f"{where}: NaN is not a number")
+    return arr
 
 
 def _need(sub: dict, key: str, where: str):
@@ -211,7 +215,7 @@ def _pair_space(sub: dict, where: str):
 def _run_verify(sub: dict, seed: int, jobs: int):
     where = "verify"
     check = _need(sub, "check", where)
-    tol = {} if sub.get("tolerance") is None else {"tolerance": float(sub["tolerance"])}
+    tol = {} if sub.get("tolerance") is None else {"tolerance": as_real(sub["tolerance"], where + ".tolerance")}
     if check in vf.PAIR_CHECKS:
         options = {k: v for k, v in sub.items() if k not in _PAIR_KEYS}
         rep = vf.verify_pair(
@@ -220,9 +224,9 @@ def _run_verify(sub: dict, seed: int, jobs: int):
         )
     elif check == "beckner":
         rep = vf.verify_beckner(
-            float(_need(sub, "p", where)),
+            as_real(_need(sub, "p", where), where + ".p"),
             grid=_integer(sub.get("grid", 401), where + ".grid"),
-            extent=float(sub.get("extent", 2.0)),
+            extent=as_real(sub.get("extent", 2.0), where + ".extent"),
             **tol,
         )
     elif check == "lp_pair":
@@ -230,15 +234,15 @@ def _run_verify(sub: dict, seed: int, jobs: int):
             space_from_dict(_need(sub, "space", where)),
             _floats(_need(sub, "x", where), where + ".x"),
             _floats(_need(sub, "y", where), where + ".y"),
-            p=sub.get("p"),
-            lambdas=sub.get("lambdas"),
+            p=None if sub.get("p") is None else as_real(sub["p"], where + ".p"),
+            lambdas=None if sub.get("lambdas") is None else _floats(sub["lambdas"], where + ".lambdas"),
             **tol,
         )
     elif check == "far_block_limit":
         spec = spec_from_dict(_need(sub, "nakano", where))
         x, = _block_vectors([_need(sub, "x", where)], where + ".x")
         schedule = [_integer(n, where + ".schedule") for n in _need(sub, "schedule", where)]
-        gaps = vf.far_block_limit_gaps(spec, x, float(sub.get("t", 1.0)), schedule)
+        gaps = vf.far_block_limit_gaps(spec, x, as_real(sub.get("t", 1.0), where + ".t"), schedule)
         slack = 1e-12
         holds = bool(np.all(np.diff(gaps) <= slack))
         payload = {
@@ -258,11 +262,11 @@ def _run_verify(sub: dict, seed: int, jobs: int):
 def _run_nakano(sub: dict, seed: int, jobs: int):
     where = "nakano"
     exponents = _exponents_from_dict(_need(sub, "exponents", where))
-    c_grid = [float(c) for c in _need(sub, "c_grid", where)]
+    c_grid = [as_real(c, where + ".c_grid") for c in _need(sub, "c_grid", where)]
     window = tuple(_integer(w, where + ".window") for w in sub.get("window", (1000, 1000000)))
     count = _integer(sub.get("count", 60), where + ".count")
     terms_count = _integer(sub.get("terms_count", 64), where + ".terms_count")
-    margin = float(sub.get("margin", 0.1))
+    margin = as_real(sub.get("margin", 0.1), where + ".margin")
     report = nakano_condition_verdict(exponents, c_grid, count=count, window=window, margin=margin)
     terms = nakano_condition_terms(exponents, c_grid[0], count=terms_count)
     payload = {

@@ -137,11 +137,12 @@ def _candidate_violations(space, xi_raw: np.ndarray, phi_raw: np.ndarray,
     ok2 = np.abs(pv) > 1e-9
     if not np.any(ok2):
         return out
-    xi = xi[ok2]
+    xi_t = np.ascontiguousarray(xi[ok2].T)              # (d, k'), C-ordered
     phi = phi_raw[ok][ok2] / pv[ok2, None]
     f = suite @ phi.T                                   # (n_s, k')
-    r = suite[:, None, :] - f[:, :, None] * xi[None, :, :]
-    rn = norm_batch(space, r.reshape(-1, suite.shape[1])).reshape(f.shape)
+    # r is built C-ordered as (d, n_s, k'), so the norm kernel's transpose is a view
+    r = suite.T[:, :, None] - f[None] * xi_t[:, None, :]
+    rn = norm_batch(space, r.reshape(suite.shape[1], -1).T).reshape(f.shape)
     viol = np.abs(suite_norm2[:, None] - (f ** 2 + rn ** 2)) / suite_norm2[:, None]
     vals = viol.max(axis=0)
     idx = np.nonzero(ok)[0][ok2]
@@ -238,18 +239,17 @@ def two_summand_grid_floor(space, n_xi: int = 720, n_phi: int = 720,
     b = np.arange(n_phi) * math.pi / n_phi
     dirs_b = np.stack([np.cos(b), np.sin(b)], axis=1)
     xb = suite @ dirs_b.T                                # (n_s, n_phi)
+    xi_dirs = np.array([[math.cos(a), math.sin(a)] for a in np.arange(n_xi) * math.pi / n_xi])
     floor = math.inf
-    for ang in np.arange(n_xi) * math.pi / n_xi:
-        xi_dir = np.array([math.cos(ang), math.sin(ang)])
-        xi = xi_dir / space.norm(xi_dir)
+    for xi in xi_dirs / norm_batch(space, xi_dirs)[:, None]:
         pv = dirs_b @ xi
         valid = np.abs(pv) > 1e-9
         if not np.any(valid):
             continue
-        # compress keeps f and r C-ordered, so the reshape below is a view
         f = xb.compress(valid, axis=1) / pv[valid][None, :]
-        r = suite[:, None, :] - f[:, :, None] * xi[None, None, :]
-        rn = norm_batch(space, r.reshape(-1, 2)).reshape(f.shape)
+        # r is built C-ordered as (2, n_s, k), so the norm kernel's transpose is a view
+        r = suite.T[:, :, None] - f[None] * xi[:, None, None]
+        rn = norm_batch(space, r.reshape(2, -1).T).reshape(f.shape)
         viol = np.abs(n2[:, None] - (f ** 2 + rn ** 2)) / n2[:, None]
         floor = min(floor, float(viol.max(axis=0).min()))
     return floor

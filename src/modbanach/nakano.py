@@ -21,7 +21,7 @@ import numpy as np
 
 from . import spaces
 from .modular import ConvexModular, NumericalFailure, luxemburg_norm
-from .spaces import Euclid, Lp, space_from_dict, space_to_dict
+from .spaces import Euclid, Lp, as_real, space_from_dict, space_to_dict
 
 __all__ = [
     "P_MAX",
@@ -78,7 +78,7 @@ class ConstantExponents:
     p: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _check_p(float(self.p), 1))
+        object.__setattr__(self, "p", _check_p(as_real(self.p, "exponent p"), 1))
 
     def value(self, n: int) -> float:
         _check_index(n)
@@ -102,7 +102,7 @@ class ExplicitExponents:
     exponents: tuple
 
     def __post_init__(self):
-        vals = tuple(_check_p(float(p), i + 1) for i, p in enumerate(self.exponents))
+        vals = tuple(_check_p(as_real(p, f"exponent p_{i + 1}"), i + 1) for i, p in enumerate(self.exponents))
         if not vals:
             raise ValueError("explicit exponent list must be nonempty")
         object.__setattr__(self, "exponents", vals)
@@ -146,9 +146,9 @@ class FormulaExponents:
     def __post_init__(self):
         if self.form not in ("power", "log", "loglog"):
             raise ValueError(f"unknown exponent formula {self.form!r}")
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "a", as_real(self.a, "formula a"))
+        object.__setattr__(self, "b", as_real(self.b, "formula b"))
+        object.__setattr__(self, "s", as_real(self.s, "formula s"))
         if self.a == 0.0:
             raise ValueError("formula family needs a != 0 (otherwise use a constant)")
         if self.form == "power" and self.s <= 0.0:
@@ -758,13 +758,13 @@ def _exponents_from_dict(d: dict):
         raise ValueError(f"invalid exponent description {d!r}")
     kind = d.get("kind")
     if kind == "constant":
-        return ConstantExponents(float(d["p"]))
+        return ConstantExponents(d["p"])
     if kind == "explicit":
-        return ExplicitExponents(tuple(float(v) for v in d["values"]))
+        return ExplicitExponents(tuple(d["values"]))
     if kind == "power":
-        return FormulaExponents("power", float(d["a"]), s=float(d.get("s", 1.0)))
+        return FormulaExponents("power", d["a"], s=d.get("s", 1.0))
     if kind in ("log", "loglog"):
-        return FormulaExponents(kind, float(d["a"]), b=float(d.get("b", 0.0)))
+        return FormulaExponents(kind, d["a"], b=d.get("b", 0.0))
     raise ValueError(f"unknown exponent kind {kind!r}")
 
 

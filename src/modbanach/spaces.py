@@ -6,6 +6,9 @@ except for Schatten spaces, which own complex d x d matrices (their ambient
 dimension is d*d).  ``norm_batch`` takes a stack of inputs and does not
 validate them; ``norm`` validates one input and returns ``norm_batch`` of it
 as a one-row stack, so the two agree bit for bit at any stack height.
+Rows under 8 columns are normed column by column on the ``(d, N)``
+transpose (see :func:`reduce_rows`): pass a column-major stack as the
+transposed view of its ``(d, N)`` array and it is not copied.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ __all__ = [
     "singular_values_stack",
     "dual_exponent",
     "banach_mazur_lp_vs_hilbert",
+    "as_real",
     "as_real_vector",
     "as_matrix",
     "space_to_dict",
@@ -39,9 +43,24 @@ __all__ = [
 ]
 
 
+def as_real(value, where: str) -> float:
+    """A real parameter as a float; an integer beyond the float range or a NaN is a ValueError.
+
+    Every real number a config gives is read through here, so a bad one is a
+    rejected parameter (a ``cli.ConfigError``), never an ``OverflowError``.
+    """
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"{where}: an integer too large for a float") from None
+    if math.isnan(x):
+        raise ValueError(f"{where}: NaN is not a number")
+    return x
+
+
 def _check_exponent(p: float) -> float:
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
+    p = as_real(p, "norm exponent")
+    if p < 1.0:
         raise ValueError(f"norm exponent must lie in [1, inf], got {p!r}")
     return p
 
@@ -88,33 +107,40 @@ def as_matrix(x, d: int | None = None) -> np.ndarray:
     return arr
 
 
+def _row_layout(a: np.ndarray):
+    """``(t, axis)``: the rows of ``a`` to reduce as ``ufunc.reduce(t, axis)``; see :func:`reduce_rows`."""
+    if a.shape[1] < 8:
+        return np.ascontiguousarray(a.T), 0
+    return np.ascontiguousarray(a), 1
+
+
 def reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
     """``ufunc.reduce(a, axis=1)`` for np.add, np.maximum or np.minimum, bit for bit.
 
     numpy's reduce along a row pays a cost per row, which dominates on rows
     of a few columns.  So a row of fewer than 8 columns is reduced column by
-    column, left to right, as the reduce over the first axis of the
-    contiguous transpose: one numpy call at any stack height.  numpy sums a
-    row of fewer than 8 terms left to right too, so this changes no bit, and
-    a row's sum does not depend on the height of its stack.  From 8 terms on
-    numpy's pairwise summation regroups, so wider rows go to numpy's own
-    reduce.
+    column, left to right, over the contiguous ``(d, N)`` transpose (free for
+    the transposed view of a ``(d, N)`` array): one numpy call at any height.
+    numpy sums a row of fewer than 8 terms left to right too, so no bit
+    changes.  From 8 terms on numpy's pairwise summation regroups, so wider
+    rows go to numpy's own reduce on C-ordered rows (across the rows of a
+    column-major stack it would sum left to right).
     """
-    if a.shape[1] >= 8:
-        return ufunc.reduce(a, axis=1)
-    return ufunc.reduce(np.ascontiguousarray(a.T), axis=0)
+    return ufunc.reduce(*_row_layout(a))
 
 
 def _lp_of_abs_rows(a: np.ndarray, p: float) -> np.ndarray:
     """Row-wise l_p norm of a nonnegative 2-d array; a zero or NaN row keeps its max."""
-    m = reduce_rows(np.maximum, a)
+    # every step, not just the sums, runs in reduce_rows' layout
+    t, axis = _row_layout(a)
+    m = np.maximum.reduce(t, axis, keepdims=True)
     if p == INF:
-        return m
+        return m.ravel()
     if p == 1.0:
-        return reduce_rows(np.add, a)
+        return np.add.reduce(t, axis)
     safe = np.where(m > 0.0, m, 1.0)
-    out = safe * reduce_rows(np.add, np.power(a / safe[:, None], p)) ** (1.0 / p)
-    return np.where(m > 0.0, out, m)
+    out = safe * np.add.reduce(np.power(t / safe, p), axis, keepdims=True) ** (1.0 / p)
+    return np.where(m > 0.0, out, m).ravel()
 
 
 def lp_norms_stack(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -372,11 +398,11 @@ def space_from_dict(desc: dict):
         raise ValueError(f"invalid space descriptor {desc!r}")
     kind = desc["kind"]
     if kind == "lp":
-        return Lp(float(desc["p"]), int(desc["d"]))
+        return Lp(desc["p"], int(desc["d"]))
     if kind == "euclid":
         return Euclid(int(desc["d"]))
     if kind == "schatten":
-        return Schatten(float(desc["p"]), int(desc["d"]))
+        return Schatten(desc["p"], int(desc["d"]))
     if kind == "two_sum":
         return TwoSum(tuple(space_from_dict(s) for s in desc["parts"]))
     raise ValueError(f"unknown space kind {kind!r}")

@@ -25,7 +25,7 @@ import numpy as np
 from .modular import luxemburg_norms, modular_sum_norm_with_scalar
 from .nakano import BlockVector, NakanoModular, NakanoSpec, _unit_block
 from .sampling import gaussian_batch, rng_stream, structured_pairs
-from .spaces import Lp, Schatten, norm_batch, space_from_dict, space_to_dict
+from .spaces import Lp, Schatten, as_real, norm_batch, space_from_dict, space_to_dict
 
 __all__ = [
     "ViolationReport",
@@ -192,7 +192,7 @@ def _two_smooth_params(space, c=None) -> dict:
         if p < 2.0:
             raise ValueError(f"default constant needs p >= 2, got {p}")
         c = math.sqrt(p - 1.0)
-    return {"space": space_to_dict(space), "c": float(c)}
+    return {"space": space_to_dict(space), "c": as_real(c, "c")}
 
 
 def _two_smooth_batch(space, params, x, y):
@@ -279,7 +279,7 @@ def verify_lp_pair(space, x, y, p=None, lambdas=None, tolerance=1e-10):
     unit vectors in l_p; basis pairs in l_p and matrix-unit pairs without a
     shared row or column in Schatten-p are the canonical examples.
     """
-    p = _space_p(space) if p is None else float(p)
+    p = _space_p(space) if p is None else as_real(p, "p")
     xa, ya = np.asarray(x), np.asarray(y)
     nx = space.norm(xa)
     if abs(nx - 1.0) > 1e-10:
@@ -311,7 +311,7 @@ def verify_beckner(p, grid: int = 401, extent: float = 2.0, tolerance: float = 1
     Checked on a uniform grid over [-extent, extent]^2; equality holds
     identically at p = 2.
     """
-    p = float(p)
+    p = as_real(p, "p")
     if p < 2.0:
         raise ValueError(f"the scalar two-point bound needs p >= 2, got {p}")
     c = math.sqrt(p - 1.0)

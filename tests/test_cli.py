@@ -491,6 +491,79 @@ def test_main_overflowing_norm_exits_3(exponents, tmp_path, capsys):
     assert capsys.readouterr().err == "numerical failure: Luxemburg norm is not finite\n"
 
 
+_FAR_BLOCK = {"check": "far_block_limit", "nakano": {"exponents": {"kind": "power", "a": 1.0}},
+              "x": {"1": [1.0]}, "schedule": [10, 100]}
+_VERDICT = {"exponents": {"kind": "log", "a": 1.0, "b": 1.0}, "c_grid": [0.5], "count": 8, "terms_count": 8}
+_BLOCK1 = [{"1": [1.0]}]
+# every real parameter a config gives, as (name, a config that sets it, path to it)
+_REAL_SLOTS = [
+    ("verify_t", {"command": "verify", "verify": {**_FAR_BLOCK, "t": 2.0}}, ("verify", "t")),
+    ("verify_tolerance", {"command": "verify", "verify": {"check": "clarkson_lower", "space": _LP3, "samples": 10,
+                                                          "tolerance": 1e-9}}, ("verify", "tolerance")),
+    ("beckner_p", {"command": "verify", "verify": {"check": "beckner", "p": 3.5, "grid": 11}}, ("verify", "p")),
+    ("beckner_extent", {"command": "verify", "verify": {"check": "beckner", "p": 4.0, "grid": 11, "extent": 1.5}},
+     ("verify", "extent")),
+    ("two_smooth_c", {"command": "verify", "verify": {"check": "two_smooth", "space": {"kind": "lp", "p": 4.0, "d": 2},
+                                                      "samples": 10, "c": 1.7}}, ("verify", "c")),
+    ("lp_pair_p", {"command": "verify", "verify": {"check": "lp_pair", "space": {"kind": "lp", "p": 3.0, "d": 2},
+                                                   "x": [1.0, 0.0], "y": [0.0, 1.0], "p": 3}}, ("verify", "p")),
+    ("lp_pair_lambda", {"command": "verify", "verify": {"check": "lp_pair", "space": {"kind": "lp", "p": 3.0, "d": 2},
+                                                        "x": [1.0, 0.0], "y": [0.0, 1.0], "lambdas": [0.5, 1.5]}},
+     ("verify", "lambdas", 1)),
+    ("nakano_c_grid", {"command": "nakano", "nakano": {**_VERDICT, "c_grid": [0.5, 0.7]}}, ("nakano", "c_grid", 1)),
+    ("nakano_margin", {"command": "nakano", "nakano": {**_VERDICT, "margin": 0.2}}, ("nakano", "margin")),
+    ("constant_p", {"command": "norm", "norm": {"nakano": {"exponents": {"kind": "constant", "p": 3}},
+                                                "vectors": _BLOCK1}}, ("norm", "nakano", "exponents", "p")),
+    ("explicit_p", {"command": "norm", "norm": {"nakano": {"exponents": {"kind": "explicit", "values": [2.5]}},
+                                                "vectors": _BLOCK1}}, ("norm", "nakano", "exponents", "values", 0)),
+    ("power_a", {"command": "norm", "norm": {"nakano": {"exponents": {"kind": "power", "a": -0.5}},
+                                             "vectors": _BLOCK1}}, ("norm", "nakano", "exponents", "a")),
+    ("power_s", {"command": "norm", "norm": {"nakano": {"exponents": {"kind": "power", "a": 1.0, "s": 0.5}},
+                                             "vectors": _BLOCK1}}, ("norm", "nakano", "exponents", "s")),
+    ("log_b", {"command": "norm", "norm": {"nakano": {"exponents": {"kind": "log", "a": 1.0, "b": 2.0}},
+                                           "vectors": _BLOCK1}}, ("norm", "nakano", "exponents", "b")),
+    ("space_p", {"command": "norm", "norm": {"space": {"kind": "lp", "p": 1.5, "d": 2}, "vectors": [[1.0, 2.0]]}},
+     ("norm", "space", "p")),
+    ("schatten_p", {"command": "norm", "norm": {"space": {"kind": "schatten", "p": 4, "d": 2},
+                                                "vectors": [[1.0, 0.0, 0.0, 1.0]]}}, ("norm", "space", "p")),
+    ("block_space_p", {"command": "norm", "norm": {"nakano": {"exponents": {"kind": "constant", "p": 3.0},
+                                                              "blocks": {"kind": "uniform",
+                                                                         "space": {"kind": "lp", "p": 3, "d": 1}}},
+                                                   "vectors": _BLOCK1}},
+     ("norm", "nakano", "blocks", "space", "p")),
+]
+
+
+def _with_slot(template: dict, path: tuple, value) -> dict:
+    cfg = json.loads(json.dumps(template))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return {**cfg, "seed": 0}
+
+
+def _exit_code(cfg: dict) -> int:
+    with tempfile.TemporaryDirectory() as out:
+        cfg_path = Path(out) / "slot.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with np.errstate(all="ignore"):
+            return cli.main(["--config", str(cfg_path), "--out", out, "--format", "json"])
+
+
+@pytest.mark.parametrize("name, template, path", _REAL_SLOTS, ids=[s[0] for s in _REAL_SLOTS])
+def test_real_slot_configs_run(name, template, path):
+    # each config reaches a verdict, so a rejection below is the slot's own
+    assert _exit_code({**template, "seed": 0}) in (0, 1)
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400, math.nan], ids=["above_float", "below_float", "nan"])
+@pytest.mark.parametrize("name, template, path", _REAL_SLOTS, ids=[s[0] for s in _REAL_SLOTS])
+def test_real_slot_beyond_float_or_nan_exits_2(name, template, path, value, capsys):
+    assert _exit_code(_with_slot(template, path, value)) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 _EXPLICIT = {"exponents": {"kind": "explicit", "values": [2.0, 3.0, 4.0]}}
 _EUCLID2 = {"exponents": {"kind": "constant", "p": 3.0},
             "blocks": {"kind": "uniform", "space": {"kind": "euclid", "d": 2}}}
@@ -569,6 +642,13 @@ def test_norm_campaign_on_any_json_exits_0_2_or_3(target, vectors):
         with np.errstate(all="ignore"):
             code = cli.main(["--config", str(cfg_path), "--out", out, "--format", "json"])
     assert code in (0, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slot=st.sampled_from(_REAL_SLOTS), value=st.floats() | _JSON)
+def test_real_slot_on_any_json_exits_0_1_2_or_3(slot, value):
+    _, template, path = slot
+    assert _exit_code(_with_slot(template, path, value)) in (0, 1, 2, 3)
 
 
 # the five block families of the benchmark's norm campaigns, with their block dimension

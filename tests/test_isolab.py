@@ -253,6 +253,28 @@ def test_grid_floor_pinned_for_l4():
     assert two_summand_grid_floor(Lp(4.0, 2), n_xi=360, n_phi=360) == 0.17432493467530763
 
 
+def test_residual_stacks_reach_the_norm_as_transposed_views(monkeypatch):
+    # the residual of the grid and of the summand search reaches norm_batch as
+    # the transpose of a C-ordered (d, rows) array, so the short-row kernel's
+    # transpose of it copies nothing
+    residuals = []
+
+    def recording(space, stack):
+        # a residual has one row per suite vector and candidate, and at least
+        # two candidates here; the suite and the directions have fewer rows
+        if stack.shape[0] > isolab._domain_suite(space, 64, 0).shape[0]:
+            residuals.append(stack)
+        return norm_batch(space, stack)
+
+    monkeypatch.setattr(isolab, "norm_batch", recording)
+    two_summand_grid_floor(Lp(4.0, 2), n_xi=8, n_phi=8, samples=64, seed=0)
+    grid = len(residuals)
+    find_one_dim_two_summand(Lp(3.0, 3), budget=2, seed=0)
+    assert 0 < grid < len(residuals)
+    for stack in residuals:
+        assert stack.T.flags.c_contiguous and not stack.flags.c_contiguous
+
+
 @pytest.mark.parametrize("n_xi,n_phi", [(0, 4), (4, -3)])
 def test_grid_floor_rejects_an_empty_grid(n_xi, n_phi):
     with pytest.raises(ValueError, match="at least one step per angle"):

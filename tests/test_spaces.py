@@ -226,6 +226,53 @@ def test_scalar_and_batch_norms_agree_at_any_height(kind, d, p, log_scale, seed,
         assert _bits(norm_batch(space, xs[i:i + 1])) == _bits(tall[i:i + 1])
 
 
+@st.composite
+def _layout_case(draw):
+    """A space of width 1-12 and a stack for it, with zero and NaN rows."""
+    kind = draw(st.sampled_from(["lp", "euclid", "schatten", "two_sum"]))
+    p = draw(st.sampled_from([1.0, 2.0, 3.0, 4.0, INF]))
+    if kind == "schatten":
+        d = draw(st.integers(1, 3))
+        space, width = Schatten(p, d), d * d
+    else:
+        width = draw(st.integers(1, 12))
+        if kind == "two_sum" and width > 1:
+            k = draw(st.integers(1, width - 1))
+            space = TwoSum((Lp(p, k), Euclid(width - k)))
+        else:
+            space = Euclid(width) if kind == "euclid" else Lp(p, width)
+    height = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # row scales spread by 1e+-4 about 10 ** log_scale, kept inside the float range
+    scale = 10.0 ** (draw(st.floats(-300.0, 300.0)) + rng.uniform(-4.0, 4.0, (height, 1)))
+    xs = rng.standard_normal((height, width)) * scale
+    if kind == "schatten":
+        xs = xs + 1j * rng.standard_normal((height, width)) * scale
+    xs[rng.uniform(size=height) < 0.05] = 0.0
+    if kind != "schatten":  # eigvalsh does not take non-finite matrices
+        xs[rng.uniform(size=height) < 0.05, rng.integers(width)] = np.nan
+    return space, xs
+
+
+@settings(max_examples=120, deadline=None)
+@given(_layout_case())
+def test_norm_batch_bits_do_not_depend_on_stack_layout(case):
+    # rows under 8 columns are normed on the transposed stack, wider rows on
+    # C-ordered rows: a Fortran-ordered copy or a strided view of the same
+    # rows must give the bits of the C-ordered stack, on both sides of 8
+    space, xs = case
+    big = np.zeros((xs.shape[0], 2 * xs.shape[1]), dtype=xs.dtype)
+    big[:, ::2] = xs
+    # a NaN row is divided by 1, not by its max, so its powers may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _bits(norm_batch(space, xs))
+        for layout in (np.asfortranarray(xs), big[:, ::2]):
+            assert np.array_equal(_bits(norm_batch(space, layout)), want)
+        if isinstance(space, Lp):
+            # and those are the bits of numpy's reductions along the rows
+            assert np.array_equal(want, _bits(_axis_lp_rows(np.abs(xs), space.p)))
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, INF])
 def test_schatten_norm_matches_svd_oracle(p):
     rng = np.random.default_rng(3)
