@@ -15,8 +15,6 @@ from .spaces import (
     Schatten,
     CustomSpace,
     TwoSum,
-    norm,
-    norm_batch,
     singular_values,
     dual_exponent,
     banach_mazur_lp_vs_hilbert,

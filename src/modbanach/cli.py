@@ -100,9 +100,12 @@ def _block_vectors(objs, where: str) -> list:
 
 
 def _floats(obj, where: str) -> np.ndarray:
-    """An array of real parameters, read by the rule of ``spaces.as_real``."""
+    """An array of real parameters; a string, an integer beyond the float range or a NaN is a ConfigError."""
+    arr = np.asarray(obj)
+    if arr.dtype.kind in "SU":
+        raise ConfigError(f"{where}: a string is not a number")
     try:
-        arr = np.asarray(obj, dtype=float)
+        arr = arr.astype(float, copy=False)
     except OverflowError:
         raise ConfigError(f"{where}: an integer too large for a float") from None
     if np.isnan(arr).any():

@@ -25,7 +25,7 @@ from .nakano import (
     _theta_rows,
 )
 from .sampling import Descent, descend, gaussian_batch, rng_stream, stop_counts, structured_pairs
-from .spaces import Lp, Schatten, dual_exponent, norm_batch
+from .spaces import Lp, Schatten, dual_exponent
 
 __all__ = [
     "WitnessPair",
@@ -81,8 +81,8 @@ def _unpack_stack(space, thetas: np.ndarray) -> tuple:
 
 def _ratio_stack(space, thetas: np.ndarray) -> np.ndarray:
     x, y = _unpack_stack(space, thetas)
-    num = norm_batch(space, x + y) ** 2 + norm_batch(space, x - y) ** 2
-    den = 2.0 * (norm_batch(space, x) ** 2 + norm_batch(space, y) ** 2)
+    num = space.norm_batch(x + y) ** 2 + space.norm_batch(x - y) ** 2
+    den = 2.0 * (space.norm_batch(x) ** 2 + space.norm_batch(y) ** 2)
     out = np.full(den.shape, -np.inf)
     ok = den > 0.0
     out[ok] = num[ok] / den[ok]
@@ -94,7 +94,7 @@ def _normalize(space, thetas: np.ndarray) -> np.ndarray:
     x, y = _unpack_stack(space, thetas)
     # squares of Python floats: `**` calls libm pow, whose bits numpy's square does not always match
     s = np.array([math.sqrt(a ** 2 + b ** 2)
-                  for a, b in zip(norm_batch(space, x).tolist(), norm_batch(space, y).tolist())])
+                  for a, b in zip(space.norm_batch(x).tolist(), space.norm_batch(y).tolist())])
     return thetas / np.where(s > 0.0, s, 1.0)[:, None]
 
 
@@ -238,7 +238,7 @@ def clarkson_alpha_tail_bound(exponents: FormulaExponents, horizon: int) -> floa
     start = exponents.monotone_tail_start(window=max(4096, horizon + 16))
     if horizon + 1 < start:
         raise ValueError(f"horizon {horizon} precedes the monotone tail (starts at {start})")
-    return clarkson_alpha_upper(exponents.value(horizon + 1))
+    return clarkson_alpha_upper(float(exponents.values([horizon + 1])[0]))
 
 
 def clarkson_beta_bound(spec: NakanoSpec, cutoff: int, horizon: int = 1000) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import descend, gaussian_batch, rng_stream, stop_counts, structured_vectors
-from .spaces import Euclid, TwoSum, as_real_vector, norm_batch
+from .spaces import Euclid, TwoSum, as_real_vector
 
 __all__ = [
     "LinearMap",
@@ -71,10 +71,18 @@ class LinearMap:
         return self.matrix @ as_real_vector(x, self.domain.dim)
 
 
-def _domain_suite(space, samples: int, seed: int, stream: int = 999983) -> np.ndarray:
+def _domain_suite(space, samples: int, seed: int) -> np.ndarray:
     struct = [v for v in structured_vectors(space)]
-    rand = gaussian_batch(space, samples, rng_stream(seed, stream))
+    rand = gaussian_batch(space, samples, rng_stream(seed, 999983))
     return np.vstack([np.stack(struct), rand])
+
+
+def _nonzero_suite(space, samples: int, seed: int) -> tuple:
+    """The nonzero rows of the domain suite, and their squared norms."""
+    suite = _domain_suite(space, samples, seed)
+    n2 = space.norm_batch(suite) ** 2
+    keep = n2 > 0.0
+    return suite[keep], n2[keep]
 
 
 @dataclass(frozen=True)
@@ -88,10 +96,10 @@ def is_isometric_embedding(t: LinearMap, samples: int = 512, seed: int = 0,
                            tol: float = 1e-10) -> IsometryCheck:
     """Max relative deviation | ||Tx|| - ||x|| | / ||x|| over a sample suite."""
     suite = _domain_suite(t.domain, samples, seed)
-    nx = norm_batch(t.domain, suite)
+    nx = t.domain.norm_batch(suite)
     keep = nx > 0.0
     images = suite[keep] @ t.matrix.T
-    dev = np.abs(norm_batch(t.codomain, images) - nx[keep]) / nx[keep]
+    dev = np.abs(t.codomain.norm_batch(images) - nx[keep]) / nx[keep]
     worst = float(dev.max()) if dev.size else 0.0
     return IsometryCheck(worst <= tol, worst, tol)
 
@@ -128,7 +136,7 @@ def _candidate_violations(space, xi_raw: np.ndarray, phi_raw: np.ndarray,
     """
     k = xi_raw.shape[0]
     out = np.full(k, 1e6)
-    nxi = norm_batch(space, xi_raw)
+    nxi = space.norm_batch(xi_raw)
     ok = nxi > 1e-12
     if not np.any(ok):
         return out
@@ -142,7 +150,7 @@ def _candidate_violations(space, xi_raw: np.ndarray, phi_raw: np.ndarray,
     f = suite @ phi.T                                   # (n_s, k')
     # r is built C-ordered as (d, n_s, k'), so the norm kernel's transpose is a view
     r = suite.T[:, :, None] - f[None] * xi_t[:, None, :]
-    rn = norm_batch(space, r.reshape(suite.shape[1], -1).T).reshape(f.shape)
+    rn = space.norm_batch(r.reshape(suite.shape[1], -1).T).reshape(f.shape)
     viol = np.abs(suite_norm2[:, None] - (f ** 2 + rn ** 2)) / suite_norm2[:, None]
     vals = viol.max(axis=0)
     idx = np.nonzero(ok)[0][ok2]
@@ -158,12 +166,8 @@ def two_projection_violation(space, cand: TwoProjectionCandidate,
     onto a hilbertian summand.
     """
     cand.validate(space)
-    suite = _domain_suite(space, samples, seed)
-    n2 = norm_batch(space, suite) ** 2
-    keep = n2 > 0.0
-    v = _candidate_violations(
-        space, cand.xi[None, :], cand.phi[None, :], suite[keep], n2[keep]
-    )
+    suite, n2 = _nonzero_suite(space, samples, seed)
+    v = _candidate_violations(space, cand.xi[None, :], cand.phi[None, :], suite, n2)
     return float(v[0])
 
 
@@ -189,10 +193,7 @@ def find_one_dim_two_summand(space, budget: int = 16, seed: int = 0,
     if budget < 1:
         raise ValueError("budget must be at least 1")
     d = space.dim
-    suite = _domain_suite(space, suite_samples, seed)
-    n2 = norm_batch(space, suite) ** 2
-    keep = n2 > 0.0
-    suite, n2 = suite[keep], n2[keep]
+    suite, n2 = _nonzero_suite(space, suite_samples, seed)
 
     def objective(stack: np.ndarray) -> np.ndarray:
         return _candidate_violations(space, stack[:, :d], stack[:, d:], suite, n2)
@@ -231,17 +232,14 @@ def two_summand_grid_floor(space, n_xi: int = 720, n_phi: int = 720,
         raise ValueError("the angle grid applies to two-dimensional spaces only")
     if n_xi < 1 or n_phi < 1:
         raise ValueError(f"the angle grid needs at least one step per angle, got {n_xi} x {n_phi}")
-    suite = _domain_suite(space, samples, seed)
-    n2 = norm_batch(space, suite) ** 2
-    keep = n2 > 0.0
-    suite, n2 = suite[keep], n2[keep]
+    suite, n2 = _nonzero_suite(space, samples, seed)
 
     b = np.arange(n_phi) * math.pi / n_phi
     dirs_b = np.stack([np.cos(b), np.sin(b)], axis=1)
     xb = suite @ dirs_b.T                                # (n_s, n_phi)
     xi_dirs = np.array([[math.cos(a), math.sin(a)] for a in np.arange(n_xi) * math.pi / n_xi])
     floor = math.inf
-    for xi in xi_dirs / norm_batch(space, xi_dirs)[:, None]:
+    for xi in xi_dirs / space.norm_batch(xi_dirs)[:, None]:
         pv = dirs_b @ xi
         valid = np.abs(pv) > 1e-9
         if not np.any(valid):
@@ -249,7 +247,7 @@ def two_summand_grid_floor(space, n_xi: int = 720, n_phi: int = 720,
         f = xb.compress(valid, axis=1) / pv[valid][None, :]
         # r is built C-ordered as (2, n_s, k), so the norm kernel's transpose is a view
         r = suite.T[:, :, None] - f[None] * xi[:, None, None]
-        rn = norm_batch(space, r.reshape(2, -1).T).reshape(f.shape)
+        rn = space.norm_batch(r.reshape(2, -1).T).reshape(f.shape)
         viol = np.abs(n2[:, None] - (f ** 2 + rn ** 2)) / n2[:, None]
         floor = min(floor, float(viol.max(axis=0).min()))
     return floor
@@ -302,14 +300,6 @@ class IterationTrace:
     norms: np.ndarray
     residuals: np.ndarray
     defects: np.ndarray
-
-    @property
-    def steps(self) -> int:
-        return len(self.residuals)
-
-    def csv_rows(self):
-        for n in range(1, self.steps + 1):
-            yield (n, self.norms[n], self.residuals[n - 1], self.defects[n - 1])
 
 
 def pt_iterate(t: LinearMap, x, n_max: int = 50) -> IterationTrace:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import spaces
 from .modular import ConvexModular, NumericalFailure, luxemburg_norm
-from .spaces import Euclid, Lp, as_real, space_from_dict, space_to_dict
+from .spaces import Euclid, Lp, _check_dim, as_real, space_from_dict
 
 __all__ = [
     "P_MAX",
@@ -48,7 +48,6 @@ __all__ = [
     "nakano_condition_verdict",
     "SOME_CONVERGES",
     "NONE_IN_GRID",
-    "spec_to_dict",
     "spec_from_dict",
 ]
 
@@ -80,19 +79,12 @@ class ConstantExponents:
     def __post_init__(self):
         object.__setattr__(self, "p", _check_p(as_real(self.p, "exponent p"), 1))
 
-    def value(self, n: int) -> float:
-        _check_index(n)
-        return self.p
-
     def values(self, ns) -> np.ndarray:
         ns = np.asarray(ns)
         return np.full(ns.shape, self.p)
 
     def bounds(self, window: int = 4096) -> tuple:
         return (self.p, self.p)
-
-    def describe(self) -> dict:
-        return {"kind": "constant", "p": self.p}
 
 
 @dataclass(frozen=True)
@@ -107,22 +99,16 @@ class ExplicitExponents:
             raise ValueError("explicit exponent list must be nonempty")
         object.__setattr__(self, "exponents", vals)
 
-    def value(self, n: int) -> float:
-        n = _check_index(n)
-        if n > len(self.exponents):
-            raise ValueError(
-                f"index {n} beyond the {len(self.exponents)} explicit exponents"
-            )
-        return self.exponents[n - 1]
-
     def values(self, ns) -> np.ndarray:
-        return np.array([self.value(int(n)) for n in np.asarray(ns).ravel()])
+        ns = np.asarray(ns, dtype=np.intp)
+        bad = (ns < 1) | (ns > len(self.exponents))
+        if bad.any():
+            n = _check_index(int(ns[bad].flat[0]))
+            raise ValueError(f"index {n} beyond the {len(self.exponents)} explicit exponents")
+        return np.array(self.exponents)[ns - 1]
 
     def bounds(self, window: int = 4096) -> tuple:
         return (min(self.exponents), max(self.exponents))
-
-    def describe(self) -> dict:
-        return {"kind": "explicit", "values": list(self.exponents)}
 
 
 @dataclass(frozen=True)
@@ -154,7 +140,7 @@ class FormulaExponents:
         if self.form == "power" and self.s <= 0.0:
             raise ValueError("power family needs s > 0")
         # denominators must stay positive from n = 1 on
-        self.value(1)
+        self.values([1])
 
     def _raw(self, ns: np.ndarray) -> np.ndarray:
         ns = ns.astype(float)
@@ -169,10 +155,6 @@ class FormulaExponents:
         if np.any(~np.isfinite(base)) or np.any(base <= 0.0):
             raise ValueError("loglog family needs log(log(n + b)) > 0 from n = 1 on")
         return 2.0 + self.a / base
-
-    def value(self, n: int) -> float:
-        n = _check_index(n)
-        return _check_p(float(self._raw(np.array([n]))[0]), n)
 
     def values(self, ns) -> np.ndarray:
         ns = np.asarray(ns)
@@ -199,19 +181,12 @@ class FormulaExponents:
             raise ValueError("exponent family not monotone toward 2 on the window")
         return start
 
-    def describe(self) -> dict:
-        d = {"kind": self.form, "a": self.a}
-        if self.form == "power":
-            d["s"] = self.s
-        else:
-            d["b"] = self.b
-        return d
-
 
 # ---------------------------------------------------------------------------
 # block families
 
 
+@dataclass(frozen=True)
 class ScalarBlocks:
     """Every block is the scalar line."""
 
@@ -219,15 +194,6 @@ class ScalarBlocks:
 
     def block(self, n: int, p: float):
         return self._line
-
-    def describe(self) -> dict:
-        return {"kind": "scalar"}
-
-    def __eq__(self, other):
-        return isinstance(other, ScalarBlocks)
-
-    def __hash__(self):
-        return hash("ScalarBlocks")
 
 
 @dataclass(frozen=True)
@@ -238,9 +204,6 @@ class UniformBlocks:
 
     def block(self, n: int, p: float):
         return self.space
-
-    def describe(self) -> dict:
-        return {"kind": "uniform", "space": space_to_dict(self.space)}
 
 
 @dataclass(frozen=True)
@@ -257,9 +220,6 @@ class CycledBlocks:
 
     def block(self, n: int, p: float):
         return self.blocks[(n - 1) % len(self.blocks)]
-
-    def describe(self) -> dict:
-        return {"kind": "cycle", "spaces": [space_to_dict(s) for s in self.blocks]}
 
 
 @dataclass(frozen=True)
@@ -279,9 +239,6 @@ class ExplicitBlocks:
             raise ValueError(f"index {n} beyond the {len(self.blocks)} explicit blocks")
         return self.blocks[n - 1]
 
-    def describe(self) -> dict:
-        return {"kind": "list", "spaces": [space_to_dict(s) for s in self.blocks]}
-
 
 # one validated Lp per (p, d), shared by every block with that exponent
 _matched_lp = functools.lru_cache(maxsize=4096)(Lp)
@@ -293,11 +250,11 @@ class MatchedLpBlocks:
 
     d: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "d", _check_dim(self.d))
+
     def block(self, n: int, p: float):
         return _matched_lp(p, self.d)
-
-    def describe(self) -> dict:
-        return {"kind": "lp_matched", "d": self.d}
 
 
 @dataclass(frozen=True)
@@ -308,7 +265,7 @@ class NakanoSpec:
     blocks: object = field(default_factory=ScalarBlocks)
 
     def exponent(self, n: int) -> float:
-        return self.exponents.value(n)
+        return float(self.exponents.values([_check_index(n)])[0])
 
     def block(self, n: int):
         return self.blocks.block(n, self.exponent(n))
@@ -343,6 +300,8 @@ def _coerce_block(arr) -> np.ndarray:
     # np.array copies an array and reads a list once, and the cast below
     # copies only when the dtype changes
     a = np.array(arr)
+    if a.dtype.kind in "SU":
+        raise ValueError("block has a string coordinate")
     try:
         a = a.astype(complex if a.dtype.kind == "c" else float, copy=False)
     except OverflowError:
@@ -350,27 +309,62 @@ def _coerce_block(arr) -> np.ndarray:
     return _checked(a if a.ndim == 1 else a.ravel())
 
 
+def _read_items(vectors) -> list:
+    """The items of many vectors, each given as ``(int index, block)`` pairs, read in one pass.
+
+    The indices of a vector are sorted, and one below 1 or a repeated one
+    raises ``ValueError``.  When every block is a list of numbers, all
+    coordinates go into one float array, checked once and read-only, and
+    each block is a view into it.  Otherwise each block is coerced on its
+    own: read by ``np.array``, flattened, cast to float or complex.  Both
+    ways read a list of numbers to the same bits, and a coordinate that is
+    a string, is not finite, or is an integer too large for a float raises
+    ``ValueError``.
+    """
+    supports, values = [], []
+    for pairs in vectors:
+        items = sorted(pairs, key=_index)
+        support, vals = zip(*items) if items else ((), ())
+        if support and support[0] < 1:
+            raise ValueError(f"block index must be a positive integer, got {support[0]!r}")
+        if len(set(support)) < len(support):
+            n = next(n for n, m in zip(support, support[1:]) if n == m)
+            raise ValueError(f"duplicate block index {n}")
+        supports.append(support)
+        values.extend(vals)
+    if _number_lists(values):
+        try:
+            flat = np.array(list(itertools.chain.from_iterable(values)), dtype=float)
+        except OverflowError:
+            raise ValueError(_NOT_A_FLOAT) from None
+        _checked(flat)
+        sizes = list(map(len, values))
+        if len(set(sizes)) == 1:
+            # blocks of one size are the rows of the coordinates
+            blocks = iter(flat.reshape(len(sizes), -1))
+        else:
+            ends = list(itertools.accumulate(sizes))
+            blocks = iter(map(flat.__getitem__, map(slice, [0] + ends[:-1], ends)))
+    else:
+        blocks = iter(map(_coerce_block, values))
+    # zip stops at the end of a support before it takes a block
+    return [tuple(zip(support, blocks)) for support in supports]
+
+
 @dataclass(frozen=True)
 class BlockVector:
     """Finitely supported vector over the blocks; index -> coordinate array.
 
     Entries are stored sorted by block index and are immutable.  Arithmetic
-    acts blockwise with union support.
+    acts blockwise with union support.  Every block vector is read by
+    ``_read_items``, from its pairs here and from dicts in :meth:`from_dicts`.
     """
 
     items: tuple
 
     def __post_init__(self):
-        seen = set()
-        norm_items = []
-        for n, arr in self.items:
-            n = _check_index(n)
-            if n in seen:
-                raise ValueError(f"duplicate block index {n}")
-            seen.add(n)
-            norm_items.append((n, _coerce_block(arr)))
-        norm_items.sort(key=lambda kv: kv[0])
-        object.__setattr__(self, "items", tuple(norm_items))
+        items, = _read_items([[(_check_index(n), arr) for n, arr in self.items]])
+        object.__setattr__(self, "items", items)
 
     @classmethod
     def _of(cls, items: tuple) -> "BlockVector":
@@ -389,42 +383,9 @@ class BlockVector:
         """The block vectors of many ``{index: coordinates}`` dicts, read in one pass.
 
         An index is read by ``int``, as JSON round trips turn it into a
-        string.  When every block is a list of numbers, all coordinates go
-        into one float array, checked once and read-only, and each block is
-        a view into it.  Otherwise each block is coerced on its own, as
-        ``BlockVector`` does: read by ``np.array``, flattened, cast to float
-        or complex.  Both ways read a list of numbers to the same bits, and a
-        coordinate that is not finite, or an integer too large for a float,
-        raises ``ValueError``.
+        string; the rest is ``_read_items``.
         """
-        supports, values = [], []
-        for d in ds:
-            items = sorted(zip(map(int, d.keys()), d.values()), key=_index)
-            support, vals = zip(*items) if items else ((), ())
-            if support and support[0] < 1:
-                raise ValueError(f"block index must be a positive integer, got {support[0]!r}")
-            if len(set(support)) < len(support):
-                n = next(n for n, m in zip(support, support[1:]) if n == m)
-                raise ValueError(f"duplicate block index {n}")
-            supports.append(support)
-            values.extend(vals)
-        if _number_lists(values):
-            try:
-                flat = np.array(list(itertools.chain.from_iterable(values)), dtype=float)
-            except OverflowError:
-                raise ValueError(_NOT_A_FLOAT) from None
-            _checked(flat)
-            sizes = list(map(len, values))
-            if len(set(sizes)) == 1:
-                # blocks of one size are the rows of the coordinates
-                blocks = iter(flat.reshape(len(sizes), -1))
-            else:
-                ends = list(itertools.accumulate(sizes))
-                blocks = iter(map(flat.__getitem__, map(slice, [0] + ends[:-1], ends)))
-        else:
-            blocks = iter(map(_coerce_block, values))
-        # zip stops at the end of a support before it takes a block
-        return [cls._of(tuple(zip(support, blocks))) for support in supports]
+        return [cls._of(items) for items in _read_items(zip(map(int, d.keys()), d.values()) for d in ds)]
 
     @property
     def support(self) -> tuple:
@@ -455,16 +416,6 @@ class BlockVector:
     def scale(self, t: float) -> "BlockVector":
         return BlockVector(tuple((n, t * arr) for n, arr in self.items))
 
-    def restrict_min(self, n0: int) -> "BlockVector":
-        """Drop all blocks below index n0 (the tail projection)."""
-        return BlockVector(tuple((n, arr) for n, arr in self.items if n >= n0))
-
-    def drop(self, indices) -> "BlockVector":
-        dropped = set(indices)
-        return BlockVector(tuple((n, arr) for n, arr in self.items if n not in dropped))
-
-    def to_json_obj(self) -> dict:
-        return {str(n): np.asarray(arr, dtype=float).tolist() for n, arr in self.items}
 
 
 def _theta_rows(norms: np.ndarray, exps: np.ndarray) -> np.ndarray:
@@ -746,11 +697,7 @@ def nakano_condition_verdict(
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization of space descriptions
-
-
-def spec_to_dict(spec: NakanoSpec) -> dict:
-    return {"exponents": spec.exponents.describe(), "blocks": spec.blocks.describe()}
+# space descriptions read from JSON
 
 
 def _exponents_from_dict(d: dict):
@@ -781,7 +728,7 @@ def _blocks_from_dict(d: dict):
     if kind == "list":
         return ExplicitBlocks(tuple(space_from_dict(s) for s in d["spaces"]))
     if kind == "lp_matched":
-        return MatchedLpBlocks(int(d["d"]))
+        return MatchedLpBlocks(d["d"])
     raise ValueError(f"unknown block kind {kind!r}")
 
 

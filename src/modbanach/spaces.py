@@ -27,8 +27,6 @@ __all__ = [
     "Schatten",
     "CustomSpace",
     "TwoSum",
-    "norm",
-    "norm_batch",
     "lp_norms_stack",
     "reduce_rows",
     "singular_values",
@@ -44,11 +42,13 @@ __all__ = [
 
 
 def as_real(value, where: str) -> float:
-    """A real parameter as a float; an integer beyond the float range or a NaN is a ValueError.
+    """A real parameter as a float; a string, a boolean, an integer beyond the float range or a NaN is a ValueError.
 
     Every real number a config gives is read through here, so a bad one is a
     rejected parameter (a ``cli.ConfigError``), never an ``OverflowError``.
     """
+    if isinstance(value, (str, bytes, bool)):
+        raise ValueError(f"{where}: expected a number, got {value!r}")
     try:
         x = float(value)
     except OverflowError:
@@ -66,7 +66,7 @@ def _check_exponent(p: float) -> float:
 
 
 def _check_dim(d: int) -> int:
-    if not isinstance(d, (int, np.integer)) or d < 1:
+    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
     return int(d)
 
@@ -138,7 +138,8 @@ def _lp_of_abs_rows(a: np.ndarray, p: float) -> np.ndarray:
         return m.ravel()
     if p == 1.0:
         return np.add.reduce(t, axis)
-    safe = np.where(m > 0.0, m, 1.0)
+    # a NaN row is divided by its NaN max, so its powers stay NaN and never overflow
+    safe = np.where(m == 0.0, 1.0, m)
     out = safe * np.add.reduce(np.power(t / safe, p), axis, keepdims=True) ** (1.0 / p)
     return np.where(m > 0.0, out, m).ravel()
 
@@ -348,16 +349,6 @@ class TwoSum:
         return np.ldexp(np.sqrt(sum(np.ldexp(pn, -e) ** 2 for pn in pns)), e)
 
 
-def norm(space, x) -> float:
-    """Norm of x in the given space (validates shape and scalar type)."""
-    return space.norm(x)
-
-
-def norm_batch(space, xs) -> np.ndarray:
-    """Row-wise norms of a stack of vectors (or matrices for Schatten)."""
-    return space.norm_batch(xs)
-
-
 def dual_exponent(p: float) -> float:
     """Conjugate exponent: 1/p + 1/p' = 1, with 1 and inf swapped."""
     p = _check_exponent(p)
@@ -398,11 +389,11 @@ def space_from_dict(desc: dict):
         raise ValueError(f"invalid space descriptor {desc!r}")
     kind = desc["kind"]
     if kind == "lp":
-        return Lp(desc["p"], int(desc["d"]))
+        return Lp(desc["p"], desc["d"])
     if kind == "euclid":
-        return Euclid(int(desc["d"]))
+        return Euclid(desc["d"])
     if kind == "schatten":
-        return Schatten(desc["p"], int(desc["d"]))
+        return Schatten(desc["p"], desc["d"])
     if kind == "two_sum":
         return TwoSum(tuple(space_from_dict(s) for s in desc["parts"]))
     raise ValueError(f"unknown space kind {kind!r}")

@@ -25,7 +25,7 @@ import numpy as np
 from .modular import luxemburg_norms, modular_sum_norm_with_scalar
 from .nakano import BlockVector, NakanoModular, NakanoSpec, _unit_block
 from .sampling import gaussian_batch, rng_stream, structured_pairs
-from .spaces import Lp, Schatten, as_real, norm_batch, space_from_dict, space_to_dict
+from .spaces import Lp, Schatten, as_real, space_from_dict, space_to_dict
 
 __all__ = [
     "ViolationReport",
@@ -75,16 +75,6 @@ class ViolationReport:
             "seed": self.seed,
             "verdict": self.verdict,
             "worst_witness": [_array_to_json(w) for w in self.worst_witness],
-        }
-
-    def to_csv_row(self) -> dict:
-        return {
-            "check": self.check,
-            "samples": self.samples,
-            "max_violation": self.max_violation,
-            "tolerance": self.tolerance,
-            "seed": "" if self.seed is None else self.seed,
-            "verdict": self.verdict,
         }
 
 
@@ -144,13 +134,13 @@ def clarkson_rhs(space, p: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     At p = 2 this is exactly the parallelogram right-hand side, which is why
     the lower and upper Clarkson verifiers meet there.
     """
-    nx = norm_batch(space, x)
-    ny = norm_batch(space, y)
+    nx = space.norm_batch(x)
+    ny = space.norm_batch(y)
     return 2.0 * (nx ** p + ny ** p) ** (2.0 / p)
 
 
 def _parallelogram_lhs(space, x, y):
-    return norm_batch(space, x + y) ** 2 + norm_batch(space, x - y) ** 2
+    return space.norm_batch(x + y) ** 2 + space.norm_batch(x - y) ** 2
 
 
 def _space_p(space) -> float:
@@ -198,7 +188,7 @@ def _two_smooth_params(space, c=None) -> dict:
 def _two_smooth_batch(space, params, x, y):
     c = params["c"]
     lhs = _parallelogram_lhs(space, x, y)
-    rhs = 2.0 * (norm_batch(space, x) ** 2 + (c * c) * norm_batch(space, y) ** 2)
+    rhs = 2.0 * (space.norm_batch(x) ** 2 + (c * c) * space.norm_batch(y) ** 2)
     return (lhs - rhs) / np.maximum(np.abs(rhs), _FLOOR)
 
 
@@ -210,7 +200,7 @@ def _schatten_inf_params(space) -> dict:
 
 def _schatten_inf_batch(space, params, x, y):
     lhs = 0.5 * _parallelogram_lhs(space, x, y)
-    rhs = np.maximum(norm_batch(space, x), norm_batch(space, y)) ** 2
+    rhs = np.maximum(space.norm_batch(x), space.norm_batch(y)) ** 2
     return (rhs - lhs) / np.maximum(np.abs(rhs), _FLOOR)
 
 
@@ -223,7 +213,7 @@ def _endpoint_2_params(space) -> dict:
 
 def _parallelogram_batch(space, params, x, y):
     lhs = _parallelogram_lhs(space, x, y)
-    rhs = 2.0 * (norm_batch(space, x) ** 2 + norm_batch(space, y) ** 2)
+    rhs = 2.0 * (space.norm_batch(x) ** 2 + space.norm_batch(y) ** 2)
     return np.abs(lhs - rhs)
 
 
@@ -288,7 +278,7 @@ def verify_lp_pair(space, x, y, p=None, lambdas=None, tolerance=1e-10):
         lambdas = np.linspace(-2.0, 2.0, 81)
     lambdas = np.asarray(lambdas, dtype=float)
     shaped = (xa[None, ...] + lambdas.reshape((-1,) + (1,) * xa.ndim) * ya[None, ...])
-    devs = np.abs(norm_batch(space, shaped) ** p - (1.0 + np.abs(lambdas) ** p))
+    devs = np.abs(space.norm_batch(shaped) ** p - (1.0 + np.abs(lambdas) ** p))
     k = int(np.argmax(devs))
     params = {"space": space_to_dict(space), "p": p}
     return _report(

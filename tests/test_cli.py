@@ -436,6 +436,29 @@ _REJECTED = {
     "iterate_h_dim_float": {"command": "iterate", "seed": 0,
                             "iterate": {"embedding": {"kind": "counterexample", "e1": {"kind": "lp", "p": 4.0, "d": 2},
                                                       "h_dim": 2.9}, "n_max": 6}},
+    # a space dimension must not be truncated from a float or read from a boolean or a string
+    "norm_space_d_float": {"command": "norm", "seed": 0,
+                           "norm": {"space": {"kind": "lp", "p": 3, "d": 2.9}, "vectors": [[1, 2]]}},
+    "norm_space_d_true": {"command": "norm", "seed": 0,
+                          "norm": {"space": {"kind": "lp", "p": 3, "d": True}, "vectors": [[1]]}},
+    "norm_space_d_string": {"command": "norm", "seed": 0,
+                            "norm": {"space": {"kind": "lp", "p": 3, "d": "2"}, "vectors": [[1, 2]]}},
+    "norm_nakano_lp_matched_d_float": {"command": "norm", "seed": 0,
+                                       "norm": {"nakano": {"exponents": {"kind": "constant", "p": 3.0},
+                                                           "blocks": {"kind": "lp_matched", "d": 2.5}},
+                                                "vectors": [{"1": [1.0, 2.0]}]}},
+    # nor may a real parameter be read from a string or a boolean
+    "verify_tolerance_string": {"command": "verify", "seed": 0,
+                                "verify": {"check": "clarkson_lower", "space": _LP3, "samples": 10,
+                                           "tolerance": "1e-9"}},
+    "far_block_t_true": {"command": "verify", "seed": 0,
+                         "verify": {"check": "far_block_limit", "nakano": {"exponents": {"kind": "power", "a": 1.0}},
+                                    "x": {"1": [1.0]}, "schedule": [10, 100], "t": True}},
+    "norm_space_p_string": {"command": "norm", "seed": 0,
+                            "norm": {"space": {"kind": "lp", "p": "3", "d": 2}, "vectors": [[1, 2]]}},
+    # nor a coordinate from a string
+    "norm_space_string_entry": {"command": "norm", "seed": 0,
+                                "norm": {"space": {"kind": "lp", "p": 3, "d": 2}, "vectors": [["1.5", 2]]}},
 }
 
 
@@ -580,6 +603,7 @@ _BLOCK_FORMS = {
     "empty_vector": (_EXPLICIT, {}, "0x0.0p+0"),
     "ragged": (_EUCLID2, {"1": [[1.0], [2.0, 3.0]]}, ValueError),
     "string": (_EXPLICIT, {"1": ["a"]}, ValueError),
+    "numeric_string": (_EXPLICIT, {"1": ["1.5"]}, ValueError),
     "null": (_EXPLICIT, {"1": [None]}, ValueError),
     "object": (_EXPLICIT, {"1": [{"a": 1.0}]}, TypeError),
     "inf": (_EXPLICIT, {"1": [math.inf]}, ValueError),

@@ -199,7 +199,7 @@ def test_clarkson_alpha_upper_monotone_in_gap():
 def test_clarkson_tail_bound_is_sup_at_horizon():
     e = FormulaExponents("power", 1.0)
     got = clarkson_alpha_tail_bound(e, horizon=100)
-    assert got == pytest.approx(clarkson_alpha_upper(e.value(101)), rel=1e-14)
+    assert got == pytest.approx(clarkson_alpha_upper(e.values([101])[0]), rel=1e-14)
     with pytest.raises(TypeError):
         clarkson_alpha_tail_bound(ConstantExponents(2.5), horizon=10)
 

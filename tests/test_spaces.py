@@ -16,8 +16,6 @@ from modbanach.spaces import (
     banach_mazur_lp_vs_hilbert,
     dual_exponent,
     lp_norms_stack,
-    norm,
-    norm_batch,
     singular_values,
     singular_values_stack,
     space_from_dict,
@@ -72,8 +70,8 @@ def test_norm_batch_agrees_with_scalar_norm():
             xs = rng.standard_normal((8, space.d, space.d)) + 1j * rng.standard_normal((8, space.d, space.d))
         else:
             xs = rng.standard_normal((8, space.dim))
-        got = norm_batch(space, xs)
-        expected = [norm(space, x) for x in xs]
+        got = space.norm_batch(xs)
+        expected = [space.norm(x) for x in xs]
         np.testing.assert_array_equal(got, expected)
 
 
@@ -90,9 +88,9 @@ def test_norm_batch_agrees_with_scalar_norm_at_extreme_scales(scale):
     )
     for space in spaces:
         x = np.ones(space.dim) * scale
-        want = norm(space, np.ones(space.dim)) * scale
+        want = space.norm(np.ones(space.dim)) * scale
         # explicit relative check: approx would add an absolute 1e-12 slack
-        for got in (norm_batch(space, x[None, :])[0], norm(space, x)):
+        for got in (space.norm_batch(x[None, :])[0], space.norm(x)):
             assert abs(got - want) <= 1e-14 * want
 
 
@@ -220,10 +218,10 @@ def test_scalar_and_batch_norms_agree_at_any_height(kind, d, p, log_scale, seed,
         xs = (rng.standard_normal((height, d, d)) + 1j * rng.standard_normal((height, d, d))) * scale
     else:
         xs = rng.standard_normal((height, space.dim)) * scale
-    tall = norm_batch(space, xs)
+    tall = space.norm_batch(xs)
     for i in (0, height - 1):
-        assert _bits(norm(space, xs[i])) == _bits(tall[i])
-        assert _bits(norm_batch(space, xs[i:i + 1])) == _bits(tall[i:i + 1])
+        assert _bits(space.norm(xs[i])) == _bits(tall[i])
+        assert _bits(space.norm_batch(xs[i:i + 1])) == _bits(tall[i:i + 1])
 
 
 @st.composite
@@ -263,11 +261,12 @@ def test_norm_batch_bits_do_not_depend_on_stack_layout(case):
     space, xs = case
     big = np.zeros((xs.shape[0], 2 * xs.shape[1]), dtype=xs.dtype)
     big[:, ::2] = xs
-    # a NaN row is divided by 1, not by its max, so its powers may overflow
+    # the reference formula divides a NaN row by 1, not by its max, so its
+    # powers may overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        want = _bits(norm_batch(space, xs))
+        want = _bits(space.norm_batch(xs))
         for layout in (np.asfortranarray(xs), big[:, ::2]):
-            assert np.array_equal(_bits(norm_batch(space, layout)), want)
+            assert np.array_equal(_bits(space.norm_batch(layout)), want)
         if isinstance(space, Lp):
             # and those are the bits of numpy's reductions along the rows
             assert np.array_equal(want, _bits(_axis_lp_rows(np.abs(xs), space.p)))
@@ -330,10 +329,18 @@ def test_norm_batch_keeps_nan_rows():
     # the batch path does not validate, so a NaN row must stay NaN, never 0
     rows = np.array([[np.nan, 1.0, 2.0], [0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
     for space in (Lp(3.0, 3), Euclid(3), TwoSum((Lp(3.0, 2), Euclid(1)))):
-        got = norm_batch(space, rows)
+        got = space.norm_batch(rows)
         assert math.isnan(got[0])
         assert got[1] == 0.0
-        assert got[2] == pytest.approx(norm(space, rows[2]), rel=1e-14)
+        assert got[2] == pytest.approx(space.norm(rows[2]), rel=1e-14)
+
+
+def test_nan_row_powers_do_not_overflow():
+    # a NaN row among large entries is divided by its NaN max, not by 1
+    rows = np.array([[np.nan, 1e200, 1e200], [1.0, 2.0, 3.0]])
+    with np.errstate(over="raise"):
+        got = Lp(3.0, 3).norm_batch(rows)
+    assert math.isnan(got[0]) and _bits(got[1]) == _bits(Lp(3.0, 3).norm(rows[1]))
 
 
 def test_lp_validates_exponent():

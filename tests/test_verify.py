@@ -54,10 +54,8 @@ def test_clarkson_rhs_meets_parallelogram_at_two():
     rng = np.random.default_rng(0)
     space = Lp(2.0, 3)
     x, y = rng.standard_normal((2, 5, 3))
-    from modbanach.spaces import norm_batch
-
     rhs = clarkson_rhs(space, 2.0, x, y)
-    para = 2.0 * (norm_batch(space, x) ** 2 + norm_batch(space, y) ** 2)
+    para = 2.0 * (space.norm_batch(x) ** 2 + space.norm_batch(y) ** 2)
     np.testing.assert_allclose(rhs, para, rtol=1e-13)
 
 
@@ -211,8 +209,6 @@ def test_report_round_trips_to_json():
     back = json.loads(text)
     assert back["check"] == "clarkson_lower"
     assert back["verdict"] == "holds"
-    row = rep.to_csv_row()
-    assert set(row) >= {"check", "verdict", "max_violation", "samples", "seed"}
 
 
 def test_reports_identical_across_jobs():
