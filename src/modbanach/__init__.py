@@ -47,6 +47,7 @@ from .nakano import (
     nakano_condition_terms,
     nakano_condition_verdict,
 )
+from .sampling import stream_normals
 from .geomconst import (
     jvn_ratio,
     jvn_lower_bound,

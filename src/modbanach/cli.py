@@ -35,6 +35,7 @@ from .nakano import (
     BlockVector,
     FormulaExponents,
     NakanoModular,
+    _check_index,
     _exponents_from_dict,
     nakano_condition_terms,
     nakano_condition_verdict,
@@ -124,6 +125,15 @@ def _integer(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return value
+
+
+def _block_index(value, where: str) -> int:
+    """A block index parameter: an integer from 1 up to the largest index an array holds."""
+    n = _integer(value, where)
+    try:
+        return _check_index(n)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -244,7 +254,7 @@ def _run_verify(sub: dict, seed: int, jobs: int):
     elif check == "far_block_limit":
         spec = spec_from_dict(_need(sub, "nakano", where))
         x, = _block_vectors([_need(sub, "x", where)], where + ".x")
-        schedule = [_integer(n, where + ".schedule") for n in _need(sub, "schedule", where)]
+        schedule = [_block_index(n, where + ".schedule") for n in _need(sub, "schedule", where)]
         gaps = vf.far_block_limit_gaps(spec, x, as_real(sub.get("t", 1.0), where + ".t"), schedule)
         slack = 1e-12
         holds = bool(np.all(np.diff(gaps) <= slack))
@@ -292,8 +302,8 @@ def _run_nakano(sub: dict, seed: int, jobs: int):
 def _run_asymptotics(sub: dict, seed: int, jobs: int):
     where = "asymptotics"
     exponents = _exponents_from_dict(_need(sub, "exponents", where))
-    start = _integer(sub.get("start", 1), where + ".start")
-    horizon = _integer(_need(sub, "horizon", where), where + ".horizon")
+    start = _block_index(sub.get("start", 1), where + ".start")
+    horizon = _block_index(_need(sub, "horizon", where), where + ".horizon")
     if horizon < start:
         raise ConfigError(f"{where}: horizon must be >= start")
     ns = np.arange(start, horizon + 1)

@@ -24,7 +24,7 @@ from .nakano import (
     _check_index,
     _theta_rows,
 )
-from .sampling import Descent, descend, gaussian_batch, rng_stream, stop_counts, structured_pairs
+from .sampling import Descent, _complex_normals, descend, stop_counts, stream_normals, structured_pairs
 from .spaces import Lp, Schatten, dual_exponent
 
 __all__ = [
@@ -107,12 +107,20 @@ def _ascend(space, thetas: np.ndarray) -> Descent:
 
 
 def _starts(space, budget: int, seed: int) -> np.ndarray:
-    """The (budget, n) stack of packed start pairs: structured, then Gaussian."""
+    """The (budget, n) stack of packed start pairs: structured, then Gaussian.
+
+    Gaussian start i is x and then y drawn from stream i of `seed`, each as
+    one ``gaussian_batch(space, 1, rng_stream(seed, i))`` draws it: a
+    Schatten element takes its real and then its imaginary normals.
+    """
     starts = [_pack(space, x, y) for x, y in structured_pairs(space)][:budget]
-    rngs = (rng_stream(seed, i) for i in range(budget - len(starts)))
-    starts += [_pack(space, gaussian_batch(space, 1, rng)[0], gaussian_batch(space, 1, rng)[0])
-               for rng in rngs]
-    return np.array(starts)
+    n = (4 if isinstance(space, Schatten) else 2) * space.dim
+    rand = stream_normals(seed, budget - len(starts), n)
+    if isinstance(space, Schatten):
+        x_re, x_im, y_re, y_im = np.split(rand, 4, axis=1)
+        x, y = _complex_normals(x_re, x_im), _complex_normals(y_re, y_im)
+        rand = np.concatenate([x.real, x.imag, y.real, y.imag], axis=1)
+    return np.concatenate([np.reshape(starts, (-1, n)), rand])
 
 
 @dataclass(frozen=True)
@@ -258,20 +266,15 @@ def clarkson_beta_bound(spec: NakanoSpec, cutoff: int, horizon: int = 1000) -> f
 
 
 def _tail_pairs(samples: int, seed: int, dims: list) -> tuple:
-    """x and y of the sampled pairs, one dense ``(samples, d)`` array each per window block.
+    """x and y of the sampled pairs, one ``(samples, d)`` array each per window block.
 
-    Pair i draws x and then y from ``rng_stream(seed, i)``, each with one
-    ``standard_normal`` call over all window coordinates: the values one draw
-    per block gives, in the same order.
+    Pair i is row i of ``stream_normals(seed, samples, 2 * sum(dims))``: x
+    and then y over all window coordinates, the values that one draw per
+    block from ``rng_stream(seed, i)`` gives, in the same order.
     """
-    xs = np.empty((samples, sum(dims)))
-    ys = np.empty_like(xs)
-    for i in range(samples):
-        rng = rng_stream(seed, i)
-        rng.standard_normal(out=xs[i])
-        rng.standard_normal(out=ys[i])
+    x, y = np.split(stream_normals(seed, samples, 2 * sum(dims)), 2, axis=1)
     offs = np.cumsum(dims)[:-1]
-    return np.split(xs, offs, axis=1), np.split(ys, offs, axis=1)
+    return np.split(x, offs, axis=1), np.split(y, offs, axis=1)
 
 
 def _explicit_pairs(pairs: list, support: list, dims: list) -> tuple:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import descend, gaussian_batch, rng_stream, stop_counts, structured_vectors
+from .sampling import descend, gaussian_batch, rng_stream, stop_counts, stream_normals, structured_vectors
 from .spaces import Euclid, TwoSum, as_real_vector
 
 __all__ = [
@@ -198,11 +198,11 @@ def find_one_dim_two_summand(space, budget: int = 16, seed: int = 0,
     def objective(stack: np.ndarray) -> np.ndarray:
         return _candidate_violations(space, stack[:, :d], stack[:, d:], suite, n2)
 
-    starts = [np.concatenate([e, e]) for e in np.eye(d)[:8]][:budget]
-    starts += [rng_stream(seed, k).standard_normal(2 * d) for k in range(budget - len(starts))]
+    structured = np.tile(np.eye(d)[:min(8, budget)], 2)
+    starts = np.concatenate([structured, stream_normals(seed, budget - len(structured), 2 * d)])
 
     # the first start (in index order) at or below the cut ends the search
-    run = descend(objective, np.array(starts), first_step=0.5, max_steps=max_steps, tol=1e-15,
+    run = descend(objective, starts, first_step=0.5, max_steps=max_steps, tol=1e-15,
                   cut=residual_tol * 1e-2)
     best_val, best_theta = math.inf, None
     for val, theta in zip(run.values.tolist(), run.thetas):

@@ -58,9 +58,13 @@ SOME_CONVERGES = "some-c-converges"
 NONE_IN_GRID = "none-in-grid"
 
 
+#: The largest block index: indices are read into intp arrays.
+_INDEX_MAX = int(np.iinfo(np.intp).max)
+
+
 def _check_index(n) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"block index must be a positive integer, got {n!r}")
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= _INDEX_MAX:
+        raise ValueError(f"block index must be a positive integer up to {_INDEX_MAX}, got {n!r}")
     return int(n)
 
 
@@ -312,21 +316,21 @@ def _coerce_block(arr) -> np.ndarray:
 def _read_items(vectors) -> list:
     """The items of many vectors, each given as ``(int index, block)`` pairs, read in one pass.
 
-    The indices of a vector are sorted, and one below 1 or a repeated one
-    raises ``ValueError``.  When every block is a list of numbers, all
-    coordinates go into one float array, checked once and read-only, and
-    each block is a view into it.  Otherwise each block is coerced on its
-    own: read by ``np.array``, flattened, cast to float or complex.  Both
-    ways read a list of numbers to the same bits, and a coordinate that is
-    a string, is not finite, or is an integer too large for a float raises
-    ``ValueError``.
+    The indices of a vector are sorted, and one outside [1, _INDEX_MAX] or a
+    repeated one raises ``ValueError``.  When every block is a list of
+    numbers, all coordinates go into one float array, checked once and
+    read-only, and each block is a view into it.  Otherwise each block is
+    coerced on its own: read by ``np.array``, flattened, cast to float or
+    complex.  Both ways read a list of numbers to the same bits, and a
+    coordinate that is a string, is not finite, or is an integer too large
+    for a float raises ``ValueError``.
     """
     supports, values = [], []
     for pairs in vectors:
         items = sorted(pairs, key=_index)
         support, vals = zip(*items) if items else ((), ())
-        if support and support[0] < 1:
-            raise ValueError(f"block index must be a positive integer, got {support[0]!r}")
+        if support and not 1 <= support[0] <= support[-1] <= _INDEX_MAX:
+            _check_index(support[0] if support[0] < 1 else support[-1])
         if len(set(support)) < len(support):
             n = next(n for n, m in zip(support, support[1:]) if n == m)
             raise ValueError(f"duplicate block index {n}")

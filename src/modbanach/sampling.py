@@ -1,13 +1,18 @@
 """Seeded sample generation and the start-wise descent shared by the searches.
 
-All randomness flows through :func:`rng_stream`, which derives an independent
-generator from a base seed plus an integer path.  Batches and multi-start
-searches key their streams by index, so results never depend on scheduling
-order.  :func:`descend` is the finite-difference line search that both
-multi-start searches run, all of a search's starts in lockstep as one stack.
+Every random draw comes from a stream keyed by a base seed and an integer
+index: stream i of seed s is ``np.random.default_rng([s, i])``.  Batches and
+multi-start searches key their streams by index, so results never depend on
+scheduling order.  :func:`rng_stream` hands out one stream as a live
+generator (the verify batches draw from it inside their thread pool);
+:func:`stream_normals` gives the first normals of many streams at once, bit
+for bit, without building a generator per stream.  :func:`descend` is the
+finite-difference line search that both multi-start searches run, all of a
+search's starts in lockstep as one stack.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -16,6 +21,7 @@ from .spaces import Schatten
 
 __all__ = [
     "rng_stream",
+    "stream_normals",
     "gaussian_batch",
     "structured_vectors",
     "structured_pairs",
@@ -31,6 +37,103 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng([int(seed)] + [int(p) for p in path])
 
 
+# SeedSequence's hash (numpy/random/bit_generator.pyx) and PCG64's seeding
+# step (numpy/random/src/pcg64/pcg64.h), whose streams NEP 19 keeps stable.
+# The hash works on C uint32_t, which numpy's uint32 arithmetic wraps like.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = (1 << 128) - 1
+
+
+@lru_cache
+def _multipliers(init: int, mult: int, calls: int) -> np.ndarray:
+    """The running hash multiplier of `calls` hashmix calls, as a (calls + 1, 1) column."""
+    out = [init]
+    for _ in range(calls):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """hashmix of `values` by consecutive calls, one call per row of the result."""
+    h = (values ^ mults[:-1]) * mults[1:]
+    return h ^ h >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ r >> 16
+
+
+def _seed_words(seed: int) -> list:
+    """A seed as SeedSequence reads an integer: little-endian 32-bit words, one word for 0."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words = [seed & 0xFFFFFFFF]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & 0xFFFFFFFF)
+    return words
+
+
+def stream_normals(seed: int, count: int, width: int) -> np.ndarray:
+    """(count, width) array whose row i is the first `width` standard normals of stream i.
+
+    Row i has the bits of ``rng_stream(seed, i).standard_normal(width)``,
+    and so of any split of those draws into several calls: the float64
+    ziggurat carries nothing from one call to the next.  SeedSequence's pool
+    hash of the entropy ``[seed, i]`` runs over all indices at once in
+    numpy; PCG64's seeding step runs in Python integers, and one PCG64 that
+    this call owns takes each row's state through its ``state`` property.
+    That reproduces NumPy's streams as long as NEP 19's stability promise
+    for SeedSequence and PCG64 holds; ``tests/test_sampling.py`` compares
+    the rows with ``default_rng`` draws.  Indices must stay below 2**32.
+    """
+    words = _seed_words(int(seed))
+    entropy = np.empty((len(words) + 1, count), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(count)
+    # SeedSequence.mix_entropy: hash the first words into the pool (zeros past
+    # the entropy), mix every pool word into the others, then mix each
+    # remaining entropy word into every pool word
+    extra = entropy[_POOL:]
+    mults = _multipliers(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * len(extra))
+    pool = np.zeros((_POOL, count), dtype=np.uint32)
+    pool[:len(entropy)] = entropy[:_POOL]
+    pool = _hashmix(pool, mults[:_POOL + 1])
+    k = _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], mults[k:k + _POOL]))
+        k += _POOL - 1
+    for word in extra:
+        pool = _mix(pool, _hashmix(word, mults[k:k + _POOL + 1]))
+        k += _POOL
+    # SeedSequence.generate_state(4, np.uint64): eight words that cycle
+    # through the pool, paired little-endian into (seed high, seed low,
+    # increment high, increment low)
+    state = _hashmix(pool[[0, 1, 2, 3] * 2], _multipliers(_INIT_B, _MULT_B, 2 * _POOL))
+    state = state.astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = (state[0::2] | state[1::2] << 32).tolist()
+    out = np.empty((count, width))
+    bits = np.random.PCG64(0)
+    draw = np.random.Generator(bits).standard_normal
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for row, s_hi, s_lo, q_hi, q_lo in zip(out, seed_hi, seed_lo, inc_hi, inc_lo):
+        # pcg_setseq_128_srandom_r: inc = 2 initseq + 1, one LCG step from 0,
+        # add initstate, one more LCG step
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK_128
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK_128
+        pcg["inc"] = inc
+        bits.state = full
+        draw(out=row)
+    return out
+
+
 def gaussian_batch(space, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of `count` standard Gaussian elements of the space.
 
@@ -42,8 +145,13 @@ def gaussian_batch(space, count: int, rng: np.random.Generator) -> np.ndarray:
         d = space.d
         re = rng.standard_normal((count, d, d))
         im = rng.standard_normal((count, d, d))
-        return (re + 1j * im) / np.sqrt(2.0)
+        return _complex_normals(re, im)
     return rng.standard_normal((count, space.dim))
+
+
+def _complex_normals(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Complex normals of unit total variance from real and imaginary standard normals."""
+    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def _real_structured(dim: int, cap: int = 8) -> list:

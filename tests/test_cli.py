@@ -399,6 +399,17 @@ _REJECTED = {
     "verify_schedule_float": {"command": "verify", "seed": 0,
                               "verify": {"check": "far_block_limit", "nakano": {"exponents": {"kind": "power", "a": 1.0}},
                                          "x": {"1": [1.0]}, "schedule": [10, 100.5]}},
+    # a block index beyond the intp range or below 1 is a bad config, not a traceback or a payload
+    "verify_schedule_huge_int": {"command": "verify", "seed": 0,
+                                 "verify": {"check": "far_block_limit",
+                                            "nakano": {"exponents": {"kind": "power", "a": 1.0}},
+                                            "x": {"1": [1.0]}, "schedule": [10, 10 ** 30]}},
+    "norm_nakano_huge_index": {"command": "norm", "seed": 0,
+                               "norm": {"nakano": {"exponents": {"kind": "constant", "p": 2.0}},
+                                        "vectors": [{str(10 ** 30): [1.0]}]}},
+    "asymptotics_start_negative": {"command": "asymptotics", "seed": 0,
+                                   "asymptotics": {"exponents": {"kind": "constant", "p": 3.0}, "start": -1,
+                                                   "horizon": 1}},
     "nakano_count_float": {"command": "nakano", "seed": 0,
                            "nakano": {"exponents": {"kind": "log", "a": 1.0, "b": 1.0}, "c_grid": [0.5],
                                       "count": 8.5}},
@@ -468,6 +479,13 @@ def test_main_rejected_parameter_exits_2(name, tmp_path, capsys):
     cfg_path.write_text(json.dumps(_REJECTED[name]))
     assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("name, key", [("verify_schedule_huge_int", "verify.schedule"),
+                                       ("asymptotics_start_negative", "asymptotics.start")])
+def test_bad_block_index_names_its_key(name, key):
+    with pytest.raises(cli.ConfigError, match=key.replace(".", r"\.")):
+        cli.run_campaign(_REJECTED[name])
 
 
 def test_main_nan_violation_exits_3(tmp_path, monkeypatch):

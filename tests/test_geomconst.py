@@ -92,6 +92,19 @@ def test_jvn_search_path_pinned(space, bound_hex, evaluations):
     assert est.starts == 5
 
 
+@pytest.mark.parametrize("space", [Lp(3.0, 2), Schatten(1.5, 3), TwoSum((Lp(4.0, 2), Euclid(1)))], ids=repr)
+def test_starts_are_the_per_index_stream_draws(space):
+    budget, seed = 40, 2 ** 33 + 5
+    structured = [geomconst._pack(space, x, y) for x, y in sampling.structured_pairs(space)]
+    drawn = []
+    for i in range(budget - len(structured)):
+        rng = sampling.rng_stream(seed, i)
+        x, y = sampling.gaussian_batch(space, 1, rng)[0], sampling.gaussian_batch(space, 1, rng)[0]
+        drawn.append(geomconst._pack(space, x, y))
+    want = np.array(structured + drawn)
+    assert geomconst._starts(space, budget, seed).tobytes() == want.tobytes()
+
+
 # kinks and flat ridges (p near 1, p = inf), a Schatten class, a direct sum
 # and a Hilbert space, whose starts end converged, stalled and capped
 _LOCKSTEP_SPACES = [Lp(4.0 / 3.0, 2), Lp(1.0, 3), Lp(math.inf, 2), Schatten(1.5, 3),
