@@ -14,66 +14,30 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
-import importlib.resources
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import jsonschema
 import numpy as np
 
 from . import __version__, geomconst, isolab
 from . import verify as vf
 from .modular import NumericalFailure, luxemburg_norms
-from .nakano import (
-    BlockVector,
-    FormulaExponents,
-    NakanoModular,
-    _check_index,
-    _exponents_from_dict,
-    nakano_condition_terms,
-    nakano_condition_verdict,
-    spec_from_dict,
-)
-from .spaces import Schatten, as_real, space_from_dict
+from .nakano import (_EXPONENT_KINDS, _INDEX_MAX, BlockVector, FormulaExponents, NakanoModular,
+                     nakano_condition_terms, nakano_condition_verdict, spec_from_dict)
+from .spaces import (REQUIRED, ConfigError, Schatten, _int_reader, _list_reader, _read_kind, _read_object, as_real,
+                     space_from_dict)
 
 ENV_OUT = "MODBANACH_OUT"
 
 __all__ = ["ConfigError", "CampaignResult", "run_campaign", "emit_plot_data", "main"]
-
-
-class ConfigError(ValueError):
-    """Invalid campaign config; maps to exit code 2."""
-
-
-def _schema() -> dict:
-    text = importlib.resources.files("modbanach").joinpath("schema/campaign.schema.json").read_text()
-    return json.loads(text)
-
-
-@functools.cache
-def _validator():
-    # what jsonschema.validate builds on every call, built once per process
-    schema = _schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
-def validate_config(cfg: dict) -> None:
-    e = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
-    if e is not None:
-        path = "$" + "".join(f"[{p!r}]" for p in e.absolute_path)
-        raise ConfigError(f"{path}: {e.message}")
-    cmd = cfg["command"]
-    if cmd not in cfg or not isinstance(cfg[cmd], dict):
-        raise ConfigError(f"command {cmd!r} needs a {cmd!r} object with its parameters")
 
 
 def _plain(obj):
@@ -91,6 +55,11 @@ def _plain(obj):
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     return obj
+
+
+# ---------------------------------------------------------------------------
+# readers of config values: reader(value, path) is the value read, or a
+# ConfigError that names the path
 
 
 def _block_vectors(objs, where: str) -> list:
@@ -114,26 +83,34 @@ def _floats(obj, where: str) -> np.ndarray:
     return arr
 
 
-def _need(sub: dict, key: str, where: str):
-    if key not in sub:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return sub[key]
+def _floats_or(word: str):
+    return lambda obj, where: word if obj == word else _floats(obj, where)
 
 
-def _integer(value, where: str) -> int:
-    """An integer parameter; a float or a boolean is rejected, not truncated."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return value
+def _lambdas(obj, where: str) -> np.ndarray:
+    arr = _floats(obj, where)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ConfigError(f"{where}: expected a nonempty list of numbers, got {obj!r}")
+    return arr
 
 
-def _block_index(value, where: str) -> int:
-    """A block index parameter: an integer from 1 up to the largest index an array holds."""
-    n = _integer(value, where)
-    try:
-        return _check_index(n)
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from None
+_block_index = _int_reader(1, _INDEX_MAX)
+
+
+def _schedule(obj, where: str) -> list:
+    # gaps are compared from near to far, so the blocks must move out
+    ns = _list_reader(_block_index)(obj, where)
+    if len(ns) < 2 or any(m >= n for m, n in zip(ns, ns[1:])):
+        raise ConfigError(f"{where}: expected at least two strictly increasing block indices, got {obj!r}")
+    return ns
+
+
+def _text(pattern: str):
+    def read(value, where: str) -> str:
+        if not isinstance(value, str) or not re.fullmatch(pattern, value):
+            raise ConfigError(f"{where}: expected a string matching {pattern!r}, got {value!r}")
+        return value
+    return read
 
 
 @dataclass(frozen=True)
@@ -170,219 +147,98 @@ class CampaignResult:
 
 
 # ---------------------------------------------------------------------------
-# command runners; each returns (payload, passed, violated, numerical_failure),
-# and a search runner appends a meta dict of how its starts ended.
-# A ValueError, KeyError or TypeError a runner raises is a rejected parameter:
-# run_campaign turns it into a ConfigError, except a NumericalFailure.
+# command runners; each takes seed, jobs and its parameters as read by its
+# key table, and returns (payload, passed, violated, numerical_failure); a
+# search runner appends a meta dict of how its starts ended
 
 
-def _run_norm(sub: dict, seed: int, jobs: int):
-    where = "norm"
-    if ("space" in sub) == ("nakano" in sub):
-        raise ConfigError(f"{where}: give exactly one of 'space' or 'nakano'")
-    vectors = _need(sub, "vectors", where)
-    if "space" in sub:
-        space = space_from_dict(sub["space"])
-        norms = [space.norm(_floats(v, where + ".vectors")) for v in vectors]
+def _run_norm(seed, jobs, space, nakano, vectors):
+    if (space is None) == (nakano is None):
+        raise ConfigError("norm: give exactly one of 'space' or 'nakano'")
+    if space is not None:
+        norms = [space.norm(_floats(v, "norm.vectors")) for v in vectors]
     else:
-        theta = NakanoModular(spec_from_dict(sub["nakano"]))
-        norms = luxemburg_norms(theta, _block_vectors(vectors, where + ".vectors")).tolist()
+        norms = luxemburg_norms(NakanoModular(nakano), _block_vectors(vectors, "norm.vectors")).tolist()
     return {"norms": norms}, True, False, False
 
 
-def _run_jvn(sub: dict, seed: int, jobs: int):
-    space = space_from_dict(_need(sub, "space", "jvn"))
-    budget = _integer(sub.get("budget", 64), "jvn.budget")
+def _run_jvn(seed, jobs, space, budget):
     est = geomconst.jvn_lower_bound(space, budget=budget, seed=seed)
     upper = None
     if hasattr(space, "p") and math.isfinite(space.p):
         upper = geomconst.jvn_upper_bound_clarkson(space.p)
-    payload = {
-        "lower_bound": est.lower_bound,
-        "upper_bound_clarkson": upper,
-        "witness": {
-            "x": vf._array_to_json(est.witness.x),
-            "y": vf._array_to_json(est.witness.y),
-            "value": est.witness.value,
-        },
-        "starts": est.starts,
-        "evaluations": est.evaluations,
-    }
+    witness = {"x": vf._array_to_json(est.witness.x), "y": vf._array_to_json(est.witness.y),
+               "value": est.witness.value}
+    payload = {"lower_bound": est.lower_bound, "upper_bound_clarkson": upper, "witness": witness,
+               "starts": est.starts, "evaluations": est.evaluations}
     ok = 1.0 - 1e-9 <= est.lower_bound <= 2.0 + 1e-9
     if upper is not None:
         ok = ok and est.lower_bound <= upper + 1e-6
     return payload, ok, False, False, {"stops": est.stops}
 
 
-# verify keys every pair check shares; the rest go to the check's params builder
-_PAIR_KEYS = ("check", "samples", "tolerance", "space", "d")
+def _report(rep: vf.ViolationReport):
+    return rep.to_dict(), rep.verdict == "holds", rep.violated, rep.verdict == "numerical_failure"
 
 
-def _pair_space(sub: dict, where: str):
-    # schatten_inf configs name the operator-norm space by its size d alone
-    if "space" not in sub and "d" in sub:
-        return Schatten(math.inf, _integer(sub["d"], where + ".d"))
-    return space_from_dict(_need(sub, "space", where))
+def _run_pair(seed, jobs, check, **values):
+    return _report(vf.verify_pair(check, seed=seed, jobs=jobs, **values))
 
 
-def _run_verify(sub: dict, seed: int, jobs: int):
-    where = "verify"
-    check = _need(sub, "check", where)
-    tol = {} if sub.get("tolerance") is None else {"tolerance": as_real(sub["tolerance"], where + ".tolerance")}
-    if check in vf.PAIR_CHECKS:
-        options = {k: v for k, v in sub.items() if k not in _PAIR_KEYS}
-        rep = vf.verify_pair(
-            check, _pair_space(sub, where), samples=_integer(sub.get("samples", 10000), where + ".samples"),
-            seed=seed, jobs=jobs, **tol, **options,
-        )
-    elif check == "beckner":
-        rep = vf.verify_beckner(
-            as_real(_need(sub, "p", where), where + ".p"),
-            grid=_integer(sub.get("grid", 401), where + ".grid"),
-            extent=as_real(sub.get("extent", 2.0), where + ".extent"),
-            **tol,
-        )
-    elif check == "lp_pair":
-        rep = vf.verify_lp_pair(
-            space_from_dict(_need(sub, "space", where)),
-            _floats(_need(sub, "x", where), where + ".x"),
-            _floats(_need(sub, "y", where), where + ".y"),
-            p=None if sub.get("p") is None else as_real(sub["p"], where + ".p"),
-            lambdas=None if sub.get("lambdas") is None else _floats(sub["lambdas"], where + ".lambdas"),
-            **tol,
-        )
-    elif check == "far_block_limit":
-        spec = spec_from_dict(_need(sub, "nakano", where))
-        x, = _block_vectors([_need(sub, "x", where)], where + ".x")
-        schedule = [_block_index(n, where + ".schedule") for n in _need(sub, "schedule", where)]
-        gaps = vf.far_block_limit_gaps(spec, x, as_real(sub.get("t", 1.0), where + ".t"), schedule)
-        slack = 1e-12
-        holds = bool(np.all(np.diff(gaps) <= slack))
-        payload = {
-            "check": check,
-            "schedule": schedule,
-            "gaps": gaps.tolist(),
-            "verdict": "holds" if holds else "violated",
-            "max_violation": float(max(0.0, np.max(np.diff(gaps)))) if len(gaps) > 1 else 0.0,
-        }
-        return payload, holds, not holds, False
-    else:
-        raise ConfigError(f"{where}.check: unknown check {check!r}")
-    numerical_failure = rep.verdict == "numerical_failure"
-    return rep.to_dict(), rep.verdict == "holds", rep.violated, numerical_failure
+def _run_far_block_limit(seed, jobs, nakano, x, t, schedule):
+    gaps = vf.far_block_limit_gaps(nakano, x, t, schedule)
+    steps = np.diff(gaps)
+    holds = bool(np.all(steps <= 1e-12))
+    payload = {"check": "far_block_limit", "schedule": schedule, "gaps": gaps.tolist(),
+               "verdict": "holds" if holds else "violated", "max_violation": float(max(0.0, np.max(steps)))}
+    return payload, holds, not holds, False
 
 
-def _run_nakano(sub: dict, seed: int, jobs: int):
-    where = "nakano"
-    exponents = _exponents_from_dict(_need(sub, "exponents", where))
-    c_grid = [as_real(c, where + ".c_grid") for c in _need(sub, "c_grid", where)]
-    window = tuple(_integer(w, where + ".window") for w in sub.get("window", (1000, 1000000)))
-    count = _integer(sub.get("count", 60), where + ".count")
-    terms_count = _integer(sub.get("terms_count", 64), where + ".terms_count")
-    margin = as_real(sub.get("margin", 0.1), where + ".margin")
-    report = nakano_condition_verdict(exponents, c_grid, count=count, window=window, margin=margin)
+def _run_nakano(seed, jobs, exponents, c_grid, window, count, terms_count, margin):
+    report = nakano_condition_verdict(exponents, c_grid, count=count, window=tuple(window), margin=margin)
     terms = nakano_condition_terms(exponents, c_grid[0], count=terms_count)
-    payload = {
-        "verdicts": [
-            {"c": v.c, "slope": v.slope, "verdict": v.verdict} for v in report.verdicts
-        ],
-        "overall": report.overall,
-        "window": list(report.window),
-        "margin": report.margin,
-        "series": {
-            "c": terms.c,
-            "n": terms.indices.tolist(),
-            "term": terms.terms.tolist(),
-            "log_slope": [float("nan")] + terms.log_slopes.tolist(),
-        },
-    }
+    series = {"c": terms.c, "n": terms.indices.tolist(), "term": terms.terms.tolist(),
+              "log_slope": [float("nan")] + terms.log_slopes.tolist()}
+    payload = {"verdicts": [{"c": v.c, "slope": v.slope, "verdict": v.verdict} for v in report.verdicts],
+               "overall": report.overall, "window": list(report.window), "margin": report.margin, "series": series}
     return payload, True, False, False
 
 
-def _run_asymptotics(sub: dict, seed: int, jobs: int):
-    where = "asymptotics"
-    exponents = _exponents_from_dict(_need(sub, "exponents", where))
-    start = _block_index(sub.get("start", 1), where + ".start")
-    horizon = _block_index(_need(sub, "horizon", where), where + ".horizon")
+def _run_asymptotics(seed, jobs, exponents, start, horizon, jvn_values):
     if horizon < start:
-        raise ConfigError(f"{where}: horizon must be >= start")
+        raise ConfigError("asymptotics: horizon must be >= start")
     ns = np.arange(start, horizon + 1)
     ps = exponents.values(ns)
-    source = sub.get("jvn_values", "clarkson")
-    if source == "clarkson":
-        avals = np.array([geomconst.jvn_upper_bound_clarkson(p) for p in ps])
-    else:
-        avals = _floats(source, where + ".jvn_values")
     tail = None
-    if isinstance(exponents, FormulaExponents) and source == "clarkson":
-        tail = geomconst.clarkson_alpha_tail_bound(exponents, horizon)
-    rep = geomconst.alpha_beta(ps, avals, tail_bound=tail)
-    payload = {
-        "n": ns.tolist(),
-        "exponent": ps.tolist(),
-        "alpha": rep.alpha.tolist(),
-        "beta": rep.beta.tolist(),
-        "tail_bound": rep.tail_bound,
-    }
+    if isinstance(jvn_values, str):
+        jvn_values = np.array([geomconst.jvn_upper_bound_clarkson(p) for p in ps])
+        if isinstance(exponents, FormulaExponents):
+            tail = geomconst.clarkson_alpha_tail_bound(exponents, horizon)
+    rep = geomconst.alpha_beta(ps, jvn_values, tail_bound=tail)
+    payload = {"n": ns.tolist(), "exponent": ps.tolist(), "alpha": rep.alpha.tolist(), "beta": rep.beta.tolist(),
+               "tail_bound": rep.tail_bound}
     return payload, True, False, False
 
 
-def _run_summand(sub: dict, seed: int, jobs: int):
-    where = "summand"
-    space = space_from_dict(_need(sub, "space", where))
-    budget = _integer(sub.get("budget", 16), where + ".budget")
-    grid = sub.get("grid")
-    if grid is not None:
-        if not isinstance(grid, dict):
-            raise ConfigError(f"{where}.grid: expected an object, got {grid!r}")
-        if space.dim != 2:
-            raise ConfigError(f"{where}.grid: the angle grid needs a two-dimensional space")
-        sizes = {k: _integer(grid.get(k, 720), f"{where}.grid.{k}") for k in ("n_xi", "n_phi")}
-        if min(sizes.values()) < 1:
-            raise ConfigError(f"{where}.grid: n_xi and n_phi must be at least 1, got {sizes}")
+def _run_summand(seed, jobs, space, budget, grid):
+    if grid is not None and space.dim != 2:
+        raise ConfigError("summand.grid: the angle grid needs a two-dimensional space")
     result = isolab.find_one_dim_two_summand(space, budget=budget, seed=seed)
-    payload = {
-        "found": result.found,
-        "residual": result.residual,
-        "starts": result.starts,
-        "candidate": None,
-    }
+    payload = {"found": result.found, "residual": result.residual, "starts": result.starts, "candidate": None}
     if result.candidate is not None:
-        payload["candidate"] = {
-            "xi": result.candidate.xi.tolist(),
-            "phi": result.candidate.phi.tolist(),
-        }
+        payload["candidate"] = {"xi": result.candidate.xi.tolist(), "phi": result.candidate.phi.tolist()}
     if grid is not None:
-        payload["grid_floor"] = isolab.two_summand_grid_floor(space, **sizes, seed=seed)
+        payload["grid_floor"] = isolab.two_summand_grid_floor(space, **grid, seed=seed)
     return payload, True, False, False, {"stops": result.stops}
 
 
-def _build_embedding(desc: dict, where: str) -> isolab.LinearMap:
-    kind = _need(desc, "kind", where)
-    h_dim = _integer(desc.get("h_dim", 4), where + ".h_dim")
-    if kind == "counterexample":
-        e1 = space_from_dict(_need(desc, "e1", where))
-        return isolab.build_counterexample_embedding(e1, h_dim=h_dim)
-    if kind == "inclusion":
-        e0 = space_from_dict(_need(desc, "e0", where))
-        return isolab.build_inclusion_embedding(e0, h_dim=h_dim)
-    raise ConfigError(f"{where}.kind: unknown embedding kind {kind!r}")
-
-
-def _run_iterate(sub: dict, seed: int, jobs: int):
-    where = "iterate"
-    t = _build_embedding(_need(sub, "embedding", where), where + ".embedding")
-    xspec = sub.get("x", "xi0")
-    if xspec == "xi0":
+def _run_iterate(seed, jobs, embedding, x, n_max):
+    t = embedding
+    if isinstance(x, str):
         x = np.zeros(t.domain.dim)
         x[-1] = 1.0
-    else:
-        x = _floats(xspec, where + ".x")
-        if x.shape != (t.domain.dim,):
-            raise ConfigError(f"{where}.x: expected {t.domain.dim} coordinates")
-    n_max = _integer(sub.get("n_max", 50), where + ".n_max")
-    if n_max < 6:
-        raise ConfigError(f"{where}.n_max: must be at least 6")
+    elif x.shape != (t.domain.dim,):
+        raise ConfigError(f"iterate.x: expected {t.domain.dim} coordinates")
     trace = isolab.pt_iterate(t, x, n_max=n_max)
     iso = isolab.is_isometric_embedding(t, seed=seed)
     cauchy = abs(trace.norms[-1] - trace.norms[-6]) <= 1e-9
@@ -392,58 +248,148 @@ def _run_iterate(sub: dict, seed: int, jobs: int):
     except isolab.AmbiguousRankError:
         inter_dim = None
         numerical_failure = True
-    payload = {
-        "isometric": iso.isometric,
-        "max_deviation": iso.max_deviation,
-        "cauchy": bool(cauchy),
-        "intersection_dim": inter_dim,
-        "trace": {
-            "n": list(range(len(trace.norms))),
-            "norm": trace.norms.tolist(),
-            "residual": trace.residuals.tolist(),
-            "defect": trace.defects.tolist(),
-        },
-    }
+    series = {"n": list(range(len(trace.norms))), "norm": trace.norms.tolist(),
+              "residual": trace.residuals.tolist(), "defect": trace.defects.tolist()}
+    payload = {"isometric": iso.isometric, "max_deviation": iso.max_deviation, "cauchy": bool(cauchy),
+               "intersection_dim": inter_dim, "trace": series}
     max_defect = float(trace.defects.max()) if len(trace.defects) else 0.0
     passed = iso.isometric and cauchy and max_defect <= 1e-10
     return payload, passed, False, numerical_failure
 
 
+# ---------------------------------------------------------------------------
+# key tables: key -> (reader, default or REQUIRED).  A key not in its
+# object's table is rejected, so every key a config gives is read.
+
+
+def _bound(run):
+    # a build for _read_kind: run with the values read bound, waiting for seed and jobs
+    return lambda **values: partial(run, **values)
+
+
+def _params(run, table):
+    # the reader of a command's parameter object: run with the values read bound
+    return lambda obj, where: partial(run, **_read_object(table, obj, where))
+
+
+_SPACE = (space_from_dict, REQUIRED)
+_EXPONENTS = (partial(_read_kind, _EXPONENT_KINDS), REQUIRED)
+_TOLERANCE = (as_real, 1e-10)
+_SAMPLED = {"samples": (_int_reader(0), 10000), "tolerance": _TOLERANCE}
+_PAIR = {"space": _SPACE, **_SAMPLED}
+_H_DIM = (_int_reader(1), 4)
+
+#: the tables of verify's checks, but for the plain pair checks that _read_verify adds
+_CHECKS = {
+    "two_smooth": (_bound(partial(_run_pair, check="two_smooth")), {**_PAIR, "c": (as_real, None)}),
+    # the operator-norm space is named by its size alone
+    "schatten_inf": (lambda d, **values: partial(_run_pair, check="schatten_inf",
+                                                 space=Schatten(math.inf, d), **values),
+                     {"d": (_int_reader(1), REQUIRED), **_SAMPLED}),
+    # vf's checks are looked up when they run, so a tracer that rebinds them sees the calls
+    "beckner": (_bound(lambda seed, jobs, **values: _report(vf.verify_beckner(**values))),
+                {"p": (as_real, REQUIRED), "grid": (_int_reader(1), 401), "extent": (as_real, 2.0),
+                 "tolerance": (as_real, 1e-12)}),
+    "lp_pair": (_bound(lambda seed, jobs, **values: _report(vf.verify_lp_pair(**values))),
+                {"space": _SPACE, "x": (_floats, REQUIRED), "y": (_floats, REQUIRED), "p": (as_real, None),
+                 "lambdas": (_lambdas, None), "tolerance": _TOLERANCE}),
+    "far_block_limit": (_bound(_run_far_block_limit),
+                        {"nakano": (spec_from_dict, REQUIRED), "schedule": (_schedule, REQUIRED),
+                         "x": (lambda obj, where: _block_vectors([obj], where)[0], REQUIRED), "t": (as_real, 1.0)}),
+}
+
+
+def _read_verify(obj, where: str):
+    # the pair checks are looked up as a config is read, since vf.PAIR_CHECKS may grow
+    pairs = {check: (_bound(partial(_run_pair, check=check)), _PAIR) for check in vf.PAIR_CHECKS}
+    return _read_kind({**pairs, **_CHECKS}, obj, where, tag="check")
+
+
+_EMBEDDINGS = {
+    "counterexample": (isolab.build_counterexample_embedding, {"e1": _SPACE, "h_dim": _H_DIM}),
+    "inclusion": (isolab.build_inclusion_embedding, {"e0": _SPACE, "h_dim": _H_DIM}),
+}
+
+
 class _Command(NamedTuple):
-    run: Callable      # (sub-config, seed, jobs) -> (payload, passed, violated, numerical_failure[, meta])
+    read: Callable     # (parameter object, path) -> the runner, waiting for seed and jobs
     metric: Callable   # payload -> the headline number of the CSV summary
 
 
 _RUNNERS = {
-    "norm": _Command(_run_norm, lambda p: p["norms"][0] if p["norms"] else 0.0),
-    "jvn": _Command(_run_jvn, lambda p: p["lower_bound"]),
-    "verify": _Command(_run_verify, lambda p: p.get("max_violation", 0.0)),
-    "nakano": _Command(_run_nakano, lambda p: p["verdicts"][0]["slope"] if p["verdicts"] else 0.0),
-    "asymptotics": _Command(_run_asymptotics, lambda p: p["beta"][0] if p["beta"] else 0.0),
-    "summand": _Command(_run_summand, lambda p: p.get("grid_floor", p["residual"])),
-    "iterate": _Command(_run_iterate, lambda p: max(p["trace"]["defect"], default=0.0)),
+    "norm": _Command(
+        _params(_run_norm, {"space": (space_from_dict, None), "nakano": (spec_from_dict, None),
+                            "vectors": (lambda vectors, where: vectors, REQUIRED)}),
+        lambda p: p["norms"][0] if p["norms"] else 0.0),
+    "jvn": _Command(_params(_run_jvn, {"space": _SPACE, "budget": (_int_reader(1), 64)}),
+                    lambda p: p["lower_bound"]),
+    "verify": _Command(_read_verify, lambda p: p.get("max_violation", 0.0)),
+    "nakano": _Command(
+        _params(_run_nakano, {"exponents": _EXPONENTS, "c_grid": (_list_reader(as_real), REQUIRED),
+                              "window": (_list_reader(_int_reader()), (1000, 1000000)),
+                              "count": (_int_reader(), 60), "terms_count": (_int_reader(), 64),
+                              "margin": (as_real, 0.1)}),
+        lambda p: p["verdicts"][0]["slope"] if p["verdicts"] else 0.0),
+    "asymptotics": _Command(
+        _params(_run_asymptotics, {"exponents": _EXPONENTS, "start": (_block_index, 1),
+                                   "horizon": (_block_index, REQUIRED),
+                                   "jvn_values": (_floats_or("clarkson"), "clarkson")}),
+        lambda p: p["beta"][0] if p["beta"] else 0.0),
+    "summand": _Command(
+        _params(_run_summand, {"space": _SPACE, "budget": (_int_reader(1), 16),
+                               "grid": (partial(_read_object, {"n_xi": (_int_reader(1), 720),
+                                                               "n_phi": (_int_reader(1), 720)}), None)}),
+        lambda p: p.get("grid_floor", p["residual"])),
+    "iterate": _Command(
+        _params(_run_iterate, {"embedding": (partial(_read_kind, _EMBEDDINGS), REQUIRED),
+                               "x": (_floats_or("xi0"), "xi0"), "n_max": (_int_reader(6), 50)}),
+        lambda p: max(p["trace"]["defect"], default=0.0)),
 }
+
+#: the top level's keys besides the command and its parameter object
+_TOP = {
+    "seed": (_int_reader(0), REQUIRED),
+    "jobs": (_int_reader(1, 256), 1),
+    "name": (_text(r"[A-Za-z0-9._-]+"), "campaign"),   # the stem of the report files
+    "out": (_text(r"(?s).*"), None),
+    "format": (_text("json|csv|both"), "both"),
+    "plot": (_text("trace|asymptotics|nakano_terms"), None),
+}
+_CONFIGS = {cmd: (dict, {**_TOP, cmd: (entry.read, REQUIRED)}) for cmd, entry in _RUNNERS.items()}
+
+
+def validate_config(cfg: dict) -> dict:
+    """The values of a campaign config, read through its key tables; under the
+    command's name is its runner with the command's parameters bound.
+
+    A key or value a table rejects is a ConfigError; a value a library
+    constructor rejects may be a ValueError or a TypeError.
+    """
+    cmd = cfg.get("command") if isinstance(cfg, dict) else None
+    if isinstance(cmd, str) and cmd in _RUNNERS and not isinstance(cfg.get(cmd), dict):
+        raise ConfigError(f"command {cmd!r} needs a {cmd!r} object with its parameters")
+    return _read_kind(_CONFIGS, cfg, "", tag="command")
 
 
 def run_campaign(config: dict) -> CampaignResult:
-    """Validate and execute one campaign config."""
-    validate_config(config)
-    cmd = config["command"]
-    seed = int(config["seed"])
-    jobs = int(config.get("jobs", 1))
-    name = config.get("name", "campaign")
-    t0 = time.perf_counter()
+    """Validate and execute one campaign config.
+
+    A ValueError, KeyError or TypeError the config's reading or run raises
+    is a rejected parameter, a ConfigError, except a NumericalFailure.
+    """
     try:
-        payload, passed, violated, numfail, *meta = _RUNNERS[cmd].run(config[cmd], seed, jobs)
+        values = validate_config(config)
+        t0 = time.perf_counter()
+        payload, passed, violated, numfail, *meta = values[config["command"]](seed=values["seed"],
+                                                                              jobs=values["jobs"])
     except (ConfigError, NumericalFailure):
         raise
     except (ValueError, KeyError, TypeError) as e:
-        raise ConfigError(f"{cmd}: {e}") from None
-    wall = time.perf_counter() - t0
+        raise ConfigError(f"{config['command']}: {e}") from None
     return CampaignResult(
-        name=name, config=config, payload=payload, passed=passed,
-        violated=violated, numerical_failure=numfail, wall_time=wall,
-        version=__version__, meta=meta[0] if meta else {},
+        name=values["name"], config=config, payload=payload, passed=passed, violated=violated,
+        numerical_failure=numfail, wall_time=time.perf_counter() - t0, version=__version__,
+        meta=meta[0] if meta else {},
     )
 
 

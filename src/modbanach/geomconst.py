@@ -319,7 +319,9 @@ def tail_parallelogram_defect(
     the defect has the bits of one ``nakano_modular`` call per vector.
     """
     if pairs is None:
-        support = list(range(_check_index(cutoff), cutoff + window))
+        if window < 1:
+            raise ValueError(f"window must be at least 1, got {window}")
+        support = list(range(_check_index(cutoff), _check_index(cutoff + window - 1) + 1))
     else:
         pairs = list(pairs)
         for x, y in pairs:

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import spaces
 from .modular import ConvexModular, NumericalFailure, luxemburg_norm
-from .spaces import Euclid, Lp, _check_dim, as_real, space_from_dict
+from .spaces import (REQUIRED, Euclid, Lp, _check_dim, _int_reader, _list_reader, _read_kind, _read_object, as_real,
+                     space_from_dict)
 
 __all__ = [
     "P_MAX",
@@ -704,41 +705,31 @@ def nakano_condition_verdict(
 # space descriptions read from JSON
 
 
-def _exponents_from_dict(d: dict):
-    if not isinstance(d, dict):
-        raise ValueError(f"invalid exponent description {d!r}")
-    kind = d.get("kind")
-    if kind == "constant":
-        return ConstantExponents(d["p"])
-    if kind == "explicit":
-        return ExplicitExponents(tuple(d["values"]))
-    if kind == "power":
-        return FormulaExponents("power", d["a"], s=d.get("s", 1.0))
-    if kind in ("log", "loglog"):
-        return FormulaExponents(kind, d["a"], b=d.get("b", 0.0))
-    raise ValueError(f"unknown exponent kind {kind!r}")
+#: each exponent kind's constructor and the keys of its description
+_EXPONENT_KINDS = {
+    "constant": (ConstantExponents, {"p": (as_real, REQUIRED)}),
+    "explicit": (lambda values: ExplicitExponents(values), {"values": (_list_reader(as_real), REQUIRED)}),
+    "power": (functools.partial(FormulaExponents, "power"), {"a": (as_real, REQUIRED), "s": (as_real, 1.0)}),
+    "log": (functools.partial(FormulaExponents, "log"), {"a": (as_real, REQUIRED), "b": (as_real, 0.0)}),
+    "loglog": (functools.partial(FormulaExponents, "loglog"), {"a": (as_real, REQUIRED), "b": (as_real, 0.0)}),
+}
 
 
-def _blocks_from_dict(d: dict):
-    if not isinstance(d, dict):
-        raise ValueError(f"invalid block description {d!r}")
-    kind = d.get("kind")
-    if kind == "scalar":
-        return ScalarBlocks()
-    if kind == "uniform":
-        return UniformBlocks(space_from_dict(d["space"]))
-    if kind == "cycle":
-        return CycledBlocks(tuple(space_from_dict(s) for s in d["spaces"]))
-    if kind == "list":
-        return ExplicitBlocks(tuple(space_from_dict(s) for s in d["spaces"]))
-    if kind == "lp_matched":
-        return MatchedLpBlocks(d["d"])
-    raise ValueError(f"unknown block kind {kind!r}")
+_SPACES = (_list_reader(space_from_dict), REQUIRED)
+#: each block kind's constructor and the keys of its description
+_BLOCK_KINDS = {
+    "scalar": (ScalarBlocks, {}),
+    "uniform": (UniformBlocks, {"space": (space_from_dict, REQUIRED)}),
+    "cycle": (lambda spaces: CycledBlocks(spaces), {"spaces": _SPACES}),
+    "list": (lambda spaces: ExplicitBlocks(spaces), {"spaces": _SPACES}),
+    "lp_matched": (MatchedLpBlocks, {"d": (_int_reader(1), REQUIRED)}),
+}
 
 
-def spec_from_dict(d: dict) -> NakanoSpec:
-    if not isinstance(d, dict) or "exponents" not in d:
-        raise ValueError(f"invalid Nakano space description {d!r}")
-    exps = _exponents_from_dict(d["exponents"])
-    blocks = _blocks_from_dict(d.get("blocks", {"kind": "scalar"}))
-    return NakanoSpec(exps, blocks)
+_SPEC_KEYS = {"exponents": (functools.partial(_read_kind, _EXPONENT_KINDS), REQUIRED),
+              "blocks": (functools.partial(_read_kind, _BLOCK_KINDS), ScalarBlocks())}
+
+
+def spec_from_dict(d: dict, where: str = "nakano") -> NakanoSpec:
+    """A Nakano space from its JSON description; ``where`` is its path in error messages."""
+    return NakanoSpec(**_read_object(_SPEC_KEYS, d, where))

@@ -41,20 +41,78 @@ __all__ = [
 ]
 
 
+class ConfigError(ValueError):
+    """Invalid campaign config; maps to exit code 2."""
+
+
+REQUIRED = object()   # the default of a key that a descriptor must give
+
+
+def _read_object(table: dict, obj, where: str) -> dict:
+    """The values of the JSON object ``obj`` at path ``where``, read through its key table.
+
+    The table maps each key to ``(reader, default)``: ``reader(value, path)``
+    reads a given value, and ``default`` stands in for an absent key unless
+    it is ``REQUIRED``.  A key not in the table is rejected, never dropped.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object, got {obj!r}")
+    prefix = f"{where}." if where else ""
+    for key in obj:
+        if key not in table:
+            raise ConfigError(f"{prefix}{key}: unknown key")
+    for key, (_, default) in table.items():
+        if default is REQUIRED and key not in obj:
+            raise ConfigError(f"{prefix}{key}: missing required key")
+    return {key: read(obj[key], prefix + key) if key in obj else default for key, (read, default) in table.items()}
+
+
+def _read_kind(kinds: dict, obj, where: str, tag: str = "kind"):
+    """``build(**values)`` for the JSON object ``obj``, where ``kinds[obj[tag]]`` is ``(build, table)``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where or 'config'}: expected an object, got {obj!r}")
+    kind = obj.get(tag)
+    if not isinstance(kind, str) or kind not in kinds:
+        path = f"{where}.{tag}" if where else tag
+        raise ConfigError(f"{path}: unknown {tag} {kind!r}, expected one of {sorted(kinds)}")
+    build, table = kinds[kind]
+    return build(**_read_object(table, {key: v for key, v in obj.items() if key != tag}, where))
+
+
+def _int_reader(lo=-math.inf, hi=math.inf):
+    """The reader of an integer in [lo, hi]; a float or a boolean is rejected, not truncated."""
+    def read(value, where: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+            raise ConfigError(f"{where}: expected an integer in [{lo}, {hi}], got {value!r}")
+        return int(value)
+    return read
+
+
+def _list_reader(read):
+    """The reader of a JSON list whose entries ``read`` reads, entry i at path ``where[i]``."""
+    def read_list(value, where: str) -> list:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return [read(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return read_list
+
+
 def as_real(value, where: str) -> float:
-    """A real parameter as a float; a string, a boolean, an integer beyond the float range or a NaN is a ValueError.
+    """A real parameter as a float; a string, a boolean, an integer beyond the float range or a NaN is rejected.
 
     Every real number a config gives is read through here, so a bad one is a
-    rejected parameter (a ``cli.ConfigError``), never an ``OverflowError``.
+    rejected parameter, a :class:`ConfigError`, never an ``OverflowError``.
     """
     if isinstance(value, (str, bytes, bool)):
-        raise ValueError(f"{where}: expected a number, got {value!r}")
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
     try:
         x = float(value)
+    except TypeError:
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
     except OverflowError:
-        raise ValueError(f"{where}: an integer too large for a float") from None
+        raise ConfigError(f"{where}: an integer too large for a float") from None
     if math.isnan(x):
-        raise ValueError(f"{where}: NaN is not a number")
+        raise ConfigError(f"{where}: NaN is not a number")
     return x
 
 
@@ -383,17 +441,16 @@ def space_to_dict(space) -> dict:
     raise TypeError(f"space {space!r} has no serializable descriptor")
 
 
-def space_from_dict(desc: dict):
-    """Inverse of :func:`space_to_dict`."""
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ValueError(f"invalid space descriptor {desc!r}")
-    kind = desc["kind"]
-    if kind == "lp":
-        return Lp(desc["p"], desc["d"])
-    if kind == "euclid":
-        return Euclid(desc["d"])
-    if kind == "schatten":
-        return Schatten(desc["p"], desc["d"])
-    if kind == "two_sum":
-        return TwoSum(tuple(space_from_dict(s) for s in desc["parts"]))
-    raise ValueError(f"unknown space kind {kind!r}")
+def space_from_dict(desc: dict, where: str = "space"):
+    """Inverse of :func:`space_to_dict`; ``where`` is the descriptor's path in error messages."""
+    return _read_kind(_SPACE_KINDS, desc, where)
+
+
+_DIM = (_int_reader(1), REQUIRED)
+#: each space kind's constructor and the keys of its descriptor
+_SPACE_KINDS = {
+    "lp": (Lp, {"p": (as_real, REQUIRED), "d": _DIM}),
+    "euclid": (Euclid, {"d": _DIM}),
+    "schatten": (Schatten, {"p": (as_real, REQUIRED), "d": _DIM}),
+    "two_sum": (TwoSum, {"parts": (_list_reader(space_from_dict), REQUIRED)}),
+}

@@ -9,7 +9,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,36 +50,6 @@ def test_validate_rejects_garbage():
             validate_config(cfg)
     with pytest.raises(ConfigError, match="needs a 'norm' object"):
         validate_config({"command": "norm", "seed": 0})
-
-
-@pytest.mark.parametrize("cfg", _SCHEMA_INVALID)
-def test_validate_message_matches_jsonschema_validate(cfg):
-    with pytest.raises(jsonschema.ValidationError) as ref:
-        jsonschema.validate(cfg, cli._schema())
-    e = ref.value
-    want = "$" + "".join(f"[{p!r}]" for p in e.absolute_path) + f": {e.message}"
-    with pytest.raises(ConfigError) as got:
-        validate_config(cfg)
-    assert str(got.value) == want
-
-
-def test_schema_checked_once_per_process(monkeypatch):
-    cls = jsonschema.validators.validator_for(cli._schema())
-    original = cls.check_schema
-    calls = []
-
-    def counting(schema, *args, **kwargs):
-        calls.append(1)
-        return original(schema, *args, **kwargs)
-
-    monkeypatch.setattr(cls, "check_schema", staticmethod(counting))
-    cli._validator.cache_clear()
-    for _ in range(3):
-        validate_config(_cfg_norm())
-        for cfg in _SCHEMA_INVALID:
-            with pytest.raises(ConfigError):
-                validate_config(cfg)
-    assert len(calls) == 1
 
 
 def test_run_norm_command():
@@ -339,6 +308,9 @@ def test_main_exit_codes(tmp_path, monkeypatch):
 
 
 _LP3 = {"kind": "lp", "p": 3.0, "d": 3}
+_FAR_BLOCK = {"check": "far_block_limit", "nakano": {"exponents": {"kind": "power", "a": 1.0}},
+              "x": {"1": [1.0]}, "schedule": [10, 100]}
+_VERDICT = {"exponents": {"kind": "log", "a": 1.0, "b": 1.0}, "c_grid": [0.5], "count": 8, "terms_count": 8}
 _REJECTED = {
     "jvn_budget_0": {"command": "jvn", "seed": 0, "jvn": {"space": _LP3, "budget": 0}},
     "summand_budget_0": {"command": "summand", "seed": 0, "summand": {"space": _LP3, "budget": 0}},
@@ -470,6 +442,31 @@ _REJECTED = {
     # nor a coordinate from a string
     "norm_space_string_entry": {"command": "norm", "seed": 0,
                                 "norm": {"space": {"kind": "lp", "p": 3, "d": 2}, "vectors": [["1.5", 2]]}},
+    # a misspelt or foreign key is rejected, not dropped
+    "jvn_budgte": {"command": "jvn", "seed": 0, "jvn": {"space": _LP3, "budgte": 2}},
+    "summand_gird": {"command": "summand", "seed": 0,
+                     "summand": {"space": {"kind": "lp", "p": 4.0, "d": 2}, "budget": 1,
+                                 "gird": {"n_xi": 4, "n_phi": 4}}},
+    "power_ss": {"command": "norm", "seed": 0,
+                 "norm": {"nakano": {"exponents": {"kind": "power", "a": 1.0, "ss": 0.01}}, "vectors": [{"1": [1.0]}]}},
+    "norm_space_pp": {"command": "norm", "seed": 0,
+                      "norm": {"space": {"kind": "lp", "p": 3.0, "d": 2, "pp": 1.0}, "vectors": [[1.0, 2.0]]}},
+    "config_version": {"config_version": 1, "command": "jvn", "seed": 0, "jvn": {"space": _LP3, "budget": 1}},
+    "beckner_samples": {"command": "verify", "seed": 0, "verify": {"check": "beckner", "p": 4.0, "samples": 10}},
+    "far_block_tolerance": {"command": "verify", "seed": 0,
+                            "verify": {"check": "far_block_limit", "nakano": {"exponents": {"kind": "power", "a": 1.0}},
+                                       "x": {"1": [1.0]}, "schedule": [10, 100], "tolerance": 1e-9}},
+    "norm_with_jvn_object": {"command": "norm", "seed": 0, "jvn": {"space": _LP3},
+                             "norm": {"space": _LP3, "vectors": [[1.0, 0.0, 0.0]]}},
+    # lambdas is a nonempty list of reals, not a scalar
+    "lp_pair_scalar_lambdas": {"command": "verify", "seed": 0,
+                               "verify": {"check": "lp_pair", "space": {"kind": "lp", "p": 3.0, "d": 2},
+                                          "x": [1.0, 0.0], "y": [0.0, 1.0], "lambdas": 0.5}},
+    # a far-block schedule holds at least two block indices, moving out
+    "far_block_schedule_reversed": {"command": "verify", "seed": 0,
+                                    "verify": {**_FAR_BLOCK, "schedule": [3000, 10]}},
+    "far_block_schedule_empty": {"command": "verify", "seed": 0, "verify": {**_FAR_BLOCK, "schedule": []}},
+    "far_block_schedule_single": {"command": "verify", "seed": 0, "verify": {**_FAR_BLOCK, "schedule": [10]}},
 }
 
 
@@ -486,6 +483,84 @@ def test_main_rejected_parameter_exits_2(name, tmp_path, capsys):
 def test_bad_block_index_names_its_key(name, key):
     with pytest.raises(cli.ConfigError, match=key.replace(".", r"\.")):
         cli.run_campaign(_REJECTED[name])
+
+
+_LP4 = {"kind": "lp", "p": 4.0, "d": 2}
+_VALID = [json.loads(p.read_text()) for p in GOLDEN_CONFIGS] + [
+    {"command": "verify", "seed": 0, "verify": {"check": check, "space": space, "samples": 10, "tolerance": 1e-9}}
+    for check, space in [("clarkson_upper", {"kind": "lp", "p": 1.5, "d": 2}), ("endpoint_2", {"kind": "lp", "p": 2, "d": 2}),
+                         ("parallelogram", {"kind": "two_sum", "parts": [{"kind": "euclid", "d": 2}, _LP4]})]
+] + [
+    {"command": "verify", "seed": 0, "verify": {"check": "two_smooth", "space": _LP4, "samples": 10, "c": 1.8}},
+    {"command": "verify", "seed": 0, "verify": {"check": "schatten_inf", "d": 2, "samples": 10, "tolerance": 1e-9}},
+    {"command": "verify", "seed": 0, "verify": {"check": "beckner", "p": 4.0, "grid": 5, "extent": 1.0,
+                                                "tolerance": 1e-9}},
+    {"command": "verify", "seed": 0, "verify": {"check": "lp_pair", "space": {"kind": "schatten", "p": 3.0, "d": 2},
+                                                "x": [1, 0, 0, 0], "y": [0, 0, 0, 1], "p": 3.0, "lambdas": [0.5],
+                                                "tolerance": 1e-9}},
+    {"command": "verify", "seed": 0, "verify": {**_FAR_BLOCK, "t": 0.5}},
+    {"command": "asymptotics", "seed": 0, "jobs": 2, "out": "reports", "format": "json",
+     "asymptotics": {"exponents": {"kind": "constant", "p": 3.0}, "horizon": 4, "jvn_values": [1.5] * 4}},
+    {"command": "nakano", "seed": 0, "nakano": {**_VERDICT, "window": [100, 1000], "margin": 0.2}},
+    {"command": "summand", "seed": 0, "summand": {"space": _LP4, "budget": 1, "grid": {"n_xi": 4, "n_phi": 4}}},
+    {"command": "iterate", "seed": 0, "iterate": {"embedding": {"kind": "inclusion", "e0": {"kind": "euclid", "d": 2},
+                                                                "h_dim": 2}, "x": [1.0, 0.0], "n_max": 6}},
+] + [
+    {"command": "norm", "seed": 0, "norm": {"nakano": {"exponents": exponents, "blocks": blocks}, "vectors": []}}
+    for exponents, blocks in [
+        ({"kind": "constant", "p": 3.0}, {"kind": "scalar"}),
+        ({"kind": "explicit", "values": [2.0, 3.0]}, {"kind": "uniform", "space": _LP4}),
+        ({"kind": "power", "a": 1.0, "s": 2.0}, {"kind": "cycle", "spaces": [{"kind": "euclid", "d": 1}, _LP4]}),
+        ({"kind": "log", "a": 1.0, "b": 1.0}, {"kind": "list", "spaces": [{"kind": "schatten", "p": 2.0, "d": 2}]}),
+        ({"kind": "loglog", "a": 1.0, "b": 3.0}, {"kind": "lp_matched", "d": 2}),
+    ]
+]
+
+
+def _objects(node, path=()):
+    """The path of every object in a config, but for block vectors, whose keys are block indices."""
+    if isinstance(node, dict):
+        yield path
+        items = [(k, v) for k, v in node.items() if k not in ("vectors", "x")]
+    else:
+        items = enumerate(node) if isinstance(node, list) else []
+    for k, v in items:
+        if isinstance(v, (dict, list)):
+            yield from _objects(v, path + (k,))
+
+
+def _shown(path: tuple) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+@pytest.mark.parametrize("cfg", _VALID, ids=lambda c: c.get("name") or c[c["command"]].get("check", c["command"]))
+def test_unknown_key_at_every_level_exits_2_and_names_its_path(cfg, capsys):
+    validate_config(cfg)
+    paths = list(_objects(cfg))
+    assert len(paths) >= 2
+    for path in paths:
+        bad = json.loads(json.dumps(cfg))
+        node = bad
+        for k in path:
+            node = node[k]
+        node["bogus"] = 1
+        assert _exit_code(bad) == 2
+        assert capsys.readouterr().err == f"config error: {_shown(path + ('bogus',))}: unknown key\n"
+
+
+@pytest.mark.parametrize("key, value", [("jobs", 257), ("jobs", 0), ("seed", -1), ("seed", 1.0),
+                                        ("name", "../x"), ("format", "yaml"), ("plot", "spectrum"), ("out", 5)])
+def test_bad_top_level_value_exits_2_before_any_work(key, value, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(vf, "ThreadPoolExecutor", no_pool)
+    cfg = {"command": "verify", "seed": 0, "jobs": 8, key: value,
+           "verify": {"check": "clarkson_lower", "space": _LP3, "samples": 9000}}
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        validate_config(cfg)
+    assert _exit_code(cfg) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
 
 def test_main_nan_violation_exits_3(tmp_path, monkeypatch):
@@ -532,9 +607,6 @@ def test_main_overflowing_norm_exits_3(exponents, tmp_path, capsys):
     assert capsys.readouterr().err == "numerical failure: Luxemburg norm is not finite\n"
 
 
-_FAR_BLOCK = {"check": "far_block_limit", "nakano": {"exponents": {"kind": "power", "a": 1.0}},
-              "x": {"1": [1.0]}, "schedule": [10, 100]}
-_VERDICT = {"exponents": {"kind": "log", "a": 1.0, "b": 1.0}, "c_grid": [0.5], "count": 8, "terms_count": 8}
 _BLOCK1 = [{"1": [1.0]}]
 # every real parameter a config gives, as (name, a config that sets it, path to it)
 _REAL_SLOTS = [
@@ -752,8 +824,14 @@ def test_regen_golden_check_writes_nothing_and_names_differences(tmp_path):
     assert not goldens[1].exists()
 
 
-def test_schema_commands_match_runner_table():
-    assert sorted(cli._schema()["properties"]["command"]["enum"]) == sorted(cli._RUNNERS)
+def test_command_reader_accepts_exactly_the_runner_table():
+    # every command of the runner table gets as far as its own parameters
+    for cmd in cli._RUNNERS:
+        with pytest.raises(ConfigError, match=rf"^{cmd}\.\w+: (missing required key|unknown check None)"):
+            validate_config({"command": cmd, "seed": 0, cmd: {}})
+    for cmd in ("fly", "Norm", "", 5, None):
+        with pytest.raises(ConfigError, match="^command: unknown command"):
+            validate_config({"command": cmd, "seed": 0})
 
 
 @pytest.mark.parametrize("config_path", GOLDEN_CONFIGS, ids=lambda p: p.stem)

@@ -317,3 +317,15 @@ def test_tail_defect_rejects_bad_blocks():
         tail_parallelogram_defect(spec, 3, pairs=[(BlockVector(((5, np.array([1j, 0.0])),)), good)])
     with pytest.raises(ValueError, match="block index must be a positive integer"):
         tail_parallelogram_defect(spec, 0, samples=4)
+
+
+def test_tail_defect_window_must_fit_the_block_indices():
+    spec = NakanoSpec(ConstantExponents(3.0))
+    last = 2**63 - 1
+    # the window's far end, not just its near end, must be a block index
+    with pytest.raises(ValueError, match="block index must be a positive integer"):
+        tail_parallelogram_defect(spec, last - 3, 3, window=8)
+    for window in (0, -2):
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            tail_parallelogram_defect(spec, 3, 3, window=window)
+    assert 1.0 <= tail_parallelogram_defect(spec, last - 7, 3, window=8) <= 2.0

@@ -3,6 +3,8 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,20 @@ def test_benchmark_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert (spaces.Lp.norm_batch, nakano.BlockVector.__post_init__, isolab.find_one_dim_two_summand) == originals
+
+
+def test_config_validation_imports_no_jsonschema():
+    # configs are read through the CLI's own key tables; jsonschema stays out
+    # of the package
+    probe = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from modbanach import cli\n"
+        "with open(sys.argv[2], encoding='utf-8') as fh:\n"
+        "    cli.validate_config(json.load(fh))\n"
+        "assert 'modbanach.cli' in sys.modules and 'jsonschema' not in sys.modules, sorted(sys.modules)\n"
+    )
+    golden = ROOT / "configs" / "golden" / "jvn_l4_plane.json"
+    out = subprocess.run([sys.executable, "-c", probe, str(ROOT / "src"), str(golden)],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
