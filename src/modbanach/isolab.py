@@ -128,6 +128,39 @@ class TwoProjectionCandidate:
             raise ValueError(f"phi(xi) must equal 1, got {pv}")
 
 
+#: Residual rows per norm call at most, unless one candidate has more.  Whole
+#: residual stacks run to hundreds of thousands of rows, and their freshly
+#: mapped temporaries cost more in page faults than the norms cost in
+#: arithmetic; blocks this size stay in the cache.
+_BLOCK_ROWS = 8192
+
+
+def _worst_defects(space, suite: np.ndarray, n2: np.ndarray, f: np.ndarray,
+                   xi_cols: np.ndarray) -> np.ndarray:
+    """Worst relative defect |n2 - f^2 - ||x - f xi||^2| / n2 over the suite, per column of f.
+
+    Column j of f holds phi_j(x) for each suite row x, and column j of the
+    (d, k) xi_cols its direction xi_j (one column serves every j).  The
+    residuals are normed in blocks of whole columns of at most _BLOCK_ROWS
+    rows; a row's norm depends on that row alone, so no bit depends on the
+    block size.
+    """
+    n_s, k = f.shape
+    d = suite.shape[1]
+    # C-ordered, so each block's product reads its directions in order
+    xi_cols = np.ascontiguousarray(np.broadcast_to(xi_cols, (d, k)))
+    step = max(1, _BLOCK_ROWS // n_s)
+    out = np.empty(k)
+    for lo in range(0, k, step):
+        cols = slice(lo, lo + step)
+        fb = f[:, cols]
+        # r is C-ordered (d, n_s, cols), so the norm kernel's transpose of it is a view
+        r = np.subtract(suite.T[:, :, None], fb[None] * xi_cols[:, None, cols], order="C")
+        rn = space.norm_batch(r.reshape(d, -1).T).reshape(fb.shape)
+        out[cols] = (np.abs(n2[:, None] - (fb ** 2 + rn ** 2)) / n2[:, None]).max(axis=0)
+    return out
+
+
 def _candidate_violations(space, xi_raw: np.ndarray, phi_raw: np.ndarray,
                           suite: np.ndarray, suite_norm2: np.ndarray) -> np.ndarray:
     """Batched objective over rows of (xi_raw, phi_raw) parameter stacks.
@@ -145,16 +178,11 @@ def _candidate_violations(space, xi_raw: np.ndarray, phi_raw: np.ndarray,
     ok2 = np.abs(pv) > 1e-9
     if not np.any(ok2):
         return out
-    xi_t = np.ascontiguousarray(xi[ok2].T)              # (d, k'), C-ordered
     phi = phi_raw[ok][ok2] / pv[ok2, None]
+    # one product for every candidate, never one per block: a one-column
+    # product takes another BLAS path, with other bits
     f = suite @ phi.T                                   # (n_s, k')
-    # r is built C-ordered as (d, n_s, k'), so the norm kernel's transpose is a view
-    r = suite.T[:, :, None] - f[None] * xi_t[:, None, :]
-    rn = space.norm_batch(r.reshape(suite.shape[1], -1).T).reshape(f.shape)
-    viol = np.abs(suite_norm2[:, None] - (f ** 2 + rn ** 2)) / suite_norm2[:, None]
-    vals = viol.max(axis=0)
-    idx = np.nonzero(ok)[0][ok2]
-    out[idx] = vals
+    out[np.nonzero(ok)[0][ok2]] = _worst_defects(space, suite, suite_norm2, f, xi[ok2].T)
     return out
 
 
@@ -245,11 +273,7 @@ def two_summand_grid_floor(space, n_xi: int = 720, n_phi: int = 720,
         if not np.any(valid):
             continue
         f = xb.compress(valid, axis=1) / pv[valid][None, :]
-        # r is built C-ordered as (2, n_s, k), so the norm kernel's transpose is a view
-        r = suite.T[:, :, None] - f[None] * xi[:, None, None]
-        rn = space.norm_batch(r.reshape(2, -1).T).reshape(f.shape)
-        viol = np.abs(n2[:, None] - (f ** 2 + rn ** 2)) / n2[:, None]
-        floor = min(floor, float(viol.max(axis=0).min()))
+        floor = min(floor, float(_worst_defects(space, suite, n2, f, xi[:, None]).min()))
     return floor
 
 

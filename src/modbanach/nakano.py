@@ -144,27 +144,39 @@ class FormulaExponents:
             raise ValueError("formula family needs a != 0 (otherwise use a constant)")
         if self.form == "power" and self.s <= 0.0:
             raise ValueError("power family needs s > 0")
-        # denominators must stay positive from n = 1 on
-        self.values([1])
+        # the checks of values([1]) in scalar arithmetic: denominators must stay
+        # positive from n = 1 on, and a NaN fails every check
+        if self.form == "power":
+            p1 = 2.0 + self.a       # a / 1 ** s
+        else:
+            base = math.log(1.0 + self.b) if 1.0 + self.b > 0.0 else math.nan
+            if self.form == "loglog":
+                base = math.log(base) if base > 0.0 else math.nan
+            if not base > 0.0:
+                raise ValueError(self._denominator_error())
+            p1 = 2.0 + self.a / base
+        if not 1.0 <= p1 <= P_MAX:
+            raise ValueError(f"exponent at index 1 outside [1, {P_MAX}]")
+
+    def _denominator_error(self) -> str:
+        log = "log(n + b)" if self.form == "log" else "log(log(n + b))"
+        return f"{self.form} family needs {log} > 0 from n = 1 on"
 
     def _raw(self, ns: np.ndarray) -> np.ndarray:
         ns = ns.astype(float)
         if self.form == "power":
             return 2.0 + self.a / ns ** self.s
-        if self.form == "log":
-            base = np.log(ns + self.b)
-            if np.any(base <= 0.0):
-                raise ValueError("log family needs log(n + b) > 0 from n = 1 on")
-            return 2.0 + self.a / base
-        base = np.log(np.log(ns + self.b))
-        if np.any(~np.isfinite(base)) or np.any(base <= 0.0):
-            raise ValueError("loglog family needs log(log(n + b)) > 0 from n = 1 on")
+        base = np.log(ns + self.b)
+        if self.form == "loglog":
+            base = np.log(base)
+        if np.any(~(base > 0.0)):
+            raise ValueError(self._denominator_error())
         return 2.0 + self.a / base
 
     def values(self, ns) -> np.ndarray:
         ns = np.asarray(ns)
         vals = self._raw(ns)
-        bad = (vals < 1.0) | (vals > P_MAX)
+        bad = ~((vals >= 1.0) & (vals <= P_MAX))
         if np.any(bad):
             where = int(np.asarray(ns).ravel()[np.argmax(bad.ravel())])
             raise ValueError(f"exponent at index {where} outside [1, {P_MAX}]")

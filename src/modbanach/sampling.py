@@ -219,7 +219,9 @@ def structured_pairs(space) -> list:
 FD_STEP = 1e-6
 _HALVINGS = 0.5 ** np.arange(24)
 #: Objective rows per call at most (beyond one start's own probes): larger
-#: searches run in index-order chunks of starts, which bounds memory.
+#: searches run in index-order chunks of starts.  This bounds objective rows,
+#: not the rows of a norm call: the summand search expands each objective row
+#: into one residual row per suite vector, and blocks those itself.
 _CHUNK_ROWS = 4096
 #: How a start's descent ended: its gradient vanished or was not finite, no
 #: halving step gained more than `tol`, it ran `max_steps` steps, or an

@@ -342,6 +342,14 @@ _REJECTED = {
     "norm_nakano_object_entry": {"command": "norm", "seed": 0,
                                  "norm": {"nakano": {"exponents": {"kind": "constant", "p": 2.0}},
                                           "vectors": [{"1": [{"a": 1.0}]}]}},
+    # log(1 + b) is NaN for b < -1, and a NaN denominator must fail its check
+    "norm_log_exponents_nan_first": {"command": "norm", "seed": 0,
+                                     "norm": {"nakano": {"exponents": {"kind": "log", "a": 1.0, "b": -1.5}},
+                                              "vectors": [{"1": [2.0]}]}},
+    "far_block_log_exponents_nan_first": {"command": "verify", "seed": 0,
+                                          "verify": {"check": "far_block_limit",
+                                                     "nakano": {"exponents": {"kind": "log", "a": 1.0, "b": -1.5}},
+                                                     "x": {"1": [1.0]}, "schedule": [10, 100]}},
     "far_block_string_entry": {"command": "verify", "seed": 0,
                                "verify": {"check": "far_block_limit", "nakano": {"exponents": {"kind": "power", "a": 1.0}},
                                           "x": {"1": ["a"]}, "schedule": [10, 100]}},

@@ -254,24 +254,59 @@ def test_grid_floor_pinned_for_l4():
 def test_residual_stacks_reach_the_norm_as_transposed_views(monkeypatch):
     # the residual of the grid and of the summand search reaches norm_batch as
     # the transpose of a C-ordered (d, rows) array, so the short-row kernel's
-    # transpose of it copies nothing
-    residuals = []
-    norm_batch = Lp.norm_batch
+    # transpose of it copies nothing; and in blocks of at most _BLOCK_ROWS
+    # rows, where a whole stack of the search's objective calls has more
+    residuals, inside = [], []
+    norm_batch, worst_defects = Lp.norm_batch, isolab._worst_defects
 
     def recording(space, stack):
-        # a residual has one row per suite vector and candidate, and at least
-        # two candidates here; the suite and the directions have fewer rows
-        if stack.shape[0] > isolab._domain_suite(space, 64, 0).shape[0]:
+        if inside:
             residuals.append(stack)
         return norm_batch(space, stack)
 
+    def helper(*args):
+        inside.append(True)
+        try:
+            return worst_defects(*args)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(Lp, "norm_batch", recording)
+    monkeypatch.setattr(isolab, "_worst_defects", helper)
     two_summand_grid_floor(Lp(4.0, 2), n_xi=8, n_phi=8, samples=64, seed=0)
     grid = len(residuals)
-    find_one_dim_two_summand(Lp(3.0, 3), budget=2, seed=0)
+    # 8 starts probe 24 halvings at once: 192 candidates of 68 suite rows each
+    find_one_dim_two_summand(Lp(3.0, 3), budget=8, seed=0)
     assert 0 < grid < len(residuals)
     for stack in residuals:
         assert stack.T.flags.c_contiguous and not stack.flags.c_contiguous
+        assert stack.shape[0] <= isolab._BLOCK_ROWS
+    assert 192 * isolab._domain_suite(Lp(3.0, 3), 64, 0).shape[0] > isolab._BLOCK_ROWS
+
+
+def _defects_of_candidates(space):
+    """_candidate_violations on 320 seeded candidates, 16 of them invalid."""
+    suite, n2 = isolab._nonzero_suite(space, 64, 0)
+    d = space.dim
+    stack = rng_stream(5, 0).standard_normal((320, 2 * d))
+    stack[::40, :d] = 0.0       # xi = 0
+    stack[7::40, d:] = 0.0      # phi(xi) = 0
+    return isolab._candidate_violations(space, stack[:, :d], stack[:, d:], suite, n2)
+
+
+_BLOCK_SPACES = [Lp(4.0, 2), Lp(3.0, 3), TwoSum((Lp(4.0, 2), Euclid(1)))]
+
+
+@pytest.mark.parametrize("block", [1, 7, 97])
+def test_summand_defects_do_not_depend_on_the_block_size(monkeypatch, block):
+    expected = [_defects_of_candidates(space) for space in _BLOCK_SPACES]
+    floor = two_summand_grid_floor(Lp(4.0, 2), 90, 90)
+    monkeypatch.setattr(isolab, "_BLOCK_ROWS", block)
+    for space, want in zip(_BLOCK_SPACES, expected):
+        got = _defects_of_candidates(space)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+        assert np.count_nonzero(got == 1e6) == 16
+    assert two_summand_grid_floor(Lp(4.0, 2), 90, 90).hex() == floor.hex()
 
 
 @pytest.mark.parametrize("n_xi,n_phi", [(0, 4), (4, -3)])
