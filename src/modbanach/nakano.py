@@ -144,23 +144,10 @@ class FormulaExponents:
             raise ValueError("formula family needs a != 0 (otherwise use a constant)")
         if self.form == "power" and self.s <= 0.0:
             raise ValueError("power family needs s > 0")
-        # the checks of values([1]) in scalar arithmetic: denominators must stay
-        # positive from n = 1 on, and a NaN fails every check
-        if self.form == "power":
-            p1 = 2.0 + self.a       # a / 1 ** s
-        else:
-            base = math.log(1.0 + self.b) if 1.0 + self.b > 0.0 else math.nan
-            if self.form == "loglog":
-                base = math.log(base) if base > 0.0 else math.nan
-            if not base > 0.0:
-                raise ValueError(self._denominator_error())
-            p1 = 2.0 + self.a / base
-        if not 1.0 <= p1 <= P_MAX:
-            raise ValueError(f"exponent at index 1 outside [1, {P_MAX}]")
-
-    def _denominator_error(self) -> str:
-        log = "log(n + b)" if self.form == "log" else "log(log(n + b))"
-        return f"{self.form} family needs {log} > 0 from n = 1 on"
+        # denominators must stay positive from n = 1 on; log(1 + b) is NaN for
+        # b < -1, and that is rejected, not warned about
+        with np.errstate(invalid="ignore", divide="ignore"):
+            self.values([1])
 
     def _raw(self, ns: np.ndarray) -> np.ndarray:
         ns = ns.astype(float)
@@ -169,8 +156,10 @@ class FormulaExponents:
         base = np.log(ns + self.b)
         if self.form == "loglog":
             base = np.log(base)
-        if np.any(~(base > 0.0)):
-            raise ValueError(self._denominator_error())
+        # a NaN (b < -1) or infinite (b = inf) denominator is rejected too
+        if np.any(~(np.isfinite(base) & (base > 0.0))):
+            log = "log(n + b)" if self.form == "log" else "log(log(n + b))"
+            raise ValueError(f"{self.form} family needs a finite {log} > 0 from n = 1 on")
         return 2.0 + self.a / base
 
     def values(self, ns) -> np.ndarray:

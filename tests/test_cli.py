@@ -350,6 +350,10 @@ _REJECTED = {
                                           "verify": {"check": "far_block_limit",
                                                      "nakano": {"exponents": {"kind": "log", "a": 1.0, "b": -1.5}},
                                                      "x": {"1": [1.0]}, "schedule": [10, 100]}},
+    # log(log(n + inf)) is inf: p_n = 2 for every n, a constant family
+    "norm_loglog_exponents_infinite_b": {"command": "norm", "seed": 0,
+                                         "norm": {"nakano": {"exponents": {"kind": "loglog", "a": 1.0, "b": float("inf")}},
+                                                  "vectors": [{"1": [2.0]}]}},
     "far_block_string_entry": {"command": "verify", "seed": 0,
                                "verify": {"check": "far_block_limit", "nakano": {"exponents": {"kind": "power", "a": 1.0}},
                                           "x": {"1": ["a"]}, "schedule": [10, 100]}},

@@ -297,7 +297,8 @@ def _defects_of_candidates(space):
 _BLOCK_SPACES = [Lp(4.0, 2), Lp(3.0, 3), TwoSum((Lp(4.0, 2), Euclid(1)))]
 
 
-@pytest.mark.parametrize("block", [1, 7, 97])
+# 10**9 is larger than any stack: each input is normed as one whole stack
+@pytest.mark.parametrize("block", [1, 7, 97, 10**9])
 def test_summand_defects_do_not_depend_on_the_block_size(monkeypatch, block):
     expected = [_defects_of_candidates(space) for space in _BLOCK_SPACES]
     floor = two_summand_grid_floor(Lp(4.0, 2), 90, 90)
