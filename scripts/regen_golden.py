@@ -12,6 +12,9 @@ or, to compare without writing anything:
 which exits 1 and names every golden whose payload bytes differ (or whose
 file is missing), and 0 when all match.
 
+A golden is strict JSON: a payload holding NaN or Infinity is refused, in
+either mode, with its golden named and exit 1, and nothing is written for it.
+
 It runs the package in this checkout's ``src/``, installed or not, and
 refuses to run a copy imported from anywhere else.  The regression test
 compares campaign payload bytes against these files, so only regenerate when
@@ -43,14 +46,19 @@ def main(argv=None) -> int:
         print("no golden configs found", file=sys.stderr)
         return 1
     out_dir = ROOT / "tests" / "golden"
-    differ = []
+    differ, refused = [], []
     for path in configs:
         config = json.loads(path.read_text())
         result = run_campaign(config)
-        payload = json.dumps(
-            result.to_json_obj(include_meta=False)["payload"], sort_keys=True
-        ).encode() + b"\n"
         target = out_dir / f"{config['name']}.payload.json"
+        try:
+            payload = json.dumps(
+                result.to_json_obj(include_meta=False)["payload"], sort_keys=True, allow_nan=False
+            ).encode() + b"\n"
+        except ValueError as exc:
+            refused.append(target)
+            print(f"refused: {target} ({exc})")
+            continue
         if args.check:
             if not target.is_file() or target.read_bytes() != payload:
                 differ.append(target)
@@ -61,9 +69,9 @@ def main(argv=None) -> int:
     if args.check:
         for target in differ:
             print(f"differs: {target}")
-        print(f"{len(configs) - len(differ)} of {len(configs)} golden payloads match")
-        return 1 if differ else 0
-    return 0
+        print(f"{len(configs) - len(differ) - len(refused)} of {len(configs)} golden payloads match")
+        return 1 if differ or refused else 0
+    return 1 if refused else 0
 
 
 if __name__ == "__main__":

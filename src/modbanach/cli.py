@@ -194,13 +194,12 @@ def _run_far_block_limit(seed, jobs, nakano, x, t, schedule):
     return payload, holds, not holds, False
 
 
-def _run_nakano(seed, jobs, exponents, c_grid, window, count, terms_count, margin):
-    report = nakano_condition_verdict(exponents, c_grid, count=count, window=tuple(window), margin=margin)
+def _run_nakano(seed, jobs, exponents, c_grid, terms_count):
+    report = nakano_condition_verdict(exponents, c_grid)
     terms = nakano_condition_terms(exponents, c_grid[0], count=terms_count)
-    series = {"c": terms.c, "n": terms.indices.tolist(), "term": terms.terms.tolist(),
-              "log_slope": [float("nan")] + terms.log_slopes.tolist()}
-    payload = {"verdicts": [{"c": v.c, "slope": v.slope, "verdict": v.verdict} for v in report.verdicts],
-               "overall": report.overall, "window": list(report.window), "margin": report.margin, "series": series}
+    series = {"c": terms.c, "n": terms.indices.tolist(), "term": terms.terms.tolist()}
+    payload = {"verdicts": [{"c": v.c, "verdict": v.verdict} for v in report.verdicts],
+               "overall": report.overall, "critical_c": report.critical_c, "series": series}
     return payload, True, False, False
 
 
@@ -326,10 +325,8 @@ _RUNNERS = {
     "verify": _Command(_read_verify, lambda p: p.get("max_violation", 0.0)),
     "nakano": _Command(
         _params(_run_nakano, {"exponents": _EXPONENTS, "c_grid": (_list_reader(as_real), REQUIRED),
-                              "window": (_list_reader(_int_reader()), (1000, 1000000)),
-                              "count": (_int_reader(), 60), "terms_count": (_int_reader(), 64),
-                              "margin": (as_real, 0.1)}),
-        lambda p: p["verdicts"][0]["slope"] if p["verdicts"] else 0.0),
+                              "terms_count": (_int_reader(), 64)}),
+        lambda p: p["critical_c"]),
     "asymptotics": _Command(
         _params(_run_asymptotics, {"exponents": _EXPONENTS, "start": (_block_index, 1),
                                    "horizon": (_block_index, REQUIRED),
@@ -425,7 +422,7 @@ def emit_plot_data(result: CampaignResult, kind: str, path) -> None:
     """Write plot-ready CSV series extracted from a campaign result.
 
     Kinds: "trace" (n, norm, residual, defect), "asymptotics"
-    (n, alpha, beta), "nakano_terms" (n, term, log_slope).
+    (n, alpha, beta), "nakano_terms" (n, term).
     """
     p = result.payload
     if kind == "trace":
@@ -446,8 +443,8 @@ def emit_plot_data(result: CampaignResult, kind: str, path) -> None:
         if "series" not in p:
             raise ValueError("result has no term series")
         s = p["series"]
-        cols = ["n", "term", "log_slope"]
-        rows = list(zip(s["n"], s["term"], s["log_slope"]))
+        cols = ["n", "term"]
+        rows = list(zip(s["n"], s["term"]))
     else:
         raise ValueError(f"unknown plot kind {kind!r}")
     with open(path, "w", newline="", encoding="utf-8") as fh:

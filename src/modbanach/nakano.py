@@ -91,6 +91,11 @@ class ConstantExponents:
     def bounds(self, window: int = 4096) -> tuple:
         return (self.p, self.p)
 
+    def critical_c(self) -> float:
+        if self.p == 2.0:
+            raise ValueError("exponent equals 2 at every index; the series is undefined there")
+        return 0.0
+
 
 @dataclass(frozen=True)
 class ExplicitExponents:
@@ -114,6 +119,10 @@ class ExplicitExponents:
 
     def bounds(self, window: int = 4096) -> tuple:
         return (min(self.exponents), max(self.exponents))
+
+    def critical_c(self) -> float:
+        raise ValueError(f"the {len(self.exponents)} explicit exponents are a finite list, "
+                         "which has no tail to decide the series by")
 
 
 @dataclass(frozen=True)
@@ -186,6 +195,11 @@ class FormulaExponents:
         if start >= window:
             raise ValueError("exponent family not monotone toward 2 on the window")
         return start
+
+    def critical_c(self) -> float:
+        if self.form == "log":
+            return math.exp(-abs(self.a) / 4.0)
+        return 1.0 if self.form == "power" else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +614,14 @@ def homogeneity_defect(spec: NakanoSpec, x: BlockVector, lam: float, n: int) -> 
 # summability test for the equivalent hilbertian norm
 
 
-def _log_terms(exponents, ns: np.ndarray, c: float) -> np.ndarray:
+def _check_c(c: float) -> float:
     if not (0.0 < c < 1.0):
         raise ValueError(f"c must lie in (0, 1), got {c!r}")
+    return c
+
+
+def _log_terms(exponents, ns: np.ndarray, c: float) -> np.ndarray:
+    _check_c(c)
     ps = exponents.values(ns)
     gap = np.abs(ps - 2.0)
     if np.any(gap == 0.0):
@@ -613,21 +632,19 @@ def _log_terms(exponents, ns: np.ndarray, c: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConditionTermSeries:
-    """First terms of sum c ** (2 p_n / |p_n - 2|) with slope diagnostics."""
+    """First terms of sum c ** (2 p_n / |p_n - 2|)."""
 
     c: float
     indices: np.ndarray
     terms: np.ndarray
     log_terms: np.ndarray
-    log_slopes: np.ndarray
 
 
 def nakano_condition_terms(exponents, c: float, count: int = 64) -> ConditionTermSeries:
     """Terms t_n = c ** (2 p_n / |p_n - 2|) for n = 1..count.
 
     log t_n is computed directly from the exponent formula (the terms
-    themselves may underflow to zero harmlessly).  log_slopes holds the
-    discrete d(log t)/d(log n) between consecutive indices.
+    themselves may underflow to zero harmlessly).
     """
     if count < 2:
         raise ValueError("need at least two terms")
@@ -635,15 +652,12 @@ def nakano_condition_terms(exponents, c: float, count: int = 64) -> ConditionTer
     log_t = _log_terms(exponents, ns, c)
     with np.errstate(under="ignore"):
         terms = np.exp(log_t)
-    log_n = np.log(ns)
-    slopes = np.diff(log_t) / np.diff(log_n)
-    return ConditionTermSeries(float(c), ns, terms, log_t, slopes)
+    return ConditionTermSeries(float(c), ns, terms, log_t)
 
 
 @dataclass(frozen=True)
 class ConditionVerdict:
     c: float
-    slope: float
     verdict: str
 
 
@@ -651,55 +665,39 @@ class ConditionVerdict:
 class ConditionReport:
     verdicts: tuple
     overall: str
-    window: tuple
-    margin: float
+    critical_c: float
 
 
-def nakano_condition_verdict(
-    exponents,
-    c_grid,
-    count: int = 60,
-    window: tuple = (1000, 1000000),
-    margin: float = 0.1,
-) -> ConditionReport:
-    """Classify sum c ** (2 p_n / |p_n - 2|) for each c on the grid.
+def nakano_condition_verdict(exponents, c_grid) -> ConditionReport:
+    """Decide whether sum c ** (2 p_n / |p_n - 2|) converges, for each c on the grid.
 
-    The log of the term sequence is fitted against log n over a
-    logarithmically sampled window; a fitted slope below -(1 + margin) means
-    the series converges, above -(1 - margin) that it diverges, anything
-    between is inconclusive.  The overall verdict reports whether any c in
-    the grid converges; a finite grid can never certify that no c at all
-    works.
+    The series is Nakano's condition for l_(p_n) = l_2 with equivalent norms
+    (Nakano, Modulared sequence spaces, Proc. Japan Acad. 27, 1951;
+    Lindenstrauss-Tzafriri, Classical Banach Spaces I, 1977, Ch. 4).  With
+    r_n = 2 p_n / |p_n - 2| and sigma = sign(a), every family has a closed
+    form, and the series converges exactly for c < critical_c:
+
+    - power, p_n = 2 + a / n**s: r_n = 4 n**s / |a| + 2 sigma, so
+      critical_c = 1 (every c converges);
+    - log, p_n = 2 + a / log(n + b): c ** r_n = c ** (2 sigma) *
+      (n + b) ** (4 ln c / |a|), so critical_c = exp(-|a| / 4), where the
+      series diverges;
+    - loglog: c ** r_n = c ** (2 sigma) * log(n + b) ** (4 ln c / |a|), so
+      critical_c = 0 (no c converges);
+    - constant p != 2: every term is the same positive number, so
+      critical_c = 0.
+
+    A constant p = 2 makes every term undefined, and a finite explicit list
+    has no tail; both raise ValueError.  The overall verdict reports whether
+    any c in the grid converges; critical_c = 0 says that no c at all does.
     """
-    lo, hi = window
-    if not (1 <= lo < hi):
-        raise ValueError(f"invalid window {window!r}")
-    c_grid = [float(c) for c in c_grid]
+    c_grid = [_check_c(float(c)) for c in c_grid]
     if not c_grid:
         raise ValueError("the c grid must not be empty")
-    if count < 8:
-        raise ValueError("need at least 8 sample points for the slope fit")
-    if margin <= 0.0 or margin >= 1.0:
-        raise ValueError("margin must lie in (0, 1)")
-    ns = np.unique(np.round(np.geomspace(lo, hi, count)).astype(int))
-    log_n = np.log(ns)
-    verdicts = []
-    for c in c_grid:
-        log_t = _log_terms(exponents, ns, float(c))
-        slope = float(np.polyfit(log_n, log_t, 1)[0])
-        if slope < -(1.0 + margin):
-            verdict = "converges"
-        elif slope > -(1.0 - margin):
-            verdict = "diverges"
-        else:
-            verdict = "inconclusive"
-        verdicts.append(ConditionVerdict(float(c), slope, verdict))
-    overall = (
-        SOME_CONVERGES
-        if any(v.verdict == "converges" for v in verdicts)
-        else NONE_IN_GRID
-    )
-    return ConditionReport(tuple(verdicts), overall, (int(lo), int(hi)), float(margin))
+    critical_c = exponents.critical_c()
+    verdicts = tuple(ConditionVerdict(c, "converges" if c < critical_c else "diverges") for c in c_grid)
+    overall = SOME_CONVERGES if any(v.verdict == "converges" for v in verdicts) else NONE_IN_GRID
+    return ConditionReport(verdicts, overall, critical_c)
 
 
 # ---------------------------------------------------------------------------

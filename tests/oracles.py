@@ -110,9 +110,23 @@ def alpha_beta_loop(exponents, avalues):
     return alphas, betas
 
 
-def log_family_slope(c, a=1.0):
-    """Exact log-log slope limit for exponents 2 + a/log(n+b)."""
-    return 4.0 * math.log(c) / a
+def condition_log_terms(kind, ns, c, a=1.0, b=0.0, s=1.0, p=None):
+    """log c ** r_n with r_n = 2 p_n / |p_n - 2|, from each family's closed form.
+
+    For p_n = 2 + a / D_n, r_n = 4 D_n / |a| + 2 sign(a), where D_n is n**s
+    (power), log(n + b) (log) or log(log(n + b)) (loglog); a constant p has
+    r = 2 p / |p - 2|.  No p_n - 2 is ever formed.
+    """
+    ns = np.asarray(ns, dtype=float)
+    if kind == "constant":
+        return np.full(ns.shape, 2.0 * p / abs(p - 2.0) * math.log(c))
+    if kind == "power":
+        d = ns ** s
+    elif kind == "log":
+        d = np.log(ns + b)
+    else:
+        d = np.log(np.log(ns + b))
+    return (4.0 * d / abs(a) + 2.0 * math.copysign(1.0, a)) * math.log(c)
 
 
 def nakano_block_terms(spec, points):

@@ -40,6 +40,7 @@ from modbanach.modular import (
 )
 from modbanach.nakano import (
     BlockVector,
+    ConstantExponents,
     ExplicitExponents,
     FormulaExponents,
     NakanoModular,
@@ -213,28 +214,27 @@ def test_criterion_06_alpha_beta_diagnostics(capsys):
 
 
 def test_criterion_07_nakano_condition_verdicts(capsys):
-    """Power family converges, log family converges at c=0.5 and diverges at
-    c=0.9, loglog family admits no c in the grid."""
+    """Power family (s = 0.01 and 1) converges for every c, log family has
+    critical c = exp(-1/4), loglog and constant p = 3 families admit no c."""
     grid = [0.3, 0.5, 0.7, 0.9]
-    power = nakano_condition_verdict(FormulaExponents("power", 1.0), [0.5])
+    power = nakano_condition_verdict(FormulaExponents("power", 1.0), grid)
+    slow_power = nakano_condition_verdict(FormulaExponents("power", 1.0, s=0.01), grid)
     log = nakano_condition_verdict(FormulaExponents("log", 1.0, b=1.0), grid)
     loglog = nakano_condition_verdict(FormulaExponents("loglog", 1.0, b=3.0), grid)
+    constant = nakano_condition_verdict(ConstantExponents(3.0), grid)
     log_by_c = {v.c: v.verdict for v in log.verdicts}
     checks = [
-        power.verdicts[0].verdict == "converges",
-        log_by_c[0.5] == "converges",
-        log_by_c[0.9] == "diverges",
+        all(v.verdict == "converges" for v in power.verdicts + slow_power.verdicts),
+        log.critical_c == math.exp(-0.25),
+        log_by_c == {0.3: "converges", 0.5: "converges", 0.7: "converges", 0.9: "diverges"},
         loglog.overall == "none-in-grid",
-        all(v.verdict == "diverges" for v in loglog.verdicts),
+        all(v.verdict == "diverges" for v in loglog.verdicts + constant.verdicts),
+        loglog.critical_c == constant.critical_c == 0.0,
     ]
-    # measured slope against the analytic limit 4 ln c for the log family
-    slope_gap = abs(
-        next(v.slope for v in log.verdicts if v.c == 0.5) - oracles.log_family_slope(0.5)
-    )
-    ok = all(checks) and slope_gap < 5e-3
+    ok = all(checks)
     _verdict(capsys, 7, ok,
-             f"power {power.verdicts[0].verdict}, log c=0.5 {log_by_c[0.5]} / "
-             f"c=0.9 {log_by_c[0.9]}, loglog {loglog.overall}, slope gap {slope_gap:.1e}")
+             f"power s=0.01 {slow_power.overall}, log critical c {log.critical_c!r}, "
+             f"loglog {loglog.overall}, constant p=3 {constant.overall}")
     assert ok
 
 

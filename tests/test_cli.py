@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -240,7 +242,7 @@ def test_emit_plot_data_kinds(tmp_path):
     emit_plot_data(nak_res, "nakano_terms", p3)
     with open(p3, newline="") as fh:
         header = next(csv.reader(fh))
-    assert header == ["n", "term", "log_slope"]
+    assert header == ["n", "term"]
 
     with pytest.raises(ValueError, match="no iteration trace"):
         emit_plot_data(asym_res, "trace", tmp_path / "x.csv")
@@ -310,7 +312,7 @@ def test_main_exit_codes(tmp_path, monkeypatch):
 _LP3 = {"kind": "lp", "p": 3.0, "d": 3}
 _FAR_BLOCK = {"check": "far_block_limit", "nakano": {"exponents": {"kind": "power", "a": 1.0}},
               "x": {"1": [1.0]}, "schedule": [10, 100]}
-_VERDICT = {"exponents": {"kind": "log", "a": 1.0, "b": 1.0}, "c_grid": [0.5], "count": 8, "terms_count": 8}
+_VERDICT = {"exponents": {"kind": "log", "a": 1.0, "b": 1.0}, "c_grid": [0.5], "terms_count": 8}
 _REJECTED = {
     "jvn_budget_0": {"command": "jvn", "seed": 0, "jvn": {"space": _LP3, "budget": 0}},
     "summand_budget_0": {"command": "summand", "seed": 0, "summand": {"space": _LP3, "budget": 0}},
@@ -394,15 +396,9 @@ _REJECTED = {
     "asymptotics_start_negative": {"command": "asymptotics", "seed": 0,
                                    "asymptotics": {"exponents": {"kind": "constant", "p": 3.0}, "start": -1,
                                                    "horizon": 1}},
-    "nakano_count_float": {"command": "nakano", "seed": 0,
-                           "nakano": {"exponents": {"kind": "log", "a": 1.0, "b": 1.0}, "c_grid": [0.5],
-                                      "count": 8.5}},
     "nakano_terms_count_float": {"command": "nakano", "seed": 0,
                                  "nakano": {"exponents": {"kind": "log", "a": 1.0, "b": 1.0}, "c_grid": [0.5],
-                                            "count": 8, "terms_count": 16.5}},
-    "nakano_window_float": {"command": "nakano", "seed": 0,
-                            "nakano": {"exponents": {"kind": "log", "a": 1.0, "b": 1.0}, "c_grid": [0.5],
-                                       "count": 8, "window": [1000, 1e6]}},
+                                            "terms_count": 16.5}},
     "asymptotics_start_float": {"command": "asymptotics", "seed": 0,
                                 "asymptotics": {"exponents": {"kind": "power", "a": 1.0}, "start": 1.5,
                                                 "horizon": 10}},
@@ -513,7 +509,7 @@ _VALID = [json.loads(p.read_text()) for p in GOLDEN_CONFIGS] + [
     {"command": "verify", "seed": 0, "verify": {**_FAR_BLOCK, "t": 0.5}},
     {"command": "asymptotics", "seed": 0, "jobs": 2, "out": "reports", "format": "json",
      "asymptotics": {"exponents": {"kind": "constant", "p": 3.0}, "horizon": 4, "jvn_values": [1.5] * 4}},
-    {"command": "nakano", "seed": 0, "nakano": {**_VERDICT, "window": [100, 1000], "margin": 0.2}},
+    {"command": "nakano", "seed": 0, "nakano": _VERDICT},
     {"command": "summand", "seed": 0, "summand": {"space": _LP4, "budget": 1, "grid": {"n_xi": 4, "n_phi": 4}}},
     {"command": "iterate", "seed": 0, "iterate": {"embedding": {"kind": "inclusion", "e0": {"kind": "euclid", "d": 2},
                                                                 "h_dim": 2}, "x": [1.0, 0.0], "n_max": 6}},
@@ -558,6 +554,22 @@ def test_unknown_key_at_every_level_exits_2_and_names_its_path(cfg, capsys):
         node["bogus"] = 1
         assert _exit_code(bad) == 2
         assert capsys.readouterr().err == f"config error: {_shown(path + ('bogus',))}: unknown key\n"
+
+
+@pytest.mark.parametrize("key, value", [("count", 60), ("window", [1000, 1000000]), ("margin", 0.1)],
+                         ids=["count", "window", "margin"])
+def test_nakano_slope_fit_keys_are_unknown(key, value, capsys):
+    # the verdict is exact, so nothing is left for a sample count, a window or a margin to set
+    assert _exit_code({"command": "nakano", "seed": 0, "nakano": {**_VERDICT, key: value}}) == 2
+    assert capsys.readouterr().err == f"config error: nakano.{key}: unknown key\n"
+
+
+def test_nakano_verdict_on_explicit_exponents_exits_2(capsys):
+    cfg = {"command": "nakano", "seed": 0,
+           "nakano": {"exponents": {"kind": "explicit", "values": [3.0, 2.5]}, "c_grid": [0.5]}}
+    assert _exit_code(cfg) == 2
+    assert capsys.readouterr().err == ("config error: nakano: the 2 explicit exponents are a finite list, "
+                                       "which has no tail to decide the series by\n")
 
 
 @pytest.mark.parametrize("key, value", [("jobs", 257), ("jobs", 0), ("seed", -1), ("seed", 1.0),
@@ -636,7 +648,6 @@ _REAL_SLOTS = [
                                                         "x": [1.0, 0.0], "y": [0.0, 1.0], "lambdas": [0.5, 1.5]}},
      ("verify", "lambdas", 1)),
     ("nakano_c_grid", {"command": "nakano", "nakano": {**_VERDICT, "c_grid": [0.5, 0.7]}}, ("nakano", "c_grid", 1)),
-    ("nakano_margin", {"command": "nakano", "nakano": {**_VERDICT, "margin": 0.2}}, ("nakano", "margin")),
     ("constant_p", {"command": "norm", "norm": {"nakano": {"exponents": {"kind": "constant", "p": 3}},
                                                 "vectors": _BLOCK1}}, ("norm", "nakano", "exponents", "p")),
     ("explicit_p", {"command": "norm", "norm": {"nakano": {"exponents": {"kind": "explicit", "values": [2.5]}},
@@ -844,6 +855,30 @@ def test_command_reader_accepts_exactly_the_runner_table():
     for cmd in ("fly", "Norm", "", 5, None):
         with pytest.raises(ConfigError, match="^command: unknown command"):
             validate_config({"command": cmd, "seed": 0})
+
+
+def test_regen_golden_refuses_a_payload_holding_nan(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the script puts its src/ first
+    loader = importlib.util.spec_from_file_location("regen_golden", ROOT / "scripts" / "regen_golden.py")
+    regen = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(regen)
+    nan_result = SimpleNamespace(to_json_obj=lambda include_meta: {"payload": {"x": math.nan}})
+    monkeypatch.setattr(regen, "run_campaign", lambda config: nan_result)
+    before = {p: p.read_bytes() for p in GOLDEN_DIR.glob("*.payload.json")}
+    for argv in ([], ["--check"]):
+        assert regen.main(argv) == 1
+        refused = [line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("refused: ")]
+        assert [Path(target).name for target in refused] == sorted(p.name for p in before)
+    assert {p: p.read_bytes() for p in GOLDEN_DIR.glob("*.payload.json")} == before
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_DIR.glob("*.payload.json")), ids=lambda p: p.name.split(".")[0])
+def test_golden_payloads_are_strict_json(golden):
+    # NaN and Infinity are not JSON; a golden holding one is unreadable outside Python
+    def reject(constant):
+        raise ValueError(f"{constant} in {golden.name}")
+
+    json.loads(golden.read_text(), parse_constant=reject)
 
 
 @pytest.mark.parametrize("config_path", GOLDEN_CONFIGS, ids=lambda p: p.stem)

@@ -588,35 +588,82 @@ def test_condition_terms_reject_p_equal_two():
         nakano_condition_terms(FormulaExponents("power", 1.0), 1.5)
 
 
-def test_condition_verdict_log_family_slopes():
-    # for p_n = 2 + 1/log(n+1) the log-log slope tends to 4 ln c
-    e = FormulaExponents("log", 1.0, b=1.0)
-    report = nakano_condition_verdict(e, [0.5, 0.9])
-    by_c = {v.c: v for v in report.verdicts}
-    assert by_c[0.5].verdict == "converges"
-    assert by_c[0.5].slope == pytest.approx(oracles.log_family_slope(0.5), abs=5e-3)
-    assert by_c[0.9].verdict == "diverges"
-    assert by_c[0.9].slope == pytest.approx(oracles.log_family_slope(0.9), abs=5e-3)
-    assert report.overall == "some-c-converges"
+_C_GRID = [0.3, 0.5, 0.7, 0.9]
+_POWERS = [(s, a) for s in (0.01, 0.1, 1.0) for a in (1.0, -1.0, 4.0)]
+
+
+@pytest.mark.parametrize("a, b, c_star", [(1.0, 1.0, math.exp(-0.25)), (-2.0, 9.0, math.exp(-0.5))],
+                         ids=["a=1", "a=-2"])
+@pytest.mark.parametrize("offset, verdict", [(-1e-9, "converges"), (0.0, "diverges"), (1e-9, "diverges")],
+                         ids=["below", "at", "above"])
+def test_condition_verdict_log_family_threshold(a, b, c_star, offset, verdict):
+    # sum c ** r_n is sum (n + b) ** (4 ln c / |a|) up to a constant factor:
+    # it converges below c* = exp(-|a| / 4) and is harmonic at c* itself
+    report = nakano_condition_verdict(FormulaExponents("log", a, b=b), [c_star + offset])
+    assert report.critical_c == c_star
+    assert [v.verdict for v in report.verdicts] == [verdict]
 
 
 def test_condition_verdict_power_family_always_converges():
-    e = FormulaExponents("power", 1.0)
-    report = nakano_condition_verdict(e, [0.3, 0.5, 0.7, 0.9])
-    assert all(v.verdict == "converges" for v in report.verdicts)
-    assert report.overall == "some-c-converges"
+    # c ** r_n = c ** (4 n**s / |a| +- 2) decays faster than any power of n,
+    # however small s is
+    for s, a in _POWERS:
+        report = nakano_condition_verdict(FormulaExponents("power", a, s=s), _C_GRID)
+        assert report.critical_c == 1.0, (s, a)
+        assert all(v.verdict == "converges" for v in report.verdicts), (s, a)
+        assert report.overall == "some-c-converges"
 
 
 def test_condition_verdict_loglog_family_never_converges_in_grid():
     e = FormulaExponents("loglog", 1.0, b=3.0)
-    report = nakano_condition_verdict(e, [0.3, 0.5, 0.7, 0.9])
+    report = nakano_condition_verdict(e, _C_GRID)
+    assert report.critical_c == 0.0
     assert all(v.verdict == "diverges" for v in report.verdicts)
     assert report.overall == "none-in-grid"
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_condition_verdict_constant_family_never_converges(p):
+    report = nakano_condition_verdict(ConstantExponents(p), _C_GRID)
+    assert report.critical_c == 0.0
+    assert all(v.verdict == "diverges" for v in report.verdicts)
+    assert report.overall == "none-in-grid"
+
+
+def test_condition_verdict_rejects_a_finite_exponent_list():
+    with pytest.raises(ValueError, match="no tail to decide the series"):
+        nakano_condition_verdict(ExplicitExponents((3.0, 2.5)), [0.5])
+    with pytest.raises(ValueError, match="exponent equals 2"):
+        nakano_condition_verdict(ConstantExponents(2.0), [0.5])
+
+
+@pytest.mark.parametrize("kind, params", [
+    *[("power", {"a": a, "s": s}) for s, a in _POWERS],
+    ("log", {"a": 1.0, "b": 1.0}), ("log", {"a": -2.0, "b": 9.0}),
+    ("loglog", {"a": 1.0, "b": 3.0}), ("loglog", {"a": -0.25, "b": 3.0}),
+    ("constant", {"p": 1.5}), ("constant", {"p": 3.0}),
+], ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x:g}" for k, x in v.items()))
+def test_condition_closed_forms_match_the_terms(kind, params):
+    # the closed forms behind critical_c, against log t_n as the series computes it
+    exponents = ConstantExponents(**params) if kind == "constant" else FormulaExponents(kind, **params)
+    c = 0.5
+    series = nakano_condition_terms(exponents, c, count=10 ** 6)
+    ps = exponents.values(series.indices)
+    # fl(p_n) is within half an ulp, at most p_n * eps / 2, of 2 + a / D_n;
+    # p_n - 2 then carries that absolute error, so log t_n carries a relative
+    # error up to (p_n / |p_n - 2|) * eps / 2.  For power s = 1 at n = 10**6
+    # that is 2e6 * eps / 2 = 2.2e-10.  Four times the bound leaves room for
+    # the rounding of a / D_n and of the closed form itself.
+    rtol = 4.0 * np.finfo(float).eps * float(np.max(ps / np.abs(ps - 2.0)))
+    want = oracles.condition_log_terms(kind, series.indices, c, **params)
+    np.testing.assert_allclose(series.log_terms, want, rtol=rtol, atol=0.0)
 
 
 def test_condition_verdict_rejects_empty_grid():
     with pytest.raises(ValueError):
         nakano_condition_verdict(FormulaExponents("log", 1.0, b=1.0), [])
+    with pytest.raises(ValueError, match="c must lie in"):
+        nakano_condition_verdict(FormulaExponents("log", 1.0, b=1.0), [0.5, 1.0])
 
 
 # --- serialization ----------------------------------------------------------
