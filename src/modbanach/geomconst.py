@@ -238,31 +238,28 @@ def clarkson_alpha_upper(p: float) -> float:
 def clarkson_alpha_tail_bound(exponents: FormulaExponents, horizon: int) -> float:
     """sup_{k > horizon} of the Clarkson alpha bound for a formula family.
 
-    Valid because |p_k - 2| decreases toward 0 beyond the family's monotone
-    index (checked numerically) and the alpha bound is monotone in |p - 2|.
+    Exact: every formula family moves toward 2 monotonically from n = 1 on
+    (see :class:`FormulaExponents`), and the alpha bound is monotone in
+    |p - 2|, so the sup sits at k = horizon + 1.
     """
     if not isinstance(exponents, FormulaExponents):
         raise TypeError("analytic tail bound requires a formula exponent family")
-    start = exponents.monotone_tail_start(window=max(4096, horizon + 16))
-    if horizon + 1 < start:
-        raise ValueError(f"horizon {horizon} precedes the monotone tail (starts at {start})")
     return clarkson_alpha_upper(float(exponents.values([horizon + 1])[0]))
 
 
 def clarkson_beta_bound(spec: NakanoSpec, cutoff: int, horizon: int = 1000) -> float:
-    """beta_cutoff computed from Clarkson bounds over [cutoff, horizon].
+    """beta_cutoff = sup_{k >= cutoff} of the Clarkson alpha bounds.
 
-    For formula exponent families the analytic tail bound covers everything
-    beyond the horizon; otherwise the value is a horizon-window estimate.
+    For a formula exponent family it is the analytic tail bound beyond
+    cutoff - 1, exact at any cutoff; otherwise the value is a window
+    estimate over [cutoff, horizon].
     """
+    if isinstance(spec.exponents, FormulaExponents):
+        return clarkson_alpha_tail_bound(spec.exponents, _check_index(cutoff) - 1)
     ns = np.arange(cutoff, horizon + 1)
     ps = spec.exponents.values(ns)
     avals = np.array([jvn_upper_bound_clarkson(p) for p in ps])
-    rep = alpha_beta(ps, avals)
-    beta = float(rep.beta[0])
-    if isinstance(spec.exponents, FormulaExponents):
-        beta = max(beta, clarkson_alpha_tail_bound(spec.exponents, horizon))
-    return beta
+    return float(alpha_beta(ps, avals).beta[0])
 
 
 def _tail_pairs(samples: int, seed: int, dims: list) -> tuple:

@@ -43,8 +43,7 @@ class NumericalFailure(ValueError):
 class ScaleProfile:
     """Evaluates t -> Theta(t * x) from precomputed (norm, exponent) terms.
 
-    Zero-norm terms are dropped; they contribute nothing at any scale and
-    would otherwise pollute the exponent range the solver starts from.
+    Zero-norm terms are dropped; they contribute nothing at any scale.
     """
 
     __slots__ = ("norms", "exps")

@@ -88,7 +88,7 @@ class ConstantExponents:
         ns = np.asarray(ns)
         return np.full(ns.shape, self.p)
 
-    def bounds(self, window: int = 4096) -> tuple:
+    def bounds(self) -> tuple:
         return (self.p, self.p)
 
     def critical_c(self) -> float:
@@ -117,7 +117,7 @@ class ExplicitExponents:
             raise ValueError(f"index {n} beyond the {len(self.exponents)} explicit exponents")
         return np.array(self.exponents)[ns - 1]
 
-    def bounds(self, window: int = 4096) -> tuple:
+    def bounds(self) -> tuple:
         return (min(self.exponents), max(self.exponents))
 
     def critical_c(self) -> float:
@@ -133,9 +133,17 @@ class FormulaExponents:
     form "log":    p_n = 2 + a / log(n + b)
     form "loglog": p_n = 2 + a / log(log(n + b))
 
-    Each family tends to 2 monotonically beyond a small initial index, which
-    is checked numerically on a window.  Values are validated lazily to lie
-    in [1, P_MAX].
+    Every family the constructor accepts moves toward 2 monotonically from
+    n = 1 on, without crossing it: |p_n - 2| is |a| over a denominator that
+    is positive at n = 1 and increasing in n.
+
+    - power: the denominator n**s increases, as s > 0;
+    - log: the n = 1 check, log(1 + b) > 0, forces b > 0, and log(n + b)
+      increases;
+    - loglog: log(log(n + b)) increases and is positive from n = 1 on.
+
+    So p_1 is the exponent farthest from 2, and :meth:`bounds` reads it
+    alone.  Values are validated to lie in [1, P_MAX].
     """
 
     form: str
@@ -161,7 +169,9 @@ class FormulaExponents:
     def _raw(self, ns: np.ndarray) -> np.ndarray:
         ns = ns.astype(float)
         if self.form == "power":
-            return 2.0 + self.a / ns ** self.s
+            # n**s overflowing to inf gives p_n = 2, its limit
+            with np.errstate(over="ignore"):
+                return 2.0 + self.a / ns ** self.s
         base = np.log(ns + self.b)
         if self.form == "loglog":
             base = np.log(base)
@@ -180,21 +190,9 @@ class FormulaExponents:
             raise ValueError(f"exponent at index {where} outside [1, {P_MAX}]")
         return vals
 
-    def bounds(self, window: int = 4096) -> tuple:
-        vals = self.values(np.arange(1, window + 1))
-        return (min(float(vals.min()), 2.0), max(float(vals.max()), 2.0))
-
-    def monotone_tail_start(self, window: int = 4096) -> int:
-        """First index from which |p_n - 2| is nonincreasing on the window."""
-        vals = np.abs(self.values(np.arange(1, window + 1)) - 2.0)
-        diffs = np.diff(vals)
-        rising = np.nonzero(diffs > 0.0)[0]
-        if rising.size == 0:
-            return 1
-        start = int(rising.max()) + 2
-        if start >= window:
-            raise ValueError("exponent family not monotone toward 2 on the window")
-        return start
+    def bounds(self) -> tuple:
+        p1 = float(self.values([1])[0])
+        return (min(p1, 2.0), max(p1, 2.0))
 
     def critical_c(self) -> float:
         if self.form == "log":

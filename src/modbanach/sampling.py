@@ -154,9 +154,9 @@ def _complex_normals(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def _real_structured(dim: int, cap: int = 8) -> list:
+def _real_structured(dim: int) -> list:
     out = []
-    for i in range(min(dim, cap)):
+    for i in range(min(dim, 8)):
         e = np.zeros(dim)
         e[i] = 1.0
         out.append(e)
@@ -254,10 +254,12 @@ def descend(objective, thetas, first_step: float, max_steps: int, tol: float,
     step makes one objective call on their 2n central differences, then one
     on their 24 halving steps from `first_step` along the normalized negative
     gradient.  A start leaves when its gradient vanishes or is not finite,
-    when no halving step gains more than `tol`, or after `max_steps` steps;
-    every start gets the bits it would get alone.  With a `cut`, the first
-    start (in index order) whose final value is at or below it ends the
-    search: every later start is dropped, every earlier one runs to its end.
+    when no halving step gains more than `tol`, or after `max_steps` steps.
+    Every start gets the bits it would get alone, as long as `objective`
+    scores a row with the same bits at any stack height.  With a `cut`, the
+    first start (in index order) whose final value is at or below it ends
+    the search: every later start is dropped, every earlier one runs to its
+    end.
     """
     project = project or (lambda th: th)
     thetas = np.array(thetas, dtype=float)
@@ -285,10 +287,7 @@ def _lockstep(objective, theta, first_step, max_steps, tol, project, cut):
     """:func:`descend` on one chunk of starts; returns (thetas, values, evals, stops)."""
     k, n = theta.shape
     theta = project(theta)
-    # one start per call: a 1-row stack can take another BLAS path (a
-    # matrix-vector product) than a taller one, and a start's value must
-    # keep the bits it has when the start runs alone
-    value = np.array([objective(row[None, :])[0] for row in theta], dtype=float)
+    value = np.array(objective(theta), dtype=float)
     evals = np.ones(k, dtype=int)
     stops = np.full(k, _CAPPED)
     probe = FD_STEP * np.eye(n)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modbanach import cli
+from modbanach import cli, geomconst
 from modbanach import verify as vf
 from modbanach.cli import CampaignResult, ConfigError, emit_plot_data, run_campaign, validate_config
 from modbanach.nakano import BlockVector, nakano_norm, spec_from_dict
@@ -900,3 +900,18 @@ def test_plot_request_in_config(tmp_path):
     rc = cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "--format", "json"])
     assert rc == 0
     assert (tmp_path / "asym_asymptotics.csv").exists()
+
+
+@pytest.mark.parametrize("exponents", [{"kind": "power", "a": 1.0}, {"kind": "log", "a": 1.0, "b": 1.0}],
+                         ids=["power", "log"])
+def test_far_asymptotics_costs_only_its_rows(tmp_path, exponents):
+    # the tail bound is read at horizon + 1 alone, so a campaign costs only its rows
+    start = 10 ** 15
+    cfg_path = tmp_path / "far.json"
+    cfg_path.write_text(json.dumps({"command": "asymptotics", "seed": 0,
+                                    "asymptotics": {"exponents": exponents, "start": start, "horizon": start + 3}}))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "--format", "json"]) == 0
+    payload = json.loads((tmp_path / "far.json").read_text())["payload"]
+    assert payload["n"] == [start, start + 1, start + 2, start + 3]
+    p_next = float(spec_from_dict({"exponents": exponents}).exponents.values([start + 4])[0])
+    assert payload["tail_bound"] == geomconst.clarkson_alpha_upper(p_next)

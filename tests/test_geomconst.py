@@ -224,6 +224,13 @@ def test_clarkson_beta_bound_decreases_with_cutoff():
     assert vals[-1] < 1.05
 
 
+def test_clarkson_beta_bound_past_its_horizon():
+    # a formula family's beta is exact at any cutoff, with no window to fill
+    e = FormulaExponents("power", 1.0)
+    assert clarkson_beta_bound(NakanoSpec(e), 2000) == clarkson_alpha_upper(e.values([2000])[0])
+    assert clarkson_beta_bound(NakanoSpec(e), 2000) == clarkson_alpha_tail_bound(e, 1999)
+
+
 def test_tail_defect_below_beta_bound():
     spec = NakanoSpec(FormulaExponents("power", 1.0))
     for cutoff in (5, 20):

@@ -218,6 +218,20 @@ def _summand_reference(space, budget, seed):
     return best_val, best_theta, stops, objective, starts
 
 
+@pytest.mark.parametrize("space", [Lp(4.0, 2), Lp(3.0, 3), Euclid(3), TwoSum((Lp(4.0, 2), Euclid(1)))],
+                         ids=["lp4", "lp3", "euclid", "two_sum"])
+def test_summand_objective_scores_a_row_alike_at_any_height(space):
+    # descend scores all its starts in one call, so a start's value must not
+    # depend on the stack it is scored in; a one-column product of a lone row
+    # would take a matrix-vector BLAS path, with other bits
+    suite, n2 = isolab._nonzero_suite(space, 64, 0)
+    d = space.dim
+    stack = rng_stream(7, 0).standard_normal((128, 2 * d))
+    whole = isolab._candidate_violations(space, stack[:, :d], stack[:, d:], suite, n2)
+    alone = [isolab._candidate_violations(space, row[None, :d], row[None, d:], suite, n2)[0] for row in stack]
+    assert whole.tolist() == alone
+
+
 # in each case a start after the first one at or below the cut would reach a
 # lower residual, so running every start to its end would change the result;
 # in the two sums the first hit is the third start, so two starts end before it

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from modbanach.nakano import (
@@ -69,21 +69,25 @@ def test_formula_exponents_values():
     assert loglog.values([1])[0] == pytest.approx(2.0 + 1.0 / math.log(math.log(4.0)))
 
 
-def test_formula_exponents_monotone_to_two():
-    for e in (
-        FormulaExponents("power", 1.0),
-        FormulaExponents("log", 1.0, b=1.0),
-        FormulaExponents("loglog", 1.0, b=3.0),
-    ):
-        start = e.monotone_tail_start()
-        ns = np.arange(start, start + 2000)
-        vals = e.values(ns)
-        assert np.all(np.diff(vals) <= 0.0)
-        assert vals[-1] > 2.0
-        # still shrinking far out (the loglog family crawls, so no abs target)
-        assert 2.0 < e.values([10 ** 12])[0] < e.values([10 ** 6])[0]
-        lo, hi = e.bounds()
-        assert lo == 2.0 and hi >= vals[0]
+_MONOTONE_NS = np.concatenate([np.arange(1, 4097), [10 ** 6, 10 ** 12]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(form=st.sampled_from(["power", "log", "loglog"]),
+       a=st.floats(-1e3, 1e3).filter(bool),
+       b=st.one_of(st.floats(-2.0, 20.0), st.floats(20.0, 1e12)),
+       s=st.floats(1e-6, 50.0))
+def test_formula_exponents_monotone_to_two(form, a, b, s):
+    # every accepted family moves toward 2 from n = 1 on, never crossing it,
+    # so bounds() needs p_1 alone
+    try:
+        e = FormulaExponents(form, a, b, s)
+    except ValueError:
+        reject()
+    vals = e.values(_MONOTONE_NS)
+    assert np.all(np.diff(np.abs(vals - 2.0)) <= 0.0)
+    assert np.all((vals - 2.0) * a >= 0.0)
+    assert e.bounds() == (min(float(vals.min()), 2.0), max(float(vals.max()), 2.0))
 
 
 @pytest.mark.parametrize("form", ["log", "loglog"])

@@ -1,4 +1,6 @@
-"""The package's public names and the benchmark tracer's hooks stay in place."""
+"""The package's public names and the benchmark tracer's hooks stay in place,
+and every defaulted parameter has a caller."""
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -67,3 +69,54 @@ def test_config_validation_imports_no_jsonschema():
     out = subprocess.run([sys.executable, "-c", probe, str(ROOT / "src"), str(golden)],
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+#: parameters that keep a default no call in the tree sets, each with its reason
+_UNSET_ALLOWED = {
+    ("*", "seed"): "a seed names a reproducible run; the default run is seed 0",
+    ("spec_from_dict", "where"): "a reader in the config key tables, called as reader(value, where)",
+    ("space_from_dict", "where"): "a reader in the config key tables, called as reader(value, where)",
+    ("_two_smooth_params", "c"): "reached through PAIR_CHECKS by verify_pair's options and the config's c",
+    ("find_one_dim_two_summand", "suite_samples"): "sets the descent's suite to the angle grid's for comparing the two",
+    ("clarkson_beta_bound", "horizon"): "ends the window of an explicit list shorter than 1000",
+}
+
+
+def _trees(folder):
+    return [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / folder).rglob("*.py"))]
+
+
+def _defaulted(fn) -> dict:
+    """Each defaulted parameter of a def: its position after self or cls, or None if keyword-only."""
+    args = fn.args
+    pos = [a.arg for a in args.posonlyargs + args.args]
+    skip = 1 if pos[:1] in (["self"], ["cls"]) else 0
+    out = {a: i - skip for i, a in enumerate(pos) if i >= len(pos) - len(args.defaults)}
+    out.update({a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None})
+    return out
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # a call is matched to every def of its name, and it sets a parameter by
+    # keyword, by position, or by * or ** unpacking (which may set any)
+    calls = {}
+    for folder in ("src", "tests", "perfbench", "scripts"):
+        for tree in _trees(folder):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    unpacked = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                        k.arg is None for k in node.keywords)
+                    calls.setdefault(name, []).append((len(node.args), {k.arg for k in node.keywords}, unpacked))
+    unset = []
+    for tree in _trees("src"):
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for param, pos in _defaulted(fn).items():
+                if ((fn.name, param) in _UNSET_ALLOWED or ("*", param) in _UNSET_ALLOWED
+                        or any(unpacked or param in keys or (pos is not None and pos < n)
+                               for n, keys, unpacked in calls.get(fn.name, ()))):
+                    continue
+                unset.append(f"{fn.name}.{param}")
+    assert unset == [], f"defaulted parameters that no call sets: {unset}"
