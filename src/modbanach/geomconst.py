@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nakano import (
+    ConstantExponents,
     FormulaExponents,
     NakanoSpec,
     P_MAX,
@@ -247,19 +248,16 @@ def clarkson_alpha_tail_bound(exponents: FormulaExponents, horizon: int) -> floa
     return clarkson_alpha_upper(float(exponents.values([horizon + 1])[0]))
 
 
-def clarkson_beta_bound(spec: NakanoSpec, cutoff: int, horizon: int = 1000) -> float:
-    """beta_cutoff = sup_{k >= cutoff} of the Clarkson alpha bounds.
-
-    For a formula exponent family it is the analytic tail bound beyond
-    cutoff - 1, exact at any cutoff; otherwise the value is a window
-    estimate over [cutoff, horizon].
-    """
-    if isinstance(spec.exponents, FormulaExponents):
-        return clarkson_alpha_tail_bound(spec.exponents, _check_index(cutoff) - 1)
-    ns = np.arange(cutoff, horizon + 1)
-    ps = spec.exponents.values(ns)
-    avals = np.array([jvn_upper_bound_clarkson(p) for p in ps])
-    return float(alpha_beta(ps, avals).beta[0])
+def clarkson_beta_bound(spec: NakanoSpec, cutoff: int) -> float:
+    """beta_cutoff = sup_{k >= cutoff} of the Clarkson alpha bounds, exact for every
+    exponent family; an explicit list is read from cutoff to its end, and not past it."""
+    cutoff, exponents = _check_index(cutoff), spec.exponents
+    if isinstance(exponents, FormulaExponents):
+        return clarkson_alpha_tail_bound(exponents, cutoff - 1)
+    if isinstance(exponents, ConstantExponents):
+        return clarkson_alpha_upper(exponents.p)
+    ps = exponents.values(np.arange(cutoff, max(cutoff, len(exponents.exponents)) + 1))
+    return max(clarkson_alpha_upper(p) for p in ps.tolist())
 
 
 def _tail_pairs(samples: int, seed: int, dims: list) -> tuple:

@@ -43,6 +43,16 @@ __all__ = [
     "block_sum_complement_check",
 ]
 
+# each check's fixed tolerance or size, named once
+_ISOMETRY_TOL = 1e-10       # relative deviation that still counts as isometric
+_CANDIDATE_TOL = 1e-10      # slack of ||xi|| = 1 and phi(xi) = 1 in a candidate
+_SUMMAND_SUITE = 64         # samples a summand search scores its candidates on
+_FOUND_RESIDUAL = 1e-8      # a summand search's residual that counts as found
+_LIMIT_TOL = 1e-8           # slack of lim ||(PT)^n x|| = ||x|| and of the projected isometry
+_CAUCHY_TOL = 1e-9          # spread of a Cauchy trace's norms five steps apart
+_COMPLEMENT_SAMPLES = 128   # samples of each of the complement check's two suites
+_COMPLEMENT_TOL = 1e-12     # E2-part an F-vector's image may keep
+
 
 @dataclass(frozen=True)
 class LinearMap:
@@ -93,14 +103,14 @@ class IsometryCheck:
 
 
 def is_isometric_embedding(t: LinearMap, samples: int = 512, seed: int = 0) -> IsometryCheck:
-    """Max relative deviation | ||Tx|| - ||x|| | / ||x|| over a sample suite, isometric within 1e-10."""
+    """Max relative deviation | ||Tx|| - ||x|| | / ||x|| over a sample suite, isometric within _ISOMETRY_TOL."""
     suite = _domain_suite(t.domain, samples, seed)
     nx = t.domain.norm_batch(suite)
     keep = nx > 0.0
     images = suite[keep] @ t.matrix.T
     dev = np.abs(t.codomain.norm_batch(images) - nx[keep]) / nx[keep]
     worst = float(dev.max()) if dev.size else 0.0
-    return IsometryCheck(worst <= 1e-10, worst, 1e-10)
+    return IsometryCheck(worst <= _ISOMETRY_TOL, worst, _ISOMETRY_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +129,12 @@ class TwoProjectionCandidate:
         object.__setattr__(self, "phi", as_real_vector(self.phi))
 
     def validate(self, space) -> None:
-        """Raise unless ||xi|| = 1 and phi(xi) = 1, each within 1e-10."""
+        """Raise unless ||xi|| = 1 and phi(xi) = 1, each within _CANDIDATE_TOL."""
         nxi = space.norm(self.xi)
-        if abs(nxi - 1.0) > 1e-10:
+        if abs(nxi - 1.0) > _CANDIDATE_TOL:
             raise ValueError(f"xi must be normalized, got ||xi|| = {nxi}")
         pv = float(self.phi @ self.xi)
-        if abs(pv - 1.0) > 1e-10:
+        if abs(pv - 1.0) > _CANDIDATE_TOL:
             raise ValueError(f"phi(xi) must equal 1, got {pv}")
 
 
@@ -211,19 +221,18 @@ class SummandSearchResult:
     stops: dict     # starts per way their descent ended, keyed by sampling.STOPS
 
 
-def find_one_dim_two_summand(space, budget: int = 16, seed: int = 0,
-                             suite_samples: int = 64) -> SummandSearchResult:
+def find_one_dim_two_summand(space, budget: int = 16, seed: int = 0) -> SummandSearchResult:
     """Search for a one-dimensional hilbertian summand by descent on (xi, phi).
 
     Multi-start finite-difference minimization of the two-projection defect
-    over a fixed sample suite; success means the residual drops to 1e-8.
+    over _SUMMAND_SUITE fixed samples; success means a residual of _FOUND_RESIDUAL.
     Structured starts pair each basis direction with its own coordinate
     functional, the remaining starts are Gaussian with per-start streams.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     d = space.dim
-    suite, n2 = _nonzero_suite(space, suite_samples, seed)
+    suite, n2 = _nonzero_suite(space, _SUMMAND_SUITE, seed)
 
     def objective(stack: np.ndarray) -> np.ndarray:
         return _candidate_violations(space, stack[:, :d], stack[:, d:], suite, n2)
@@ -231,15 +240,14 @@ def find_one_dim_two_summand(space, budget: int = 16, seed: int = 0,
     structured = np.tile(np.eye(d)[:min(8, budget)], 2)
     starts = np.concatenate([structured, stream_normals(seed, budget - len(structured), 2 * d)])
 
-    # the first start (in index order) at or below the cut, a hundredth of
-    # the residual that counts as found, ends the search
-    run = descend(objective, starts, first_step=0.5, max_steps=150, tol=1e-15, cut=1e-10)
+    # the first start (in index order) at or below the cut ends the search
+    run = descend(objective, starts, first_step=0.5, max_steps=150, tol=1e-15, cut=_FOUND_RESIDUAL * 1e-2)
     best_val, best_theta = math.inf, None
     for val, theta in zip(run.values.tolist(), run.thetas):
         if val < best_val:
             best_val, best_theta = val, theta
 
-    found = best_val <= 1e-8
+    found = best_val <= _FOUND_RESIDUAL
     candidate = None
     if found:
         xi_raw, phi_raw = best_theta[:d], best_theta[d:]
@@ -370,10 +378,10 @@ class LimitIsometryReport:
 
 
 def limit_isometry_check(t: LinearMap, xs, n_max: int = 60, seed: int = 0) -> LimitIsometryReport:
-    """Does lim ||(PT)^n x|| recover ||x|| within 1e-8 on the given samples?
+    """Does lim ||(PT)^n x|| recover ||x|| within _LIMIT_TOL on the given samples?
 
     Each trace must be Cauchy at n_max (the last two recorded norms five
-    steps apart within 1e-9); traces that are not are reported, never
+    steps apart within _CAUCHY_TOL); traces that are not are reported, never
     silently truncated.  When every sample passes and an 8-start search
     finds no one-dimensional hilbertian summand of the domain, the
     projected map must already be isometric, which is then verified
@@ -386,11 +394,11 @@ def limit_isometry_check(t: LinearMap, xs, n_max: int = 60, seed: int = 0) -> Li
     for i, x in enumerate(xs):
         trace = pt_iterate(t, x, n_max)
         limit = float(trace.norms[-1])
-        cauchy = abs(trace.norms[-1] - trace.norms[-6]) <= 1e-9
+        cauchy = abs(trace.norms[-1] - trace.norms[-6]) <= _CAUCHY_TOL
         if not cauchy:
             non_cauchy.append(i)
         nx = float(trace.norms[0])
-        passed = cauchy and abs(limit - nx) <= 1e-8
+        passed = cauchy and abs(limit - nx) <= _LIMIT_TOL
         entries.append(LimitSample(nx, limit, cauchy, passed))
     all_passed = all(e.passed for e in entries)
     summand_found = None
@@ -404,7 +412,7 @@ def limit_isometry_check(t: LinearMap, xs, n_max: int = 60, seed: int = 0) -> Li
             for x in xs:
                 z = t.apply(x)
                 worst = max(worst, abs(t.domain.norm(z[:k0]) - t.codomain.norm(z)))
-            projection_isometric = worst <= 1e-8
+            projection_isometric = worst <= _LIMIT_TOL
     return LimitIsometryReport(
         tuple(entries), all_passed, tuple(non_cauchy), summand_found,
         projection_isometric,
@@ -467,19 +475,19 @@ def block_sum_complement_check(u: np.ndarray, v: np.ndarray, domain, codomain, s
                                coupling: np.ndarray | None = None) -> bool:
     """Does the assembled block map carry the F-part into the F-part?
 
-    The map must be an isometric embedding first, on 128 samples; that
-    failing is an error, not a negative answer.  Then the E2-component of
-    the image of 128 sampled F1-vectors must vanish within 1e-12.
+    The map must be an isometric embedding first, on _COMPLEMENT_SAMPLES samples;
+    that failing is an error, not a negative answer.  Then the E2-component of the
+    image of as many sampled F1-vectors must vanish within _COMPLEMENT_TOL.
     """
     t = block_diag_map(u, v, domain, codomain, coupling=coupling)
-    iso = is_isometric_embedding(t, samples=128, seed=seed)
+    iso = is_isometric_embedding(t, samples=_COMPLEMENT_SAMPLES, seed=seed)
     if not iso.isometric:
         raise ValueError(
             f"map is not an isometric embedding (deviation {iso.max_deviation:.3e})"
         )
     dk = _two_part_space(domain).dim
     ck = _two_part_space(codomain).dim
-    suite = _domain_suite(Euclid(domain.dim - dk), 128, seed)
+    suite = _domain_suite(Euclid(domain.dim - dk), _COMPLEMENT_SAMPLES, seed)
     worst = 0.0
     for f in suite:
         x = np.zeros(domain.dim)
@@ -487,4 +495,4 @@ def block_sum_complement_check(u: np.ndarray, v: np.ndarray, domain, codomain, s
         z = t.apply(x)
         e2 = z[:ck]
         worst = max(worst, float(np.linalg.norm(e2)))
-    return worst <= 1e-12
+    return worst <= _COMPLEMENT_TOL

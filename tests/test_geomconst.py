@@ -19,6 +19,7 @@ from modbanach.nakano import (
     BlockVector,
     ConstantExponents,
     CycledBlocks,
+    ExplicitExponents,
     FormulaExponents,
     MatchedLpBlocks,
     NakanoSpec,
@@ -105,10 +106,11 @@ def test_starts_are_the_per_index_stream_draws(space):
     assert geomconst._starts(space, budget, seed).tobytes() == want.tobytes()
 
 
-# kinks and flat ridges (p near 1, p = inf), a Schatten class, a direct sum
-# and a Hilbert space, whose starts end converged, stalled and capped
-_LOCKSTEP_SPACES = [Lp(4.0 / 3.0, 2), Lp(1.0, 3), Lp(math.inf, 2), Schatten(1.5, 3),
-                    TwoSum((Lp(4.0, 2), Euclid(1))), Euclid(4)]
+# kinks and flat ridges (p near 1, p = inf), Schatten classes, rows of 8
+# coordinates, a direct sum and a Hilbert space, whose starts end converged,
+# stalled and capped
+_LOCKSTEP_SPACES = [Lp(4.0 / 3.0, 2), Lp(1.0, 3), Lp(math.inf, 2), Lp(4.0, 8), Schatten(1.5, 3),
+                    Schatten(3.0, 2), TwoSum((Lp(4.0, 2), Euclid(1))), Euclid(4)]
 
 
 @pytest.mark.parametrize("chunk_rows", [sampling._CHUNK_ROWS, 1], ids=["one_chunk", "start_chunks"])
@@ -229,6 +231,19 @@ def test_clarkson_beta_bound_past_its_horizon():
     e = FormulaExponents("power", 1.0)
     assert clarkson_beta_bound(NakanoSpec(e), 2000) == clarkson_alpha_upper(e.values([2000])[0])
     assert clarkson_beta_bound(NakanoSpec(e), 2000) == clarkson_alpha_tail_bound(e, 1999)
+
+
+def test_clarkson_beta_bound_of_constant_and_explicit_families():
+    # a constant family has no window to run out of; an explicit list is
+    # read from the cutoff to its end, and not past it
+    for p in (1.0, 1.5, 2.5, 4.0):
+        for cutoff in (1, 2000, 10 ** 15):
+            assert clarkson_beta_bound(NakanoSpec(ConstantExponents(p)), cutoff) == clarkson_alpha_upper(p)
+    spec = NakanoSpec(ExplicitExponents((3.0, 1.5, 2.25, 2.0)))
+    assert [clarkson_beta_bound(spec, n) for n in (1, 2, 3, 4)] == [
+        clarkson_alpha_upper(3.0), clarkson_alpha_upper(2.25), clarkson_alpha_upper(2.25), 1.0]
+    with pytest.raises(ValueError, match="index 5 beyond the 4 explicit exponents"):
+        clarkson_beta_bound(spec, 5)
 
 
 def test_tail_defect_below_beta_bound():

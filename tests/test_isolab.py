@@ -218,8 +218,8 @@ def _summand_reference(space, budget, seed):
     return best_val, best_theta, stops, objective, starts
 
 
-@pytest.mark.parametrize("space", [Lp(4.0, 2), Lp(3.0, 3), Euclid(3), TwoSum((Lp(4.0, 2), Euclid(1)))],
-                         ids=["lp4", "lp3", "euclid", "two_sum"])
+@pytest.mark.parametrize("space", [Lp(4.0, 2), Lp(3.0, 3), Lp(4.0, 8), Euclid(3), TwoSum((Lp(4.0, 2), Euclid(1)))],
+                         ids=["lp4", "lp3", "lp4_d8", "euclid", "two_sum"])
 def test_summand_objective_scores_a_row_alike_at_any_height(space):
     # descend scores all its starts in one call, so a start's value must not
     # depend on the stack it is scored in; a one-column product of a lone row
@@ -230,6 +230,9 @@ def test_summand_objective_scores_a_row_alike_at_any_height(space):
     whole = isolab._candidate_violations(space, stack[:, :d], stack[:, d:], suite, n2)
     alone = [isolab._candidate_violations(space, row[None, :d], row[None, d:], suite, n2)[0] for row in stack]
     assert whole.tolist() == alone
+    for height in (2, 5, 33):
+        part = isolab._candidate_violations(space, stack[:height, :d], stack[:height, d:], suite, n2)
+        assert part.tolist() == alone[:height]
 
 
 # in each case a start after the first one at or below the cut would reach a

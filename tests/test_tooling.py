@@ -77,8 +77,6 @@ _UNSET_ALLOWED = {
     ("spec_from_dict", "where"): "a reader in the config key tables, called as reader(value, where)",
     ("space_from_dict", "where"): "a reader in the config key tables, called as reader(value, where)",
     ("_two_smooth_params", "c"): "reached through PAIR_CHECKS by verify_pair's options and the config's c",
-    ("find_one_dim_two_summand", "suite_samples"): "sets the descent's suite to the angle grid's for comparing the two",
-    ("clarkson_beta_bound", "horizon"): "ends the window of an explicit list shorter than 1000",
 }
 
 
