@@ -226,16 +226,12 @@ def test_clarkson_beta_bound_decreases_with_cutoff():
     assert vals[-1] < 1.05
 
 
-def test_clarkson_beta_bound_past_its_horizon():
-    # a formula family's beta is exact at any cutoff, with no window to fill
+def test_clarkson_beta_bound_at_any_cutoff():
+    # formula and constant families have no window to run out of; an
+    # explicit list is read from the cutoff to its end, and not past it
     e = FormulaExponents("power", 1.0)
     assert clarkson_beta_bound(NakanoSpec(e), 2000) == clarkson_alpha_upper(e.values([2000])[0])
     assert clarkson_beta_bound(NakanoSpec(e), 2000) == clarkson_alpha_tail_bound(e, 1999)
-
-
-def test_clarkson_beta_bound_of_constant_and_explicit_families():
-    # a constant family has no window to run out of; an explicit list is
-    # read from the cutoff to its end, and not past it
     for p in (1.0, 1.5, 2.5, 4.0):
         for cutoff in (1, 2000, 10 ** 15):
             assert clarkson_beta_bound(NakanoSpec(ConstantExponents(p)), cutoff) == clarkson_alpha_upper(p)
