@@ -13,11 +13,8 @@ from .spaces import (
     Lp,
     Euclid,
     Schatten,
-    CustomSpace,
     TwoSum,
-    singular_values,
     dual_exponent,
-    banach_mazur_lp_vs_hilbert,
 )
 from .modular import (
     PowerModular,
@@ -25,7 +22,6 @@ from .modular import (
     DirectSumModular,
     LuxemburgSpace,
     modular_eval,
-    delta2_constant,
     luxemburg_norm,
     luxemburg_norms,
     NumericalFailure,
@@ -41,15 +37,11 @@ from .nakano import (
     NakanoModular,
     nakano_modular,
     nakano_norm,
-    disjoint_additivity_check,
-    weakly_null_surrogate,
-    homogeneity_defect,
     nakano_condition_terms,
     nakano_condition_verdict,
 )
 from .sampling import stream_normals
 from .geomconst import (
-    jvn_ratio,
     jvn_lower_bound,
     jvn_upper_bound_clarkson,
     duality_gap,
@@ -65,12 +57,10 @@ from .verify import (
 from .isolab import (
     LinearMap,
     is_isometric_embedding,
-    two_projection_violation,
     find_one_dim_two_summand,
     build_counterexample_embedding,
     build_inclusion_embedding,
     pt_iterate,
     limit_isometry_check,
     range_intersection_dim,
-    block_sum_complement_check,
 )

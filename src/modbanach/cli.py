@@ -32,8 +32,8 @@ from . import verify as vf
 from .modular import NumericalFailure, luxemburg_norms
 from .nakano import (_EXPONENT_KINDS, _INDEX_MAX, BlockVector, FormulaExponents, NakanoModular,
                      nakano_condition_terms, nakano_condition_verdict, spec_from_dict)
-from .spaces import (REQUIRED, ConfigError, Schatten, _int_reader, _list_reader, _read_kind, _read_object, as_real,
-                     space_from_dict)
+from .spaces import (_COORDS_MAX, _ELEMENTS_MAX, _SCHATTEN_D, REQUIRED, ConfigError, Schatten, _int_reader,
+                     _list_reader, _read_kind, _read_object, as_real, space_from_dict)
 
 ENV_OUT = "MODBANACH_OUT"
 
@@ -141,10 +141,6 @@ class CampaignResult:
             obj["meta"] = {"wall_time_s": self.wall_time, **self.meta}
         return obj
 
-    def payload_bytes(self) -> bytes:
-        """Deterministic byte serialization of everything but the wall time."""
-        return json.dumps(self.to_json_obj(include_meta=False), sort_keys=True).encode()
-
 
 # ---------------------------------------------------------------------------
 # command runners; each takes seed, jobs and its parameters as read by its
@@ -205,7 +201,9 @@ def _run_nakano(seed, jobs, exponents, c_grid, terms_count):
 
 def _run_asymptotics(seed, jobs, exponents, start, horizon, jvn_values):
     if horizon < start:
-        raise ConfigError("asymptotics: horizon must be >= start")
+        raise ConfigError(f"asymptotics.start: {start} is beyond the horizon {horizon}")
+    if horizon - start >= _ELEMENTS_MAX:
+        raise ConfigError(f"asymptotics.horizon: more than {_ELEMENTS_MAX} rows from start {start}")
     ns = np.arange(start, horizon + 1)
     ps = exponents.values(ns)
     tail = None
@@ -274,9 +272,13 @@ def _params(run, table):
 _SPACE = (space_from_dict, REQUIRED)
 _EXPONENTS = (partial(_read_kind, _EXPONENT_KINDS), REQUIRED)
 _TOLERANCE = (as_real, 1e-10)
-_SAMPLED = {"samples": (_int_reader(0), 10000), "tolerance": _TOLERANCE}
+# the upper bounds of size keys, each keeping the largest array its key drives
+# within _ELEMENTS_MAX elements
+_BUDGET = _int_reader(1, _ELEMENTS_MAX // (2 * _COORDS_MAX))   # a start is a row of two points
+_ANGLES = _int_reader(1, _ELEMENTS_MAX // 256)   # an angle takes a value per grid sample, under 256
+_SAMPLED = {"samples": (_int_reader(0, _ELEMENTS_MAX), 10000), "tolerance": _TOLERANCE}
 _PAIR = {"space": _SPACE, **_SAMPLED}
-_H_DIM = (_int_reader(1), 4)
+_H_DIM = (_int_reader(1, _COORDS_MAX), 4)
 
 #: the tables of verify's checks, but for the plain pair checks that _read_verify adds
 _CHECKS = {
@@ -284,11 +286,11 @@ _CHECKS = {
     # the operator-norm space is named by its size alone
     "schatten_inf": (lambda d, **values: partial(_run_pair, check="schatten_inf",
                                                  space=Schatten(math.inf, d), **values),
-                     {"d": (_int_reader(1), REQUIRED), **_SAMPLED}),
+                     {"d": _SCHATTEN_D, **_SAMPLED}),
     # vf's checks are looked up when they run, so a tracer that rebinds them sees the calls
     "beckner": (_bound(lambda seed, jobs, **values: _report(vf.verify_beckner(**values))),
-                {"p": (as_real, REQUIRED), "grid": (_int_reader(1), 401), "extent": (as_real, 2.0),
-                 "tolerance": (as_real, 1e-12)}),
+                {"p": (as_real, REQUIRED), "grid": (_int_reader(1, math.isqrt(_ELEMENTS_MAX)), 401),   # grid^2 points
+                 "extent": (as_real, 2.0), "tolerance": (as_real, 1e-12)}),
     "lp_pair": (_bound(lambda seed, jobs, **values: _report(vf.verify_lp_pair(**values))),
                 {"space": _SPACE, "x": (_floats, REQUIRED), "y": (_floats, REQUIRED), "p": (as_real, None),
                  "lambdas": (_lambdas, None), "tolerance": _TOLERANCE}),
@@ -320,12 +322,12 @@ _RUNNERS = {
         _params(_run_norm, {"space": (space_from_dict, None), "nakano": (spec_from_dict, None),
                             "vectors": (lambda vectors, where: vectors, REQUIRED)}),
         lambda p: p["norms"][0] if p["norms"] else 0.0),
-    "jvn": _Command(_params(_run_jvn, {"space": _SPACE, "budget": (_int_reader(1), 64)}),
+    "jvn": _Command(_params(_run_jvn, {"space": _SPACE, "budget": (_BUDGET, 64)}),
                     lambda p: p["lower_bound"]),
     "verify": _Command(_read_verify, lambda p: p.get("max_violation", 0.0)),
     "nakano": _Command(
         _params(_run_nakano, {"exponents": _EXPONENTS, "c_grid": (_list_reader(as_real), REQUIRED),
-                              "terms_count": (_int_reader(), 64)}),
+                              "terms_count": (_int_reader(hi=_ELEMENTS_MAX), 64)}),
         lambda p: p["critical_c"]),
     "asymptotics": _Command(
         _params(_run_asymptotics, {"exponents": _EXPONENTS, "start": (_block_index, 1),
@@ -333,13 +335,14 @@ _RUNNERS = {
                                    "jvn_values": (_floats_or("clarkson"), "clarkson")}),
         lambda p: p["beta"][0] if p["beta"] else 0.0),
     "summand": _Command(
-        _params(_run_summand, {"space": _SPACE, "budget": (_int_reader(1), 16),
-                               "grid": (partial(_read_object, {"n_xi": (_int_reader(1), 720),
-                                                               "n_phi": (_int_reader(1), 720)}), None)}),
+        _params(_run_summand, {"space": _SPACE, "budget": (_BUDGET, 16),
+                               "grid": (partial(_read_object, {"n_xi": (_ANGLES, 720),
+                                                               "n_phi": (_ANGLES, 720)}), None)}),
         lambda p: p.get("grid_floor", p["residual"])),
     "iterate": _Command(
         _params(_run_iterate, {"embedding": (partial(_read_kind, _EMBEDDINGS), REQUIRED),
-                               "x": (_floats_or("xi0"), "xi0"), "n_max": (_int_reader(6), 50)}),
+                               "x": (_floats_or("xi0"), "xi0"),
+                               "n_max": (_int_reader(6, _ELEMENTS_MAX - 1), 50)}),   # n_max + 1 norms
         lambda p: max(p["trace"]["defect"], default=0.0)),
 }
 

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nakano import (
-    ConstantExponents,
-    FormulaExponents,
-    NakanoSpec,
-    P_MAX,
-    _check_index,
-    _theta_rows,
-)
+from .nakano import FormulaExponents, NakanoSpec, P_MAX, _check_index, _theta_rows
 from .sampling import Descent, _complex_normals, descend, stop_counts, stream_normals, structured_pairs
 from .spaces import Lp, Schatten, dual_exponent
 
@@ -32,7 +25,6 @@ __all__ = [
     "WitnessPair",
     "JvnEstimate",
     "AsymptoticsReport",
-    "jvn_ratio",
     "jvn_lower_bound",
     "jvn_upper_bound_clarkson",
     "duality_gap",
@@ -40,20 +32,7 @@ __all__ = [
     "clarkson_alpha_upper",
     "clarkson_alpha_tail_bound",
     "tail_parallelogram_defect",
-    "clarkson_beta_bound",
 ]
-
-
-def jvn_ratio(space, x, y) -> float:
-    """(||x+y||^2 + ||x-y||^2) / (2 (||x||^2 + ||y||^2)); needs (x, y) != 0."""
-    xa, ya = np.asarray(x), np.asarray(y)
-    nx, ny = space.norm(xa), space.norm(ya)
-    den = 2.0 * (nx * nx + ny * ny)
-    if den == 0.0:
-        raise ValueError("x and y must not both vanish")
-    ns = space.norm(xa + ya)
-    nd = space.norm(xa - ya)
-    return (ns * ns + nd * nd) / den
 
 
 # -- parameter packing: pairs live in a flat real parameter vector ----------
@@ -246,18 +225,6 @@ def clarkson_alpha_tail_bound(exponents: FormulaExponents, horizon: int) -> floa
     if not isinstance(exponents, FormulaExponents):
         raise TypeError("analytic tail bound requires a formula exponent family")
     return clarkson_alpha_upper(float(exponents.values([horizon + 1])[0]))
-
-
-def clarkson_beta_bound(spec: NakanoSpec, cutoff: int) -> float:
-    """beta_cutoff = sup_{k >= cutoff} of the Clarkson alpha bounds, exact for every
-    exponent family; an explicit list is read from cutoff to its end, and not past it."""
-    cutoff, exponents = _check_index(cutoff), spec.exponents
-    if isinstance(exponents, FormulaExponents):
-        return clarkson_alpha_tail_bound(exponents, cutoff - 1)
-    if isinstance(exponents, ConstantExponents):
-        return clarkson_alpha_upper(exponents.p)
-    ps = exponents.values(np.arange(cutoff, max(cutoff, len(exponents.exponents)) + 1))
-    return max(clarkson_alpha_upper(p) for p in ps.tolist())
 
 
 def _tail_pairs(samples: int, seed: int, dims: list) -> tuple:

@@ -27,7 +27,6 @@ __all__ = [
     "IsometryCheck",
     "is_isometric_embedding",
     "TwoProjectionCandidate",
-    "two_projection_violation",
     "SummandSearchResult",
     "find_one_dim_two_summand",
     "two_summand_grid_floor",
@@ -39,19 +38,14 @@ __all__ = [
     "limit_isometry_check",
     "AmbiguousRankError",
     "range_intersection_dim",
-    "block_diag_map",
-    "block_sum_complement_check",
 ]
 
 # each check's fixed tolerance or size, named once
 _ISOMETRY_TOL = 1e-10       # relative deviation that still counts as isometric
-_CANDIDATE_TOL = 1e-10      # slack of ||xi|| = 1 and phi(xi) = 1 in a candidate
 _SUMMAND_SUITE = 64         # samples a summand search scores its candidates on
 _FOUND_RESIDUAL = 1e-8      # a summand search's residual that counts as found
 _LIMIT_TOL = 1e-8           # slack of lim ||(PT)^n x|| = ||x|| and of the projected isometry
 _CAUCHY_TOL = 1e-9          # spread of a Cauchy trace's norms five steps apart
-_COMPLEMENT_SAMPLES = 128   # samples of each of the complement check's two suites
-_COMPLEMENT_TOL = 1e-12     # E2-part an F-vector's image may keep
 
 
 @dataclass(frozen=True)
@@ -128,15 +122,6 @@ class TwoProjectionCandidate:
         object.__setattr__(self, "xi", as_real_vector(self.xi))
         object.__setattr__(self, "phi", as_real_vector(self.phi))
 
-    def validate(self, space) -> None:
-        """Raise unless ||xi|| = 1 and phi(xi) = 1, each within _CANDIDATE_TOL."""
-        nxi = space.norm(self.xi)
-        if abs(nxi - 1.0) > _CANDIDATE_TOL:
-            raise ValueError(f"xi must be normalized, got ||xi|| = {nxi}")
-        pv = float(self.phi @ self.xi)
-        if abs(pv - 1.0) > _CANDIDATE_TOL:
-            raise ValueError(f"phi(xi) must equal 1, got {pv}")
-
 
 #: Residual rows per norm call at most, unless one candidate has more.  Whole
 #: residual stacks run to hundreds of thousands of rows, and their freshly
@@ -197,19 +182,6 @@ def _candidate_violations(space, xi_raw: np.ndarray, phi_raw: np.ndarray,
     f = (suite @ np.repeat(phi, 1 + lone, axis=0).T)[:, :len(phi)]     # (n_s, k')
     out[np.nonzero(ok)[0][ok2]] = _worst_defects(space, suite, suite_norm2, f, xi[ok2].T)
     return out
-
-
-def two_projection_violation(space, cand: TwoProjectionCandidate,
-                             samples: int = 256, seed: int = 0) -> float:
-    """Worst relative defect of ||x||^2 = |phi(x)|^2 ||xi||^2 + ||x - phi(x) xi||^2.
-
-    Zero (to round-off) exactly when x -> phi(x) xi is a norm-one projection
-    onto a hilbertian summand.
-    """
-    cand.validate(space)
-    suite, n2 = _nonzero_suite(space, samples, seed)
-    v = _candidate_violations(space, cand.xi[None, :], cand.phi[None, :], suite, n2)
-    return float(v[0])
 
 
 @dataclass(frozen=True)
@@ -448,51 +420,3 @@ def range_intersection_dim(t: LinearMap, tol: float = 1e-8) -> int:
     if np.any(near):
         raise AmbiguousRankError(sigmas[near])
     return int(np.sum(sigmas > 1.0 - tol))
-
-
-# ---------------------------------------------------------------------------
-# block maps over two-part sums
-
-
-def block_diag_map(u: np.ndarray, v: np.ndarray, domain, codomain,
-                   coupling: np.ndarray | None = None) -> LinearMap:
-    """Assemble (x, f) -> (U x + [coupling f], V f) over two-part sums.
-
-    The optional coupling block injects an E-component from the F-part and
-    exists to manufacture broken maps in tests.
-    """
-    dk = _two_part_space(domain).dim
-    ck = _two_part_space(codomain).dim
-    m = np.zeros((codomain.dim, domain.dim))
-    m[:ck, :dk] = np.asarray(u, dtype=float)
-    m[ck:, dk:] = np.asarray(v, dtype=float)
-    if coupling is not None:
-        m[:ck, dk:] = np.asarray(coupling, dtype=float)
-    return LinearMap(m, domain, codomain)
-
-
-def block_sum_complement_check(u: np.ndarray, v: np.ndarray, domain, codomain, seed: int = 0,
-                               coupling: np.ndarray | None = None) -> bool:
-    """Does the assembled block map carry the F-part into the F-part?
-
-    The map must be an isometric embedding first, on _COMPLEMENT_SAMPLES samples;
-    that failing is an error, not a negative answer.  Then the E2-component of the
-    image of as many sampled F1-vectors must vanish within _COMPLEMENT_TOL.
-    """
-    t = block_diag_map(u, v, domain, codomain, coupling=coupling)
-    iso = is_isometric_embedding(t, samples=_COMPLEMENT_SAMPLES, seed=seed)
-    if not iso.isometric:
-        raise ValueError(
-            f"map is not an isometric embedding (deviation {iso.max_deviation:.3e})"
-        )
-    dk = _two_part_space(domain).dim
-    ck = _two_part_space(codomain).dim
-    suite = _domain_suite(Euclid(domain.dim - dk), _COMPLEMENT_SAMPLES, seed)
-    worst = 0.0
-    for f in suite:
-        x = np.zeros(domain.dim)
-        x[dk:] = f
-        z = t.apply(x)
-        e2 = z[:ck]
-        worst = max(worst, float(np.linalg.norm(e2)))
-    return worst <= _COMPLEMENT_TOL

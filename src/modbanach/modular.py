@@ -28,7 +28,6 @@ __all__ = [
     "LuxemburgSpace",
     "ScaleProfile",
     "modular_eval",
-    "delta2_constant",
     "luxemburg_norm",
     "luxemburg_norms",
     "NumericalFailure",
@@ -70,10 +69,6 @@ class ConvexModular:
         number of terms."""
         raise NotImplementedError
 
-    def exponent_range(self) -> tuple:
-        """Global exponent bounds (q_min, q_max) of the modular kind."""
-        raise NotImplementedError
-
     def profile(self, point) -> ScaleProfile:
         norms, exps, _ = self.batch_terms((point,))
         return ScaleProfile(norms, exps)
@@ -102,9 +97,6 @@ class PowerModular(ConvexModular):
             stack = [as_real_vector(x, space.dim) for x in points]
         norms = np.asarray(space.norm_batch(np.stack(stack)), dtype=float) if stack else np.empty(0)
         return norms, np.full(norms.size, self.q), np.ones(norms.size, dtype=np.intp)
-
-    def exponent_range(self):
-        return (self.q, self.q)
 
 
 def square(space) -> PowerModular:
@@ -140,10 +132,6 @@ class DirectSumModular(ConvexModular):
         exps = np.concatenate([e for _, e, _ in terms])[order]
         return norms, exps, sum(c for _, _, c in terms)
 
-    def exponent_range(self):
-        ranges = [theta.exponent_range() for theta in self.parts]
-        return (min(r[0] for r in ranges), max(r[1] for r in ranges))
-
 
 def modular_eval(theta: ConvexModular, point) -> float:
     """Theta(x), with the point validated by the modular's own spaces."""
@@ -151,12 +139,6 @@ def modular_eval(theta: ConvexModular, point) -> float:
     if not math.isfinite(v):
         raise NumericalFailure("modular value is not finite")
     return v
-
-
-def delta2_constant(theta: ConvexModular) -> float:
-    """A constant C with Theta(2x) <= C * Theta(x): C = 2 ** q_max."""
-    _, qmax = theta.exponent_range()
-    return 2.0 ** qmax
 
 
 def luxemburg_norm(theta: ConvexModular, point) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import spaces
 from .modular import ConvexModular, NumericalFailure, luxemburg_norm
-from .spaces import (REQUIRED, Euclid, Lp, _check_dim, _int_reader, _list_reader, _read_kind, _read_object, as_real,
+from .spaces import (_DIM, REQUIRED, Euclid, Lp, _check_dim, _list_reader, _read_kind, _read_object, as_real,
                      space_from_dict)
 
 __all__ = [
@@ -39,9 +39,6 @@ __all__ = [
     "NakanoModular",
     "nakano_modular",
     "nakano_norm",
-    "disjoint_additivity_check",
-    "weakly_null_surrogate",
-    "homogeneity_defect",
     "ConditionTermSeries",
     "ConditionVerdict",
     "ConditionReport",
@@ -88,9 +85,6 @@ class ConstantExponents:
         ns = np.asarray(ns)
         return np.full(ns.shape, self.p)
 
-    def bounds(self) -> tuple:
-        return (self.p, self.p)
-
     def critical_c(self) -> float:
         if self.p == 2.0:
             raise ValueError("exponent equals 2 at every index; the series is undefined there")
@@ -117,9 +111,6 @@ class ExplicitExponents:
             raise ValueError(f"index {n} beyond the {len(self.exponents)} explicit exponents")
         return np.array(self.exponents)[ns - 1]
 
-    def bounds(self) -> tuple:
-        return (min(self.exponents), max(self.exponents))
-
     def critical_c(self) -> float:
         raise ValueError(f"the {len(self.exponents)} explicit exponents are a finite list, "
                          "which has no tail to decide the series by")
@@ -142,8 +133,9 @@ class FormulaExponents:
       increases;
     - loglog: log(log(n + b)) increases and is positive from n = 1 on.
 
-    So p_1 is the exponent farthest from 2, and :meth:`bounds` reads it
-    alone.  Values are validated to lie in [1, P_MAX].
+    So beyond any index the exponent farthest from 2 is the next one, which
+    :func:`geomconst.clarkson_alpha_tail_bound` reads alone.  Values are
+    validated to lie in [1, P_MAX].
     """
 
     form: str
@@ -189,10 +181,6 @@ class FormulaExponents:
             where = int(np.asarray(ns).ravel()[np.argmax(bad.ravel())])
             raise ValueError(f"exponent at index {where} outside [1, {P_MAX}]")
         return vals
-
-    def bounds(self) -> tuple:
-        p1 = float(self.values([1])[0])
-        return (min(p1, 2.0), max(p1, 2.0))
 
     def critical_c(self) -> float:
         if self.form == "log":
@@ -522,90 +510,18 @@ class NakanoModular(ConvexModular):
             norms[rows] = spaces.lp_norms_stack(flat[starts[rows, None] + np.arange(d)], ps[rows])
         return norms, exps, counts
 
-    def exponent_range(self):
-        return self.spec.exponents.bounds()
-
 
 def nakano_norm(spec: NakanoSpec, x: BlockVector) -> float:
     """Luxemburg norm of a block vector in the Nakano space."""
     return luxemburg_norm(NakanoModular(spec), x)
 
 
-def disjoint_additivity_check(spec: NakanoSpec, x: BlockVector, y: BlockVector) -> float:
-    """|Theta(x + y) - Theta(x) - Theta(y)| for disjointly supported x, y."""
-    overlap = set(x.support) & set(y.support)
-    if overlap:
-        raise ValueError(f"supports overlap at blocks {sorted(overlap)}")
-    both = x + y
-    # the blocks of x + y are those of x and of y, so its terms are theirs too
-    norms, exps, _ = NakanoModular(spec).batch_terms((both,))
-    in_x = np.isin(both.support, x.support)
-    rows = np.stack((norms, np.where(in_x, norms, 0.0), np.where(in_x, 0.0, norms)))
-    theta_both, theta_x, theta_y = _theta_rows(rows, exps).tolist()
-    return abs(theta_both - theta_x - theta_y)
-
-
 def _unit_block(spec: NakanoSpec, n: int) -> np.ndarray:
+    """The first basis direction of block n, scaled to norm one."""
     blk = spec.block(n)
     e = np.zeros(blk.dim)
     e[0] = 1.0
-    nrm = blk.norm(e)
-    if nrm == 0.0:
-        raise ValueError(f"block {n} norm oracle vanishes on a basis vector")
-    return e / nrm
-
-
-def weakly_null_surrogate(spec: NakanoSpec, x: BlockVector, t: float, n: int) -> tuple:
-    """Exact modular bookkeeping for a far-out unit block direction.
-
-    Returns (Theta(x + t * u_n), Theta(x) + |t| ** p_n) where u_n is a norm-one
-    vector of block n, required to lie outside the support of x.  The two
-    numbers agree by disjoint additivity; the second drifts toward
-    Theta(x) + t**2 as p_n -> 2.
-    """
-    n = _check_index(n)
-    if n in x.support:
-        raise ValueError(f"block {n} lies in the support of x")
-    t = float(t)
-    u = _unit_block(spec, n)
-    shifted = x + BlockVector(((n, t * u),))
-    first = nakano_modular(spec, shifted)
-    second = nakano_modular(spec, x) + abs(t) ** spec.exponent(n)
-    return first, second
-
-
-def homogeneity_defect(spec: NakanoSpec, x: BlockVector, lam: float, n: int) -> tuple:
-    """Defect |Theta(lam x) - lam**2 Theta(x)| with its tail exponent bound.
-
-    Requires the support of x to sit in blocks >= n.  The bound is
-    max_{k in supp} | |lam|**p_k - lam**2 | * Theta(x), which collapses as the
-    exponents approach 2 along the tail.  A defect or bound that is not a
-    finite float raises ``NumericalFailure``.
-    """
-    n = _check_index(n)
-    if x.support and min(x.support) < n:
-        raise ValueError(f"support of x dips below the cutoff {n}")
-    lam = float(lam)
-    if not x.support:
-        return 0.0, 0.0
-    try:
-        scaled = x.scale(lam)
-    except ValueError:
-        # lam x overflowed; a non-finite Theta(x) still raises first
-        nakano_modular(spec, x)
-        raise
-    norms, exps, _ = NakanoModular(spec).batch_terms((x, scaled))
-    w = len(x.items)
-    theta_x, theta_lam = _theta_rows(norms.reshape(2, w), exps[:w]).tolist()
-    try:
-        defect = abs(theta_lam - lam ** 2 * theta_x)
-        bound = max(abs(abs(lam) ** spec.exponent(k) - lam ** 2) for k in x.support) * theta_x
-    except OverflowError:
-        # a float ** that overflows raises instead of giving inf
-        defect = bound = math.inf
-    if not (math.isfinite(defect) and math.isfinite(bound)):
-        raise NumericalFailure("homogeneity defect is not finite")
-    return defect, bound
+    return e / blk.norm(e)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +635,7 @@ _BLOCK_KINDS = {
     "uniform": (UniformBlocks, {"space": (space_from_dict, REQUIRED)}),
     "cycle": (lambda spaces: CycledBlocks(spaces), {"spaces": _SPACES}),
     "list": (lambda spaces: ExplicitBlocks(spaces), {"spaces": _SPACES}),
-    "lp_matched": (MatchedLpBlocks, {"d": (_int_reader(1), REQUIRED)}),
+    "lp_matched": (MatchedLpBlocks, {"d": _DIM}),
 }
 
 

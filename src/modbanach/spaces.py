@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -25,14 +24,11 @@ __all__ = [
     "Lp",
     "Euclid",
     "Schatten",
-    "CustomSpace",
     "TwoSum",
     "lp_norms_stack",
     "reduce_rows",
-    "singular_values",
     "singular_values_stack",
     "dual_exponent",
-    "banach_mazur_lp_vs_hilbert",
     "as_real",
     "as_real_vector",
     "as_matrix",
@@ -233,22 +229,15 @@ def lp_norms_stack(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return out
 
 
-def singular_values(m) -> np.ndarray:
-    """Singular values of a square matrix, descending.
+def singular_values_stack(ms: np.ndarray) -> np.ndarray:
+    """Singular values of each square matrix of a (..., d, d) stack, descending.
 
     Computed through the Hermitian eigendecomposition of m* m; eigenvalues
     pushed slightly negative by round-off are clamped at zero before the
-    square root.  See :func:`singular_values_stack` for the scaling.
-    """
-    return singular_values_stack(as_matrix(m))
-
-
-def singular_values_stack(ms: np.ndarray) -> np.ndarray:
-    """Batched :func:`singular_values` over a (..., d, d) stack.
-
-    Each matrix is divided by a power of two near its largest real or
-    imaginary part before m* m is formed, so the product neither overflows nor drowns; the scaling
-    is exact and changes no bit where m* m stays in range.
+    square root.  Each matrix is divided by a power of two near its largest
+    real or imaginary part before m* m is formed, so the product neither
+    overflows nor drowns; the scaling is exact and changes no bit where m* m
+    stays in range.
     """
     # the real and imaginary parts side by side, as a (..., d, 2d) float view
     parts = np.ascontiguousarray(ms, dtype=complex).view(float)
@@ -335,31 +324,6 @@ class Schatten:
 
 
 @dataclass(frozen=True)
-class CustomSpace:
-    """Norm given by a user oracle on real vectors of dimension d."""
-
-    oracle: Callable[[np.ndarray], float]
-    d: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", _check_dim(self.d))
-
-    @property
-    def dim(self) -> int:
-        return self.d
-
-    def norm(self, x) -> float:
-        arr = as_real_vector(x, self.d)
-        v = float(self.oracle(arr))
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"norm oracle returned an invalid value {v!r}")
-        return v
-
-    def norm_batch(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.norm(row) for row in np.asarray(xs, dtype=float)])
-
-
-@dataclass(frozen=True)
 class TwoSum:
     """Hilbertian direct sum of real-scalar spaces.
 
@@ -419,15 +383,6 @@ def dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def banach_mazur_lp_vs_hilbert(p: float, d: int) -> float:
-    """Banach-Mazur distance d(l_p^d, l_2^d) = d ** |1/2 - 1/p|, p finite."""
-    p = _check_exponent(p)
-    if p == INF:
-        raise ValueError("p must be finite")
-    d = _check_dim(d)
-    return float(d) ** abs(0.5 - 1.0 / p)
-
-
 def space_to_dict(space) -> dict:
     """JSON-friendly descriptor for the serializable space kinds."""
     if isinstance(space, Lp):
@@ -443,14 +398,27 @@ def space_to_dict(space) -> dict:
 
 def space_from_dict(desc: dict, where: str = "space"):
     """Inverse of :func:`space_to_dict`; ``where`` is the descriptor's path in error messages."""
-    return _read_kind(_SPACE_KINDS, desc, where)
+    space = _read_kind(_SPACE_KINDS, desc, where)
+    if space.dim > _COORDS_MAX:
+        # only a two_sum gets here: each part's d has its own bound
+        raise ConfigError(f"{where}.parts: {space.dim} coordinates in all, more than {_COORDS_MAX}")
+    return space
 
 
-_DIM = (_int_reader(1), REQUIRED)
+#: The most elements a config may make any one array hold (16 GiB of
+#: floats).  Every size key's upper bound derives from it, so a larger value
+#: is a rejected config, never a MemoryError.
+_ELEMENTS_MAX = 2 ** 31
+#: The most real coordinates of a space (a Schatten d x d matrix has 2 d^2):
+#: the JvN ascent differences each start along all 2n of its n = 2 * coordinates
+#: parameters, an array of 8 * coordinates^2 elements.
+_COORDS_MAX = math.isqrt(_ELEMENTS_MAX // 8)
+_DIM = (_int_reader(1, _COORDS_MAX), REQUIRED)
+_SCHATTEN_D = (_int_reader(1, math.isqrt(_COORDS_MAX // 2)), REQUIRED)
 #: each space kind's constructor and the keys of its descriptor
 _SPACE_KINDS = {
     "lp": (Lp, {"p": (as_real, REQUIRED), "d": _DIM}),
     "euclid": (Euclid, {"d": _DIM}),
-    "schatten": (Schatten, {"p": (as_real, REQUIRED), "d": _DIM}),
+    "schatten": (Schatten, {"p": (as_real, REQUIRED), "d": _SCHATTEN_D}),
     "two_sum": (TwoSum, {"parts": (_list_reader(space_from_dict), REQUIRED)}),
 }

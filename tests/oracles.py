@@ -48,6 +48,17 @@ def luxemburg_bisect(theta, x, max_expand=200):
     return hi
 
 
+def jvn_ratio(space, x, y):
+    """(||x+y||^2 + ||x-y||^2) / (2 (||x||^2 + ||y||^2)) from four ``space.norm`` calls; (x, y) must not vanish."""
+    xa, ya = np.asarray(x), np.asarray(y)
+    nx, ny = space.norm(xa), space.norm(ya)
+    den = 2.0 * (nx * nx + ny * ny)
+    if den == 0.0:
+        raise ValueError("x and y must not both vanish")
+    ns, nd = space.norm(xa + ya), space.norm(xa - ya)
+    return (ns * ns + nd * nd) / den
+
+
 def jvn_ratio_lp2(p, ax, ay, s):
     """Parallelogram ratios in l_p^2 for unit x at angles ax, y = s * unit at angles ay.
 

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -174,8 +175,9 @@ def test_stop_counts_in_meta_not_payload(cfg, extra_starts):
     assert set(stops) == {"converged", "stalled", "capped", "dropped"}
     # the JvN estimate counts its re-ascent as one more start
     assert sum(stops.values()) == res.payload["starts"] == cfg[cfg["command"]]["budget"] + extra_starts
-    assert res.payload_bytes() == dataclasses.replace(res, meta={}).payload_bytes()
-    assert b"stops" not in res.payload_bytes()
+    text = json.dumps(res.to_json_obj(include_meta=False), sort_keys=True)
+    assert text == json.dumps(dataclasses.replace(res, meta={}).to_json_obj(include_meta=False), sort_keys=True)
+    assert "stops" not in text
     if cfg["command"] == "summand":
         # the third start reaches the cut, so the five after it are dropped
         assert stops["dropped"] == 5
@@ -189,7 +191,7 @@ def test_campaign_payload_deterministic_across_jobs():
     }
     one = run_campaign({**cfg, "jobs": 1})
     eight = run_campaign({**cfg, "jobs": 8})
-    assert one.payload_bytes() != b""
+    assert json.dumps(one.to_json_obj(include_meta=False), sort_keys=True) != ""
     # jobs is part of the config, so compare payloads, not whole results
     assert json.dumps(one.to_json_obj(include_meta=False)["payload"], sort_keys=True) == \
         json.dumps(eight.to_json_obj(include_meta=False)["payload"], sort_keys=True)
@@ -475,6 +477,26 @@ _REJECTED = {
                                     "verify": {**_FAR_BLOCK, "schedule": [3000, 10]}},
     "far_block_schedule_empty": {"command": "verify", "seed": 0, "verify": {**_FAR_BLOCK, "schedule": []}},
     "far_block_schedule_single": {"command": "verify", "seed": 0, "verify": {**_FAR_BLOCK, "schedule": [10]}},
+    # a size key beyond its bound is a bad config, not a MemoryError
+    "nakano_terms_count_huge": {"command": "nakano", "seed": 0, "nakano": {**_VERDICT, "terms_count": 10 ** 15}},
+    "jvn_budget_huge": {"command": "jvn", "seed": 0, "jvn": {"space": _LP3, "budget": 10 ** 15}},
+    "summand_budget_huge": {"command": "summand", "seed": 0, "summand": {"space": _LP3, "budget": 10 ** 15}},
+    "summand_n_phi_huge": {"command": "summand", "seed": 0,
+                           "summand": {"space": {"kind": "lp", "p": 4.0, "d": 2}, "budget": 1,
+                                       "grid": {"n_xi": 4, "n_phi": 10 ** 15}}},
+    "summand_n_xi_huge": {"command": "summand", "seed": 0,
+                          "summand": {"space": {"kind": "lp", "p": 4.0, "d": 2}, "budget": 1,
+                                      "grid": {"n_xi": 10 ** 15, "n_phi": 4}}},
+    "jvn_space_d_huge": {"command": "jvn", "seed": 0, "jvn": {"space": {"kind": "lp", "p": 3.0, "d": 10 ** 15}}},
+    "jvn_two_sum_too_wide": {"command": "jvn", "seed": 0,
+                             "jvn": {"space": {"kind": "two_sum", "parts": [{"kind": "euclid", "d": 10 ** 4}] * 2}}},
+    "iterate_h_dim_huge": {"command": "iterate", "seed": 0,
+                           "iterate": {"embedding": {"kind": "counterexample", "e1": {"kind": "lp", "p": 4.0, "d": 2},
+                                                     "h_dim": 10 ** 15}}},
+    "verify_samples_huge": {"command": "verify", "seed": 0,
+                            "verify": {"check": "clarkson_lower", "space": _LP3, "samples": 10 ** 15}},
+    "asymptotics_rows_huge": {"command": "asymptotics", "seed": 0,
+                              "asymptotics": {"exponents": {"kind": "power", "a": 1.0}, "horizon": 10 ** 15}},
 }
 
 
@@ -554,6 +576,44 @@ def test_unknown_key_at_every_level_exits_2_and_names_its_path(cfg, capsys):
         node["bogus"] = 1
         assert _exit_code(bad) == 2
         assert capsys.readouterr().err == f"config error: {_shown(path + ('bogus',))}: unknown key\n"
+
+
+def _integer_key(cfg: dict, path: tuple) -> bool:
+    """Whether the key at path takes only integers: 1.5 there is rejected as not one."""
+    try:
+        validate_config(_with_slot(cfg, path, 1.5))
+    except (ValueError, TypeError) as e:
+        return str(e).startswith(f"{_shown(path)}: expected an integer")
+    return False
+
+
+#: the size keys whose values 10**15 once made numpy raise a MemoryError
+_SIZE_KEYS = {"nakano.terms_count", "jvn.budget", "summand.budget", "summand.grid.n_phi", "summand.grid.n_xi",
+              "jvn.space.d", "iterate.embedding.h_dim", "verify.samples"}
+
+
+def test_integer_key_over_its_bound_exits_2_within_a_second(capsys):
+    # every integer key but the seed, which names a stream and sizes nothing,
+    # has an upper bound, so 10**15 and 2**63 - 1 are rejected before any work
+    walked = set()
+    for cfg in _VALID:
+        for path in _objects(cfg):
+            node = cfg
+            for k in path:
+                node = node[k]
+            for key in node:
+                shown = _shown(path + (key,))
+                if shown == "seed" or not _integer_key(cfg, path + (key,)):
+                    continue
+                walked.add(shown)
+                for big in (10 ** 15, 2 ** 63 - 1):
+                    t0 = time.perf_counter()
+                    code = _exit_code(_with_slot(cfg, path + (key,), big))
+                    elapsed = time.perf_counter() - t0
+                    err = capsys.readouterr().err
+                    assert (code, err.startswith(f"config error: {shown}: ")) == (2, True), (shown, big, err)
+                    assert elapsed < 1.0, (shown, big, elapsed)
+    assert _SIZE_KEYS <= walked, sorted(_SIZE_KEYS - walked)
 
 
 @pytest.mark.parametrize("key, value", [("count", 60), ("window", [1000, 1000000]), ("margin", 0.1)],

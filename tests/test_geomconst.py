@@ -8,10 +8,8 @@ from modbanach.geomconst import (
     alpha_beta,
     clarkson_alpha_tail_bound,
     clarkson_alpha_upper,
-    clarkson_beta_bound,
     duality_gap,
     jvn_lower_bound,
-    jvn_ratio,
     jvn_upper_bound_clarkson,
     tail_parallelogram_defect,
 )
@@ -19,7 +17,6 @@ from modbanach.nakano import (
     BlockVector,
     ConstantExponents,
     CycledBlocks,
-    ExplicitExponents,
     FormulaExponents,
     MatchedLpBlocks,
     NakanoSpec,
@@ -35,12 +32,12 @@ def test_jvn_ratio_parallelogram_identity():
     space = Euclid(4)
     for _ in range(20):
         x, y = rng.standard_normal(4), rng.standard_normal(4)
-        assert jvn_ratio(space, x, y) == pytest.approx(1.0, rel=1e-12)
+        assert oracles.jvn_ratio(space, x, y) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_jvn_ratio_rejects_double_zero():
     with pytest.raises(ValueError, match="not both vanish"):
-        jvn_ratio(Euclid(2), np.zeros(2), np.zeros(2))
+        oracles.jvn_ratio(Euclid(2), np.zeros(2), np.zeros(2))
 
 
 def test_jvn_lower_bound_euclid_is_one():
@@ -66,7 +63,7 @@ def test_jvn_estimate_bounds_and_witness():
         est = jvn_lower_bound(space, budget=16, seed=1)
         assert 1.0 - 1e-9 <= est.lower_bound <= 2.0 + 1e-9
         # the recorded witness must reproduce the recorded value
-        again = jvn_ratio(space, est.witness.x, est.witness.y)
+        again = oracles.jvn_ratio(space, est.witness.x, est.witness.y)
         assert again == pytest.approx(est.witness.value, abs=1e-10)
         assert est.lower_bound == pytest.approx(est.witness.value, abs=1e-12)
         assert est.starts > 0 and est.evaluations > 0
@@ -220,33 +217,28 @@ def test_clarkson_tail_bound_is_sup_at_horizon():
 
 
 def test_clarkson_beta_bound_decreases_with_cutoff():
-    spec = NakanoSpec(FormulaExponents("power", 1.0))
-    vals = [clarkson_beta_bound(spec, n) for n in (1, 5, 10, 100)]
+    # beta_cutoff is the tail bound beyond cutoff - 1
+    e = FormulaExponents("power", 1.0)
+    vals = [clarkson_alpha_tail_bound(e, n - 1) for n in (1, 5, 10, 100)]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1.05
 
 
 def test_clarkson_beta_bound_at_any_cutoff():
-    # formula and constant families have no window to run out of; an
-    # explicit list is read from the cutoff to its end, and not past it
-    e = FormulaExponents("power", 1.0)
-    assert clarkson_beta_bound(NakanoSpec(e), 2000) == clarkson_alpha_upper(e.values([2000])[0])
-    assert clarkson_beta_bound(NakanoSpec(e), 2000) == clarkson_alpha_tail_bound(e, 1999)
-    for p in (1.0, 1.5, 2.5, 4.0):
+    # beta_cutoff, the tail bound beyond cutoff - 1, is the largest Clarkson
+    # alpha bound from the cutoff on; checked over the next 4096 indices
+    for e in (FormulaExponents("power", -0.5, s=0.5), FormulaExponents("log", 3.0, b=1.0),
+              FormulaExponents("loglog", -0.4, b=20.0)):
         for cutoff in (1, 2000, 10 ** 15):
-            assert clarkson_beta_bound(NakanoSpec(ConstantExponents(p)), cutoff) == clarkson_alpha_upper(p)
-    spec = NakanoSpec(ExplicitExponents((3.0, 1.5, 2.25, 2.0)))
-    assert [clarkson_beta_bound(spec, n) for n in (1, 2, 3, 4)] == [
-        clarkson_alpha_upper(3.0), clarkson_alpha_upper(2.25), clarkson_alpha_upper(2.25), 1.0]
-    with pytest.raises(ValueError, match="index 5 beyond the 4 explicit exponents"):
-        clarkson_beta_bound(spec, 5)
+            window = e.values(np.arange(cutoff, cutoff + 4096))
+            assert clarkson_alpha_tail_bound(e, cutoff - 1) == max(clarkson_alpha_upper(p) for p in window.tolist())
 
 
 def test_tail_defect_below_beta_bound():
     spec = NakanoSpec(FormulaExponents("power", 1.0))
     for cutoff in (5, 20):
         defect = tail_parallelogram_defect(spec, cutoff, samples=200, seed=0)
-        assert defect <= clarkson_beta_bound(spec, cutoff) + 1e-9
+        assert defect <= clarkson_alpha_tail_bound(spec.exponents, cutoff - 1) + 1e-9
         assert defect >= 1.0 - 0.05  # near-parallelogram pairs exist in the sample
 
 

@@ -7,9 +7,6 @@ from modbanach import isolab
 from modbanach.isolab import (
     AmbiguousRankError,
     LinearMap,
-    TwoProjectionCandidate,
-    block_diag_map,
-    block_sum_complement_check,
     build_counterexample_embedding,
     build_inclusion_embedding,
     find_one_dim_two_summand,
@@ -17,7 +14,6 @@ from modbanach.isolab import (
     limit_isometry_check,
     pt_iterate,
     range_intersection_dim,
-    two_projection_violation,
     two_summand_grid_floor,
 )
 from modbanach.sampling import descend, rng_stream, stop_counts
@@ -147,31 +143,27 @@ def test_range_intersection_ambiguous_rank():
     assert range_intersection_dim(askew) == 0
 
 
-def test_two_projection_candidate_validation():
-    good = TwoProjectionCandidate(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    good.validate(Euclid(2))
-    with pytest.raises(ValueError, match="normalized"):
-        TwoProjectionCandidate(np.array([2.0, 0.0]), np.array([1.0, 0.0])).validate(Euclid(2))
-    with pytest.raises(ValueError, match="phi"):
-        TwoProjectionCandidate(np.array([1.0, 0.0]), np.array([0.0, 1.0])).validate(Euclid(2))
+def _two_projection_violation(space, xi, phi):
+    # the summand search's objective at one candidate, on its own suite
+    suite, n2 = isolab._nonzero_suite(space, isolab._SUMMAND_SUITE, 0)
+    return float(isolab._candidate_violations(space, np.array([xi]), np.array([phi]), suite, n2)[0])
 
 
 def test_two_projection_violation_euclid_zero():
-    cand = TwoProjectionCandidate(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-    assert two_projection_violation(Euclid(3), cand, samples=64, seed=0) <= 1e-12
+    assert _two_projection_violation(Euclid(3), [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]) <= 1e-12
 
 
 def test_two_projection_violation_positive_in_l4():
-    cand = TwoProjectionCandidate(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    v = two_projection_violation(Lp(4.0, 2), cand, samples=64, seed=0)
-    assert v > 1e-3
+    assert _two_projection_violation(Lp(4.0, 2), [1.0, 0.0], [1.0, 0.0]) > 1e-3
 
 
 def test_summand_search_euclid_succeeds():
     res = find_one_dim_two_summand(Euclid(3), budget=8, seed=0)
     assert res.found
     assert res.residual <= 1e-8
-    res.candidate.validate(Euclid(3))
+    xi, phi = res.candidate.xi, res.candidate.phi
+    assert Euclid(3).norm(xi) == pytest.approx(1.0, abs=1e-10)
+    assert float(phi @ xi) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_summand_search_l4_fails():
@@ -341,32 +333,3 @@ def test_grid_floor_zero_for_euclid():
 def test_grid_floor_requires_plane():
     with pytest.raises(ValueError):
         two_summand_grid_floor(Euclid(3))
-
-
-def test_block_check_true_for_clean_diagonal():
-    domain = TwoSum((Lp(4.0, 2), Euclid(1)))
-    codomain = TwoSum((Lp(4.0, 2), Euclid(2)))
-    u = np.array([[0.0, 1.0], [-1.0, 0.0]])  # signed permutation of l_4^2
-    v = np.array([[1.0], [0.0]])
-    assert block_sum_complement_check(u, v, domain, codomain) is True
-
-
-def test_block_check_false_for_isometric_leak():
-    # the F-part image leaks into a spare Euclidean direction of E2 while
-    # total norms stay intact, so the map is isometric but not block-pure
-    domain = TwoSum((Euclid(2), Euclid(1)))
-    codomain = TwoSum((Euclid(3), Euclid(1)))
-    u = np.vstack([np.eye(2), np.zeros((1, 2))])
-    v = np.array([[0.6]])
-    coupling = np.array([[0.0], [0.0], [0.8]])
-    assert block_sum_complement_check(u, v, domain, codomain, coupling=coupling) is False
-
-
-def test_block_check_rejects_non_isometry():
-    domain = TwoSum((Euclid(2), Euclid(1)))
-    codomain = TwoSum((Euclid(2), Euclid(1)))
-    u = np.eye(2)
-    v = np.array([[1.0]])
-    coupling = np.array([[0.5], [0.0]])
-    with pytest.raises(ValueError, match="not an isometric embedding"):
-        block_sum_complement_check(u, v, domain, codomain, coupling=coupling)

@@ -10,7 +10,6 @@ from modbanach.modular import (
     LuxemburgSpace,
     NumericalFailure,
     PowerModular,
-    delta2_constant,
     luxemburg_norm,
     luxemburg_norms,
     modular_eval,
@@ -19,7 +18,7 @@ from modbanach.modular import (
     square,
 )
 from modbanach.nakano import BlockVector, ExplicitExponents, MatchedLpBlocks, NakanoModular, NakanoSpec
-from modbanach.spaces import CustomSpace, Euclid, Lp, Schatten, TwoSum
+from modbanach.spaces import Euclid, Lp, Schatten, TwoSum
 
 import oracles
 
@@ -96,19 +95,26 @@ def test_modular_axioms_sampled():
 
 
 def test_delta2_constant():
-    assert delta2_constant(square(Euclid(5))) == 4.0
-    assert delta2_constant(PowerModular(Lp(2.0, 1), 3.0)) == 8.0
+    # one power q doubles to exactly 2 ** q; a direct sum lands between
+    # 2 ** q_min and 2 ** q_max
+    x = np.array([0.3, -1.2, 2.0, 0.5, 1.0])
+    assert modular_eval(square(Euclid(5)), 2.0 * x) == pytest.approx(4.0 * modular_eval(square(Euclid(5)), x),
+                                                                      rel=1e-15)
+    cube = PowerModular(Lp(2.0, 1), 3.0)
+    assert modular_eval(cube, np.array([1.4])) == pytest.approx(8.0 * modular_eval(cube, np.array([0.7])), rel=1e-15)
     mixed = DirectSumModular((square(Euclid(1)), PowerModular(Lp(3.0, 1), 2.5)))
-    assert delta2_constant(mixed) == pytest.approx(2.0 ** 2.5, rel=1e-15)
+    point = (np.array([0.5]), np.array([1.0]))
+    ratio = modular_eval(mixed, _scale(point, 2.0)) / modular_eval(mixed, point)
+    assert 4.0 < ratio <= 2.0 ** 2.5
 
 
 def test_delta2_bound_sampled():
+    # Theta(2x) <= 2 ** q_max Theta(x), with q_max the largest exponent of each of _kinds()
     rng = np.random.default_rng(3)
-    for theta, shape in _kinds():
-        c = delta2_constant(theta)
+    for (theta, shape), qmax in zip(_kinds(), (2.0, 3.0, 4.0, 2.5, 4.0, 3.0), strict=True):
         for _ in range(10):
             x = _point(rng, shape)
-            assert modular_eval(theta, _scale(x, 2.0)) <= c * modular_eval(theta, x) * (1.0 + 1e-12)
+            assert modular_eval(theta, _scale(x, 2.0)) <= 2.0 ** qmax * modular_eval(theta, x) * (1.0 + 1e-12)
 
 
 def test_luxemburg_zero_is_zero():
@@ -377,8 +383,7 @@ def test_direct_sum_batch_terms_keep_each_points_bits():
     (Euclid(3), lambda rng: rng.standard_normal(3)),
     (Schatten(3.0, 2), lambda rng: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))),
     (TwoSum((Lp(4.0, 2), Euclid(1))), lambda rng: rng.standard_normal(3)),
-    (CustomSpace(lambda v: float(np.abs(v).sum()), 2), lambda rng: rng.standard_normal(2)),
-], ids=["lp", "euclid", "schatten", "two_sum", "custom"])
+], ids=["lp", "euclid", "schatten", "two_sum"])
 def test_power_modular_batch_terms_are_each_points_norm(space, draw):
     rng = np.random.default_rng(3)
     points = [draw(rng) * 10.0 ** rng.uniform(-100, 100) for _ in range(9)]

@@ -1,5 +1,6 @@
 """The package's public names and the benchmark tracer's hooks stay in place,
-and every defaulted parameter has a caller."""
+every public name has a caller beyond its own unit test, and every defaulted
+parameter has a caller."""
 import ast
 import importlib
 import importlib.util
@@ -118,3 +119,64 @@ def test_every_defaulted_parameter_has_a_caller():
                     continue
                 unset.append(f"{fn.name}.{param}")
     assert unset == [], f"defaulted parameters that no call sets: {unset}"
+
+
+#: public names that nothing in the package, the benchmark, the scripts or the
+#: acceptance criteria reaches, each with its reason
+_UNCALLED_ALLOWED = {
+    "verify.reevaluate_witness": "the README promises that a report's worst witness can be replayed",
+}
+
+
+def _references(tree, chain: tuple, out: dict) -> None:
+    """Each name a tree reads as a Name, an Attribute or an import, with the
+    chain around the read: ``chain`` and then every public def or class it sits in."""
+    for node in ast.iter_child_nodes(tree):
+        inner = chain
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            inner = chain + (node.name,)
+        if isinstance(node, ast.Name):
+            out.setdefault(node.id, []).append(chain)
+        elif isinstance(node, ast.Attribute):
+            out.setdefault(node.attr, []).append(chain)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                out.setdefault(alias.name.rsplit(".", 1)[-1], []).append(chain)
+        _references(node, inner, out)
+
+
+def test_every_public_name_has_a_caller():
+    # the public defs and classes of the package's modules, and the public
+    # methods of those classes; a name is reached when it is read in src/
+    # (not __init__.py, whose re-exports and __all__ call nothing),
+    # perfbench/, scripts/ or the acceptance criteria, outside its own def
+    # and outside every def found unreached so far.  Methods match by name
+    # alone, so a method is reached when any method of its name is.
+    outside = {}
+    for tree in _trees("perfbench") + _trees("scripts") + [
+            ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))]:
+        _references(tree, (), outside)
+    inside, defs = {}, {}
+    for path in sorted((ROOT / "src" / "modbanach").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        _references(tree, (path.stem,), inside)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defs[(path.stem, node.name)] = node.name
+                for m in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                        defs[(path.stem, node.name, m.name)] = m.name
+    allowed = {tuple(q.split(".")) for q in _UNCALLED_ALLOWED}
+    dead = set()
+    while True:
+        # a read counts unless a def around it is unreached or has the name read
+        unreached = {q for q, name in defs.items() if q not in dead | allowed and name not in outside and not any(
+            name not in chain[1:] and not any(chain[:k] in dead for k in range(2, len(chain) + 1))
+            for chain in inside.get(name, ()))}
+        if not unreached:
+            break
+        dead |= unreached
+    names = sorted(".".join(q) for q in dead)
+    assert names == [], f"public names that no caller reaches: {names}"
