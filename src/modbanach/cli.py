@@ -375,7 +375,8 @@ def run_campaign(config: dict) -> CampaignResult:
     """Validate and execute one campaign config.
 
     A ValueError, KeyError or TypeError the config's reading or run raises
-    is a rejected parameter, a ConfigError, except a NumericalFailure.
+    is a rejected parameter, a ConfigError, except a NumericalFailure; a
+    MemoryError is a ConfigError too, as the config asked for more than fits.
     """
     try:
         values = validate_config(config)
@@ -386,6 +387,8 @@ def run_campaign(config: dict) -> CampaignResult:
         raise
     except (ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"{config['command']}: {e}") from None
+    except MemoryError as e:
+        raise ConfigError(f"{config['command']}: out of memory: {e}") from None
     return CampaignResult(
         name=values["name"], config=config, payload=payload, passed=passed, violated=violated,
         numerical_failure=numfail, wall_time=time.perf_counter() - t0, version=__version__,

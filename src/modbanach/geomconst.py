@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nakano import FormulaExponents, NakanoSpec, P_MAX, _check_index, _theta_rows
+from .modular import _theta_rows
+from .nakano import FormulaExponents, NakanoSpec, P_MAX, _check_index
 from .sampling import Descent, _complex_normals, descend, stop_counts, stream_normals, structured_pairs
 from .spaces import Lp, Schatten, dual_exponent
 
@@ -227,6 +228,10 @@ def clarkson_alpha_tail_bound(exponents: FormulaExponents, horizon: int) -> floa
     return clarkson_alpha_upper(float(exponents.values([horizon + 1])[0]))
 
 
+#: the blocks cutoff, ..., cutoff + 7 that the tail defect's pairs are supported on
+_TAIL_WINDOW = 8
+
+
 def _tail_pairs(samples: int, seed: int, dims: list) -> tuple:
     """x and y of the sampled pairs, one ``(samples, d)`` array each per window block.
 
@@ -239,72 +244,22 @@ def _tail_pairs(samples: int, seed: int, dims: list) -> tuple:
     return np.split(x, offs, axis=1), np.split(y, offs, axis=1)
 
 
-def _explicit_pairs(pairs: list, support: list, dims: list) -> tuple:
-    """x and y of given pairs, one dense ``(pairs, d)`` array each per support block.
-
-    A block that a vector lacks stays zero, and a block with a complex entry
-    anywhere is complex for every pair.
-    """
-    col = {n: j for j, n in enumerate(support)}
-    cplx = {n for pair in pairs for v in pair for n, arr in v.items if arr.dtype.kind == "c"}
-    kinds = [complex if n in cplx else float for n in support]
-    xs = [np.zeros((len(pairs), d), kind) for d, kind in zip(dims, kinds)]
-    ys = [np.zeros((len(pairs), d), kind) for d, kind in zip(dims, kinds)]
-    for i, pair in enumerate(pairs):
-        for stacks, v in zip((xs, ys), pair):
-            for n, arr in v.items:
-                j = col[n]
-                if arr.shape[0] != dims[j]:
-                    raise ValueError(f"block {n} has {arr.shape[0]} coordinates, expected {dims[j]}")
-                stacks[j][i] = arr
-    return xs, ys
-
-
-def tail_parallelogram_defect(
-    spec: NakanoSpec,
-    cutoff: int,
-    samples: int = 1000,
-    seed: int = 0,
-    window: int = 8,
-    pairs=None,
-) -> float:
+def tail_parallelogram_defect(spec: NakanoSpec, cutoff: int, samples: int = 1000, seed: int = 0) -> float:
     """Max of (Theta(x+y) + Theta(x-y)) / (2 (Theta(x) + Theta(y))) on the tail.
 
-    Pairs are supported on blocks >= cutoff (a fixed window right of the
-    cutoff when they are sampled here); the max ratio never exceeds the
-    suffix bound beta_cutoff.
-
-    All pairs are read as dense arrays over one support, the window or the
-    union of the given pairs' supports, where a missing block is a zero
-    block.  Each block's norms of x+y, x-y, x and y come from one
-    ``norm_batch`` call, and Theta is the formula of ``nakano_modular``, so
+    The pairs are sampled on the window of blocks cutoff, ..., cutoff + 7,
+    so the max ratio never exceeds the suffix bound beta_cutoff.  Each
+    block's norms of x+y, x-y, x and y come from one ``norm_batch`` call,
+    and Theta is the kernel of ``modular_eval`` and ``nakano_modular``, so
     the defect has the bits of one ``nakano_modular`` call per vector.
     """
-    if pairs is None:
-        if window < 1:
-            raise ValueError(f"window must be at least 1, got {window}")
-        support = list(range(_check_index(cutoff), _check_index(cutoff + window - 1) + 1))
-    else:
-        pairs = list(pairs)
-        for x, y in pairs:
-            if x.support and min(x.support) < cutoff:
-                raise ValueError(f"pair supported below the cutoff {cutoff}")
-            if y.support and min(y.support) < cutoff:
-                raise ValueError(f"pair supported below the cutoff {cutoff}")
-        support = sorted({n for x, y in pairs for n in x.support + y.support})
+    support = list(range(_check_index(cutoff), _check_index(cutoff + _TAIL_WINDOW - 1) + 1))
     exps = spec.exponents.values(np.array(support, dtype=np.intp))
     blocks = [spec.blocks.block(n, p) for n, p in zip(support, exps.tolist())]
-    dims = [blk.dim for blk in blocks]
-    if pairs is None:
-        rows = max(samples, 0)
-        xs, ys = _tail_pairs(rows, seed, dims)
-    else:
-        rows = len(pairs)
-        xs, ys = _explicit_pairs(pairs, support, dims)
+    rows = max(samples, 0)
+    xs, ys = _tail_pairs(rows, seed, [blk.dim for blk in blocks])
     norms = np.empty((4 * rows, len(blocks)))
     for j, (blk, x, y) in enumerate(zip(blocks, xs, ys)):
-        if x.dtype.kind == "c" and not isinstance(blk, Schatten):
-            raise TypeError("complex entries are only supported in Schatten spaces")
         norms[:, j] = blk.norm_batch(np.concatenate((x + y, x - y, x, y)))
     theta = _theta_rows(norms, exps).reshape(4, -1)
     with np.errstate(over="ignore"):

@@ -46,6 +46,7 @@ _SUMMAND_SUITE = 64         # samples a summand search scores its candidates on
 _FOUND_RESIDUAL = 1e-8      # a summand search's residual that counts as found
 _LIMIT_TOL = 1e-8           # slack of lim ||(PT)^n x|| = ||x|| and of the projected isometry
 _CAUCHY_TOL = 1e-9          # spread of a Cauchy trace's norms five steps apart
+_RANK_TOL = 1e-8            # a principal-angle cosine above 1 - this counts toward the rank
 
 
 @dataclass(frozen=True)
@@ -399,11 +400,11 @@ class AmbiguousRankError(ValueError):
         self.sigmas = sigmas
 
 
-def range_intersection_dim(t: LinearMap, tol: float = 1e-8) -> int:
+def range_intersection_dim(t: LinearMap) -> int:
     """Dimension of range(T) meet H by principal angles.
 
     Orthonormalizes the range, takes singular values of its overlap with the
-    H coordinate block, and counts cosines above 1 - tol.  Values crowding
+    H coordinate block, and counts cosines above 1 - ``_RANK_TOL``.  Values crowding
     the threshold from below raise :class:`AmbiguousRankError` instead of
     silently rounding.
     """
@@ -416,7 +417,7 @@ def range_intersection_dim(t: LinearMap, tol: float = 1e-8) -> int:
         return 0
     sigmas = np.linalg.svd(overlap, compute_uv=False)
     sigmas = np.clip(sigmas, 0.0, 1.0)
-    near = (sigmas > 1.0 - 50.0 * tol) & (sigmas <= 1.0 - tol)
+    near = (sigmas > 1.0 - 50.0 * _RANK_TOL) & (sigmas <= 1.0 - _RANK_TOL)
     if np.any(near):
         raise AmbiguousRankError(sigmas[near])
-    return int(np.sum(sigmas > 1.0 - tol))
+    return int(np.sum(sigmas > 1.0 - _RANK_TOL))

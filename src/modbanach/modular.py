@@ -8,11 +8,15 @@ Newton iteration run on padded ``(rows, terms)`` arrays and never touch the
 vectors again.  Per point, only the Newton start log(m) / q_max and the
 equal-exponent closed form stay scalar ``math``, because numpy's vector log
 and power round some values differently and every norm keeps the bits it
-has when solved alone.  ``ScaleProfile`` evaluates t -> Theta(t * x) from
-one point's terms for :func:`modular_eval`.
+has when solved alone.
+
+Theta itself has one kernel, :func:`_theta_rows`, behind :func:`modular_eval`
+(through ``ScaleProfile``), ``nakano.nakano_modular`` and the tail defect of
+``geomconst``: each term is a libm pow, summed left to right.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,25 +43,43 @@ class NumericalFailure(ValueError):
     """A modular value or a Luxemburg norm that is not a finite float."""
 
 
-class ScaleProfile:
-    """Evaluates t -> Theta(t * x) from precomputed (norm, exponent) terms.
+def _theta_rows(norms: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """Theta of each row of a ``(rows, w)`` term-norm array: sum_j norms[i, j] ** exps[j].
 
-    Zero-norm terms are dropped; they contribute nothing at any scale.
+    Each term is a libm pow, Python's float ``**``, which ``np.power`` does
+    not match in the last bit for every term.  The terms are summed left to
+    right, one column at a time at every width, as a plain ``total += nrm **
+    p`` loop does; numpy's reduce along a row regroups from 8 terms on.  So a
+    row's Theta has the same bits at any batch height, and a zero norm adds
+    exactly +0.0.  An overflowing term or a non-finite total raises
+    ``NumericalFailure``.
     """
+    rows = norms.shape[0]
+    total = np.zeros(rows)
+    try:
+        with np.errstate(over="ignore"):
+            for column, p in zip(norms.T.tolist(), exps.tolist()):
+                total += np.fromiter(map(pow, column, itertools.repeat(p, rows)), float, rows)
+    except OverflowError:
+        # a float ** that overflows raises instead of giving inf
+        raise NumericalFailure("modular value is not finite") from None
+    if not np.isfinite(total).all():
+        raise NumericalFailure("modular value is not finite")
+    return total
+
+
+class ScaleProfile:
+    """Evaluates t -> Theta(t * x) from precomputed (norm, exponent) terms,
+    through :func:`_theta_rows`."""
 
     __slots__ = ("norms", "exps")
 
     def __init__(self, norms, exps):
-        norms = np.asarray(norms, dtype=float)
-        exps = np.asarray(exps, dtype=float)
-        keep = norms > 0.0
-        self.norms = norms[keep]
-        self.exps = exps[keep]
+        self.norms = np.asarray(norms, dtype=float)
+        self.exps = np.asarray(exps, dtype=float)
 
     def __call__(self, t: float) -> float:
-        if t == 0.0 or self.norms.size == 0:
-            return 0.0
-        return float(np.power(self.norms * t, self.exps).sum())
+        return float(_theta_rows((self.norms * t)[None, :], self.exps)[0])
 
 
 class ConvexModular:
@@ -135,10 +157,7 @@ class DirectSumModular(ConvexModular):
 
 def modular_eval(theta: ConvexModular, point) -> float:
     """Theta(x), with the point validated by the modular's own spaces."""
-    v = theta.profile(point)(1.0)
-    if not math.isfinite(v):
-        raise NumericalFailure("modular value is not finite")
-    return v
+    return theta.profile(point)(1.0)
 
 
 def luxemburg_norm(theta: ConvexModular, point) -> float:

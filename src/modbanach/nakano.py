@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spaces
-from .modular import ConvexModular, NumericalFailure, luxemburg_norm
+from .modular import ConvexModular, luxemburg_norm, modular_eval
 from .spaces import (_DIM, REQUIRED, Euclid, Lp, _check_dim, _list_reader, _read_kind, _read_object, as_real,
                      space_from_dict)
 
@@ -397,12 +397,6 @@ class BlockVector:
     def support(self) -> tuple:
         return tuple(n for n, _ in self.items)
 
-    def entry(self, n: int):
-        for k, arr in self.items:
-            if k == n:
-                return arr
-        return None
-
     def _binary(self, other: "BlockVector", sign: float) -> "BlockVector":
         # BlockVector copies every block it is given
         out = dict(self.items)
@@ -423,36 +417,9 @@ class BlockVector:
         return BlockVector(tuple((n, t * arr) for n, arr in self.items))
 
 
-
-def _theta_rows(norms: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """Theta of each row of a ``(rows, w)`` block-norm array: sum_j norms[i, j] ** exps[j].
-
-    Each term is a libm pow, Python's float ``**``, which ``np.power`` does
-    not match in the last bit for every term.  The terms are summed left to
-    right, one column at a time at every width, as a plain ``total += nrm **
-    p`` loop does; numpy's reduce along a row regroups from 8 terms on.  So a
-    row's Theta has the same bits at any batch height, and a zero norm adds
-    exactly +0.0.  An overflowing term or a non-finite total raises
-    ``NumericalFailure``.
-    """
-    rows = norms.shape[0]
-    total = np.zeros(rows)
-    try:
-        with np.errstate(over="ignore"):
-            for column, p in zip(norms.T.tolist(), exps.tolist()):
-                total += np.fromiter(map(pow, column, itertools.repeat(p, rows)), float, rows)
-    except OverflowError:
-        # a float ** that overflows raises instead of giving inf
-        raise NumericalFailure("modular value is not finite") from None
-    if not np.isfinite(total).all():
-        raise NumericalFailure("modular value is not finite")
-    return total
-
-
 def nakano_modular(spec: NakanoSpec, x: BlockVector) -> float:
     """Theta(x) = sum over the support of ||x(n)|| ** p_n."""
-    norms, exps, _ = NakanoModular(spec).batch_terms((x,))
-    return float(_theta_rows(norms[None, :], exps)[0])
+    return modular_eval(NakanoModular(spec), x)
 
 
 def _block_info(blk) -> tuple:

@@ -353,11 +353,6 @@ class TwoSum:
             offs.append(offs[-1] + s.dim)
         return offs
 
-    def split(self, x) -> list:
-        arr = as_real_vector(x, self.dim)
-        offs = self.offsets()
-        return [arr[offs[i]:offs[i + 1]] for i in range(len(self.parts))]
-
     def norm(self, x) -> float:
         return float(self.norm_batch(as_real_vector(x, self.dim)[None, :])[0])
 

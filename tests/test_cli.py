@@ -311,6 +311,18 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["--config", str(ok_path), "--out", str(tmp_path)]) == 3
 
 
+def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # a run too large for the box is a config that asks for too much, not a violation
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.11 PiB")
+
+    monkeypatch.setattr(geomconst, "jvn_lower_bound", no_memory)
+    golden = Path(__file__).resolve().parents[1] / "configs" / "golden" / "jvn_l4_plane.json"
+    assert cli.main(["--config", str(golden), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: jvn: out of memory: Unable to allocate 7.11 PiB\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 _LP3 = {"kind": "lp", "p": 3.0, "d": 3}
 _FAR_BLOCK = {"check": "far_block_limit", "nakano": {"exponents": {"kind": "power", "a": 1.0}},
               "x": {"1": [1.0]}, "schedule": [10, 100]}

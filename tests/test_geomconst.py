@@ -17,6 +17,7 @@ from modbanach.nakano import (
     BlockVector,
     ConstantExponents,
     CycledBlocks,
+    ExplicitBlocks,
     FormulaExponents,
     MatchedLpBlocks,
     NakanoSpec,
@@ -242,13 +243,6 @@ def test_tail_defect_below_beta_bound():
         assert defect >= 1.0 - 0.05  # near-parallelogram pairs exist in the sample
 
 
-def test_tail_defect_rejects_low_support():
-    spec = NakanoSpec(FormulaExponents("power", 1.0))
-    bad = [(BlockVector(((1, np.array([1.0])),)), BlockVector(((6, np.array([1.0])),)))]
-    with pytest.raises(ValueError, match="below the cutoff"):
-        tail_parallelogram_defect(spec, 5, pairs=bad)
-
-
 _POWER = NakanoSpec(FormulaExponents("power", 1.0))
 
 
@@ -257,74 +251,52 @@ _POWER = NakanoSpec(FormulaExponents("power", 1.0))
     (_POWER, 10, dict(samples=1000, seed=0), "0x1.0d6a5ba0795f7p+0"),
     (_POWER, 5, dict(samples=200, seed=0), "0x1.170c7554e7cedp+0"),
     (_POWER, 20, dict(samples=200, seed=0), "0x1.06cec57f28a14p+0"),
-    (_POWER, 10, dict(samples=200, seed=1, window=3), "0x1.10ec27a180533p+0"),
-    (_POWER, 10, dict(samples=200, seed=1, window=8), "0x1.0ce36fea32067p+0"),
-    (_POWER, 10, dict(samples=200, seed=1, window=12), "0x1.0a8ebaca93426p+0"),
+    (_POWER, 10, dict(samples=200, seed=1), "0x1.0ce36fea32067p+0"),
     (NakanoSpec(FormulaExponents("log", 1.0, b=1.0), UniformBlocks(Euclid(2))), 7,
      dict(samples=200, seed=3), "0x1.3efc769cde44dp+0"),
     (NakanoSpec(FormulaExponents("power", 1.0), MatchedLpBlocks(3)), 4,
-     dict(samples=200, seed=4, window=12), "0x1.156b4e2d72d55p+0"),
-], ids=["criterion_06", "cutoff_5", "cutoff_20", "window_3", "window_8", "window_12",
-        "uniform_euclid2", "lp_matched_3"])
+     dict(samples=200, seed=4), "0x1.1562dd0fed882p+0"),
+], ids=["criterion_06", "cutoff_5", "cutoff_20", "window_8", "uniform_euclid2", "lp_matched_3"])
 def test_tail_defect_bits_pinned(spec, cutoff, kwargs, pinned):
     assert float.hex(tail_parallelogram_defect(spec, cutoff, **kwargs)) == pinned
 
 
-def _pairs_with_differing_supports():
-    rng = np.random.default_rng(7)
-
-    def vec(*idx):
-        return BlockVector(tuple((n, rng.standard_normal(1)) for n in idx))
-    return [(vec(5, 7, 9), vec(6, 7, 12)), (vec(5), vec()), (vec(8, 11), vec(*range(5, 15)))]
-
-
-def test_tail_defect_explicit_pairs_pinned():
-    pairs = _pairs_with_differing_supports()
-    got = tail_parallelogram_defect(_POWER, 5, pairs=pairs)
-    assert float.hex(got) == "0x1.02b5bb7ed3be5p+0"
-    assert got == oracles.tail_defect_loop(_POWER, pairs)
+def _sampled_pairs(spec, cutoff, samples, seed):
+    """The tail defect's pairs as block vectors: pair i draws x and then y,
+    one block after another over the blocks cutoff, ..., cutoff + 7, from
+    ``rng_stream(seed, i)``."""
+    blocks = range(cutoff, cutoff + 8)
+    pairs = []
+    for i in range(samples):
+        rng = sampling.rng_stream(seed, i)
+        x = BlockVector(tuple((n, rng.standard_normal(spec.block(n).dim)) for n in blocks))
+        y = BlockVector(tuple((n, rng.standard_normal(spec.block(n).dim)) for n in blocks))
+        pairs.append((x, y))
+    return pairs
 
 
 def test_tail_defect_samples_are_the_per_block_draws():
     spec = NakanoSpec(FormulaExponents("power", 1.0), CycledBlocks((Euclid(1), Lp(3.0, 2), Lp(1.0, 3))))
-    blocks = range(6, 15)
-    pairs = []
-    for i in range(50):
-        rng = sampling.rng_stream(11, i)
-        x = BlockVector(tuple((n, rng.standard_normal(spec.block(n).dim)) for n in blocks))
-        y = BlockVector(tuple((n, rng.standard_normal(spec.block(n).dim)) for n in blocks))
-        pairs.append((x, y))
-    got = tail_parallelogram_defect(spec, 6, samples=50, seed=11, window=9)
-    assert got == oracles.tail_defect_loop(spec, pairs)
-    assert got == tail_parallelogram_defect(spec, 6, pairs=pairs)
+    got = tail_parallelogram_defect(spec, 6, samples=50, seed=11)
+    assert got == oracles.tail_defect_loop(spec, _sampled_pairs(spec, 6, 50, 11))
 
 
-def test_tail_defect_explicit_pairs_match_loop_over_mixed_blocks():
-    # complex entries in the Schatten blocks, every other block real
-    spec = NakanoSpec(FormulaExponents("log", -0.5, b=2.0),
-                      CycledBlocks((Euclid(1), Lp(3.0, 2), Schatten(3.0, 2), Lp(float("inf"), 3))))
-    rng = np.random.default_rng(5)
-
-    def vec():
-        items = []
-        for n in sorted(rng.choice(np.arange(4, 16), size=int(rng.integers(0, 6)), replace=False)):
-            blk = spec.block(int(n))
-            arr = rng.standard_normal(blk.dim) * 10.0 ** rng.uniform(-3, 3)
-            if isinstance(blk, Schatten):
-                arr = arr + 1j * rng.standard_normal(blk.dim)
-            items.append((int(n), arr))
-        return BlockVector(tuple(items))
-    pairs = [(vec(), vec()) for _ in range(40)]
-    assert tail_parallelogram_defect(spec, 4, pairs=pairs) == oracles.tail_defect_loop(spec, pairs)
+@pytest.mark.parametrize("spec, cutoff", [
+    (NakanoSpec(FormulaExponents("log", -0.5, b=2.0),
+                CycledBlocks((Euclid(1), Lp(3.0, 2), Schatten(3.0, 2), Lp(float("inf"), 3)))), 4),
+    (NakanoSpec(FormulaExponents("power", 1.0), MatchedLpBlocks(3)), 4),
+    (NakanoSpec(ConstantExponents(3.0), CycledBlocks((Schatten(1.0, 2), Euclid(2)))), 1),
+], ids=["log_mixed", "lp_matched_3", "constant_schatten"])
+def test_tail_defect_sampled_pairs_match_loop_over_mixed_blocks(spec, cutoff):
+    got = tail_parallelogram_defect(spec, cutoff, samples=40, seed=5)
+    assert got == oracles.tail_defect_loop(spec, _sampled_pairs(spec, cutoff, 40, 5))
 
 
 def test_tail_defect_rejects_bad_blocks():
-    spec = NakanoSpec(ConstantExponents(3.0), UniformBlocks(Euclid(2)))
-    good = BlockVector(((3, np.array([1.0, 2.0])),))
-    with pytest.raises(ValueError, match="block 4 has 3 coordinates, expected 2"):
-        tail_parallelogram_defect(spec, 3, pairs=[(good, BlockVector(((4, np.ones(3)),)))])
-    with pytest.raises(TypeError, match="complex entries are only supported in Schatten spaces"):
-        tail_parallelogram_defect(spec, 3, pairs=[(BlockVector(((5, np.array([1j, 0.0])),)), good)])
+    spec = NakanoSpec(ConstantExponents(3.0), ExplicitBlocks(tuple(Euclid(2) for _ in range(9))))
+    # the window reaches block 10 of the nine listed
+    with pytest.raises(ValueError, match="index 10 beyond the 9 explicit blocks"):
+        tail_parallelogram_defect(spec, 3, samples=4)
     with pytest.raises(ValueError, match="block index must be a positive integer"):
         tail_parallelogram_defect(spec, 0, samples=4)
 
@@ -334,8 +306,5 @@ def test_tail_defect_window_must_fit_the_block_indices():
     last = 2**63 - 1
     # the window's far end, not just its near end, must be a block index
     with pytest.raises(ValueError, match="block index must be a positive integer"):
-        tail_parallelogram_defect(spec, last - 3, 3, window=8)
-    for window in (0, -2):
-        with pytest.raises(ValueError, match="window must be at least 1"):
-            tail_parallelogram_defect(spec, 3, 3, window=window)
-    assert 1.0 <= tail_parallelogram_defect(spec, last - 7, 3, window=8) <= 2.0
+        tail_parallelogram_defect(spec, last - 3, 3)
+    assert 1.0 <= tail_parallelogram_defect(spec, last - 7, 3) <= 2.0

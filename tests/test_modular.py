@@ -117,6 +117,24 @@ def test_delta2_bound_sampled():
             assert modular_eval(theta, _scale(x, 2.0)) <= 2.0 ** qmax * modular_eval(theta, x) * (1.0 + 1e-12)
 
 
+#: the part spaces a direct sum draws from, one power each
+_PART_SPACES = [Euclid(1), Euclid(3), Lp(1.0, 2), Lp(1.5, 3), Lp(4.0, 2), Lp(math.inf, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), parts=st.lists(st.tuples(st.sampled_from(_PART_SPACES), st.floats(1.0, 8.0)),
+                                      min_size=1, max_size=5))
+def test_modular_eval_is_the_pow_loop_on_direct_sums(data, parts):
+    """Theta of a direct sum of powers has the bits of sum ||x_j|| ** q_j, summed left to right."""
+    theta = DirectSumModular(tuple(PowerModular(space, q) for space, q in parts))
+    point = tuple(np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=space.dim, max_size=space.dim)))
+                  * 10.0 ** data.draw(st.floats(-3.0, 3.0)) for space, _ in parts)
+    total = 0.0
+    for (space, q), x in zip(parts, point):
+        total += space.norm(x) ** q
+    assert float.hex(modular_eval(theta, point)) == float.hex(total)
+
+
 def test_luxemburg_zero_is_zero():
     assert luxemburg_norm(square(Euclid(3)), np.zeros(3)) == 0.0
 

@@ -18,7 +18,6 @@ from modbanach.nakano import (
     NakanoSpec,
     ScalarBlocks,
     UniformBlocks,
-    _theta_rows,
     nakano_condition_terms,
     nakano_condition_verdict,
     nakano_modular,
@@ -26,7 +25,7 @@ from modbanach.nakano import (
     spec_from_dict,
 )
 from modbanach.geomconst import tail_parallelogram_defect
-from modbanach.modular import NumericalFailure, luxemburg_norm, luxemburg_norms
+from modbanach.modular import NumericalFailure, _theta_rows, luxemburg_norm, luxemburg_norms, modular_eval
 from modbanach.spaces import Euclid, Lp, Schatten
 
 import oracles
@@ -111,8 +110,8 @@ def test_exponents_clipped_to_valid_range():
 def test_block_vector_basics():
     x = bv(n3=[1.0, 2.0], n1=[5.0])
     assert x.support == (1, 3)
-    np.testing.assert_array_equal(x.entry(3), [1.0, 2.0])
-    assert x.entry(2) is None
+    np.testing.assert_array_equal(dict(x.items)[3], [1.0, 2.0])
+    assert 2 not in dict(x.items)
     with pytest.raises(ValueError):
         BlockVector(((1, np.array([1.0])), (1, np.array([2.0]))))
 
@@ -122,25 +121,26 @@ def test_block_vector_arithmetic():
     y = bv(n2=[3.0], n5=[1.0])
     s = x + y
     assert s.support == (1, 2, 5)
-    np.testing.assert_array_equal(s.entry(2), [5.0])
+    np.testing.assert_array_equal(dict(s.items)[2], [5.0])
     d = x - y
-    np.testing.assert_array_equal(d.entry(2), [-1.0])
-    np.testing.assert_array_equal(x.scale(-2.0).entry(1), [-2.0])
+    np.testing.assert_array_equal(dict(d.items)[2], [-1.0])
+    np.testing.assert_array_equal(dict(x.scale(-2.0).items)[1], [-2.0])
 
 
 def test_block_vector_immutable():
     x = bv(n1=[1.0, 2.0])
     with pytest.raises(ValueError):
-        x.entry(1)[0] = 9.0
+        dict(x.items)[1][0] = 9.0
 
 
 def test_block_vector_copies_and_casts_each_block():
     src = np.array([1.0, 2.0])
     x = BlockVector(((1, src), (2, [3, 4]), (3, [1j, 2.0])))
     src[0] = 9.0
-    np.testing.assert_array_equal(x.entry(1), [1.0, 2.0])
-    assert x.entry(2).dtype == float and x.entry(3).dtype == complex
-    assert not any(x.entry(n).flags.writeable for n in x.support)
+    blocks = dict(x.items)
+    np.testing.assert_array_equal(blocks[1], [1.0, 2.0])
+    assert blocks[2].dtype == float and blocks[3].dtype == complex
+    assert not any(arr.flags.writeable for arr in blocks.values())
     with pytest.raises(ValueError):
         BlockVector(((1, ["a"]),))
 
@@ -149,8 +149,8 @@ def test_block_vector_round_trip():
     x = bv(n2=[1.0, -1.0], n7=[0.5])
     again = BlockVector.from_dict({"7": [0.5], "2": [1.0, -1.0]})
     assert again.support == x.support
-    for n in x.support:
-        np.testing.assert_array_equal(again.entry(n), x.entry(n))
+    for (_, a), (_, b) in zip(again.items, x.items):
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("ds,coordinates", [
@@ -176,8 +176,9 @@ def test_from_dicts_reads_one_read_only_array(ds, coordinates):
 def test_from_dicts_reads_other_forms_block_by_block():
     # a block that is not a list of numbers is coerced as BlockVector does
     x, y = BlockVector.from_dicts([{"1": 3.0, "2": [[1.0], [2.0]]}, {"1": np.array([1j, 2.0])}])
-    assert x.entry(1).tolist() == [3.0] and x.entry(2).tolist() == [1.0, 2.0]
-    assert y.entry(1).dtype == complex and not y.entry(1).flags.writeable
+    assert [arr.tolist() for _, arr in x.items] == [[3.0], [1.0, 2.0]]
+    (_, y1), = y.items
+    assert y1.dtype == complex and not y1.flags.writeable
     with pytest.raises(ValueError, match="duplicate block index 1"):
         BlockVector.from_dicts([{"2": [1.0]}, {"1": [1.0], "01": [2.0]}])
     with pytest.raises(ValueError, match="positive integer"):
@@ -417,11 +418,13 @@ def test_disjoint_additivity():
 # p_1 = 3, so the one term of _HUGE is 1e900: a float ** raises there
 _OVERFLOW_SPEC = NakanoSpec(FormulaExponents("power", 1.0))
 _HUGE = BlockVector(((1, [1e300]),))
+# a sampled block of l_1^100000 has a norm near 8e4, whose 64th power is beyond the float range
+_OVERFLOW_TAIL = NakanoSpec(ConstantExponents(P_MAX), UniformBlocks(Lp(1.0, 10 ** 5)))
 
 
 @pytest.mark.parametrize("call", [
     lambda: nakano_modular(_OVERFLOW_SPEC, _HUGE),
-    lambda: tail_parallelogram_defect(_OVERFLOW_SPEC, 1, pairs=[(_HUGE, BlockVector(()))]),
+    lambda: tail_parallelogram_defect(_OVERFLOW_TAIL, 1, 1),
 ], ids=["nakano_modular", "tail_parallelogram_defect"])
 def test_overflowing_term_raises_numerical_failure(call):
     with pytest.raises(NumericalFailure, match=r"^modular value is not finite$"):
@@ -509,6 +512,35 @@ def test_homogeneity_and_disjoint_additivity_are_the_loop_thetas():
         lam = float(rng.uniform(-3.0, 3.0))
         for v in (x, y, x.scale(lam), x + y):
             assert nakano_modular(spec, v) == oracles.nakano_theta_loop(spec, v)
+
+
+#: one block family of each kind; the cycle holds a Schatten block, whose
+#: entries may be complex
+_THETA_BLOCKS = [ScalarBlocks(), UniformBlocks(Euclid(2)), MatchedLpBlocks(3),
+                 CycledBlocks((Euclid(1), Schatten(3.0, 2), Lp(1.5, 3)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), blocks=st.sampled_from(_THETA_BLOCKS), a=st.floats(-1.0, 4.0),
+       s=st.floats(0.25, 2.0), support=st.sets(st.integers(1, 60), max_size=14))
+def test_modular_eval_and_nakano_modular_are_the_pow_loop(data, blocks, a, s, support):
+    """modular_eval, nakano_modular and the plain pow loop give Theta(x) the same bits."""
+    if a == 0.0:
+        reject()
+    spec = NakanoSpec(FormulaExponents("power", a, s=s), blocks)
+    items = []
+    for n in sorted(support):
+        blk = spec.block(n)
+        scale = 10.0 ** data.draw(st.floats(-3.0, 3.0))
+        arr = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=blk.dim, max_size=blk.dim))) * scale
+        if isinstance(blk, Schatten) and data.draw(st.booleans()):
+            arr = arr + 1j * np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=blk.dim,
+                                                         max_size=blk.dim))) * scale
+        items.append((n, arr))
+    x = BlockVector(tuple(items))
+    expected = float.hex(oracles.nakano_theta_loop(spec, x))
+    assert float.hex(modular_eval(NakanoModular(spec), x)) == expected
+    assert float.hex(nakano_modular(spec, x)) == expected
 
 
 @settings(max_examples=150, deadline=None)

@@ -353,8 +353,7 @@ def test_two_sum_is_hilbertian_combination():
     x = np.array([1.0, 1.0, 3.0, 0.0, 4.0])
     expected = math.hypot(Lp(4.0, 2).norm(x[:2]), 5.0)
     assert ts.norm(x) == pytest.approx(expected, rel=1e-14)
-    a, b = ts.split(x)
-    assert a.shape == (2,) and b.shape == (3,)
+    assert ts.offsets() == [0, 2, 5]
 
 
 def test_two_sum_rejects_schatten_parts():

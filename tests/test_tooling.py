@@ -78,6 +78,9 @@ _UNSET_ALLOWED = {
     ("spec_from_dict", "where"): "a reader in the config key tables, called as reader(value, where)",
     ("space_from_dict", "where"): "a reader in the config key tables, called as reader(value, where)",
     ("_two_smooth_params", "c"): "reached through PAIR_CHECKS by verify_pair's options and the config's c",
+    ("main", "argv"): "the console script calls main() on sys.argv; an argument list is for calls from Python",
+    ("build_inclusion_embedding", "h_dim"): "the iterate key table sets h_dim through build(**values)",
+    ("build_counterexample_embedding", "h_dim"): "the iterate key table sets h_dim through build(**values)",
 }
 
 
@@ -95,18 +98,24 @@ def _defaulted(fn) -> dict:
     return out
 
 
+def _outside_trees():
+    """perfbench/, scripts/ and the acceptance criteria: with src/, the code
+    whose calls keep a name or a parameter alive; a unit test alone does not."""
+    return _trees("perfbench") + _trees("scripts") + [
+        ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))]
+
+
 def test_every_defaulted_parameter_has_a_caller():
     # a call is matched to every def of its name, and it sets a parameter by
     # keyword, by position, or by * or ** unpacking (which may set any)
     calls = {}
-    for folder in ("src", "tests", "perfbench", "scripts"):
-        for tree in _trees(folder):
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                    unpacked = any(isinstance(a, ast.Starred) for a in node.args) or any(
-                        k.arg is None for k in node.keywords)
-                    calls.setdefault(name, []).append((len(node.args), {k.arg for k in node.keywords}, unpacked))
+    for tree in _trees("src") + _outside_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                unpacked = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords)
+                calls.setdefault(name, []).append((len(node.args), {k.arg for k in node.keywords}, unpacked))
     unset = []
     for tree in _trees("src"):
         for fn in ast.walk(tree):
@@ -130,7 +139,8 @@ _UNCALLED_ALLOWED = {
 
 def _references(tree, chain: tuple, out: dict) -> None:
     """Each name a tree reads as a Name, an Attribute or an import, with the
-    chain around the read: ``chain`` and then every public def or class it sits in."""
+    chain around the read: ``chain`` and then every public def or class it
+    sits in.  An attribute read ``x.name`` is keyed ``.name``."""
     for node in ast.iter_child_nodes(tree):
         inner = chain
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
@@ -138,7 +148,7 @@ def _references(tree, chain: tuple, out: dict) -> None:
         if isinstance(node, ast.Name):
             out.setdefault(node.id, []).append(chain)
         elif isinstance(node, ast.Attribute):
-            out.setdefault(node.attr, []).append(chain)
+            out.setdefault("." + node.attr, []).append(chain)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 out.setdefault(alias.name.rsplit(".", 1)[-1], []).append(chain)
@@ -150,11 +160,11 @@ def test_every_public_name_has_a_caller():
     # methods of those classes; a name is reached when it is read in src/
     # (not __init__.py, whose re-exports and __all__ call nothing),
     # perfbench/, scripts/ or the acceptance criteria, outside its own def
-    # and outside every def found unreached so far.  Methods match by name
-    # alone, so a method is reached when any method of its name is.
+    # and outside every def found unreached so far.  A method is reached
+    # only by an attribute read (``x.name``), and it matches by name alone,
+    # so it is reached when any method of its name is.
     outside = {}
-    for tree in _trees("perfbench") + _trees("scripts") + [
-            ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))]:
+    for tree in _outside_trees():
         _references(tree, (), outside)
     inside, defs = {}, {}
     for path in sorted((ROOT / "src" / "modbanach").glob("*.py")):
@@ -164,17 +174,18 @@ def test_every_public_name_has_a_caller():
         _references(tree, (path.stem,), inside)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defs[(path.stem, node.name)] = node.name
+                defs[(path.stem, node.name)] = (node.name, (node.name, "." + node.name))
                 for m in node.body if isinstance(node, ast.ClassDef) else ():
                     if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
-                        defs[(path.stem, node.name, m.name)] = m.name
+                        defs[(path.stem, node.name, m.name)] = (m.name, ("." + m.name,))
     allowed = {tuple(q.split(".")) for q in _UNCALLED_ALLOWED}
     dead = set()
     while True:
         # a read counts unless a def around it is unreached or has the name read
-        unreached = {q for q, name in defs.items() if q not in dead | allowed and name not in outside and not any(
+        unreached = {q for q, (name, keys) in defs.items() if q not in dead | allowed and not any(
+            key in outside for key in keys) and not any(
             name not in chain[1:] and not any(chain[:k] in dead for k in range(2, len(chain) + 1))
-            for chain in inside.get(name, ()))}
+            for key in keys for chain in inside.get(key, ()))}
         if not unreached:
             break
         dead |= unreached
