@@ -10,7 +10,12 @@ there, with the same workload and seed and with ``--seconds`` set to
 workload uses seed ``seed_base + 100 * j + i`` (i from 1), and the side that
 runs first alternates from pair to pair, parent first in pair 1.  Put both
 checkouts at the same path depth: perfbench's rescaled times have been seen
-to depend on where a checkout lives.
+to depend on where a checkout lives.  They have also been seen to depend
+on glibc's dynamic mmap and trim thresholds, which follow the sizes a run
+happens to free: one comment line added to a source file moved ``solve``'s
+``wall_s`` by 20%, and exporting ``MALLOC_MMAP_THRESHOLD_`` for both sides
+took the gap away.  So the report records every ``MALLOC_*`` variable of
+the run's environment, which both sides inherit.
 
 The report holds every run's end-to-end metrics, counts and raw (unscaled)
 pass times, and per workload the quartiles of each metric on both sides,
@@ -115,6 +120,7 @@ def main(argv=None) -> int:
         "command": f"PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds:g} --trace 0",
         "machine": {"cores": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__},
+        "malloc_env": {k: v for k, v in sorted(os.environ.items()) if k.startswith("MALLOC_")},
         "parent": git_rev(sides["parent"]),
         "metrics_note": "metrics are rescaled to the reference kernel speed by perfbench; raw_pass_s are "
                         "unscaled seconds of each timed pass, and raw_pass_s_median_per_run summarizes each "

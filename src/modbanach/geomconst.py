@@ -62,8 +62,10 @@ def _unpack_stack(space, thetas: np.ndarray) -> tuple:
 
 def _ratio_stack(space, thetas: np.ndarray) -> np.ndarray:
     x, y = _unpack_stack(space, thetas)
-    num = space.norm_batch(x + y) ** 2 + space.norm_batch(x - y) ** 2
-    den = 2.0 * (space.norm_batch(x) ** 2 + space.norm_batch(y) ** 2)
+    # a row's norm depends on that row alone, so one call norms all four stacks
+    n_sum, n_diff, n_x, n_y = space.norm_batch(np.concatenate([x + y, x - y, x, y])).reshape(4, -1)
+    num = n_sum ** 2 + n_diff ** 2
+    den = 2.0 * (n_x ** 2 + n_y ** 2)
     out = np.full(den.shape, -np.inf)
     ok = den > 0.0
     out[ok] = num[ok] / den[ok]

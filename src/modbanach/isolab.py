@@ -150,10 +150,15 @@ def _worst_defects(space, suite: np.ndarray, n2: np.ndarray, f: np.ndarray,
     for lo in range(0, k, step):
         cols = slice(lo, lo + step)
         fb = f[:, cols]
-        # r is C-ordered (d, n_s, cols), so the norm kernel's transpose of it is a view
-        r = np.subtract(suite.T[:, :, None], fb[None] * xi_cols[:, None, cols], order="C")
+        # r is C-ordered (d, n_s, cols), so the norm kernel reads its transpose contiguously
+        r = np.multiply(fb[None], xi_cols[:, None, cols], order="C")
+        np.subtract(suite.T[:, :, None], r, out=r)
         rn = space.norm_batch(r.reshape(d, -1).T).reshape(fb.shape)
-        out[cols] = (np.abs(n2[:, None] - (fb ** 2 + rn ** 2)) / n2[:, None]).max(axis=0)
+        defect = np.square(fb)
+        np.add(defect, np.square(rn, out=rn), out=defect)
+        np.subtract(n2[:, None], defect, out=defect)
+        np.abs(defect, out=defect)
+        out[cols] = np.divide(defect, n2[:, None], out=defect).max(axis=0)
     return out
 
 

@@ -6,9 +6,10 @@ except for Schatten spaces, which own complex d x d matrices (their ambient
 dimension is d*d).  ``norm_batch`` takes a stack of inputs and does not
 validate them; ``norm`` validates one input and returns ``norm_batch`` of it
 as a one-row stack, so the two agree bit for bit at any stack height.
-Rows under 8 columns are normed column by column on the ``(d, N)``
-transpose (see :func:`reduce_rows`): pass a column-major stack as the
-transposed view of its ``(d, N)`` array and it is not copied.
+Rows of every width are normed column by column on the ``(d, N)``
+transpose, with numpy's pairwise sum reproduced one column at a time (see
+:func:`reduce_rows`): pass a column-major stack as the transposed view of
+its ``(d, N)`` array and it is not copied.
 """
 from __future__ import annotations
 
@@ -161,41 +162,71 @@ def as_matrix(x, d: int | None = None) -> np.ndarray:
     return arr
 
 
-def _row_layout(a: np.ndarray):
-    """``(t, axis)``: the rows of ``a`` to reduce as ``ufunc.reduce(t, axis)``; see :func:`reduce_rows`."""
-    if a.shape[1] < 8:
-        return np.ascontiguousarray(a.T), 0
-    return np.ascontiguousarray(a), 1
+def _sum_columns(t: np.ndarray) -> np.ndarray:
+    """The column sums of a C-ordered 2-d ``t``, each in numpy's pairwise order.
+
+    Column j gets the bits of numpy's own sum of ``t[:, j]`` as a contiguous
+    row: fewer than 8 terms are added left to right; 8 to 128 terms go to 8
+    running sums over strides of 8, combined as ((r0+r1)+(r2+r3)) +
+    ((r4+r5)+(r6+r7)), and the terms past the last multiple of 8 are added
+    in order; more terms are split at half their count rounded down to a
+    multiple of 8, and each part is summed so.  numpy adds the whole sum to
+    its start +0.0, so a column of -0.0 sums to +0.0.
+    """
+    n, width = t.shape
+    if n < 8:
+        # np.add.reduce starts from np.add's identity +0.0
+        return np.add.reduce(t, 0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_columns(t[:half]) + _sum_columns(t[half:])
+    tail = n - n % 8
+    r = np.add.reduce(t[:tail].reshape(tail // 8, 8, width), 0) if tail > 8 else t[:8]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    out = r[0] + r[1]
+    for row in t[tail:]:
+        out += row
+    out += 0.0
+    return out
 
 
 def reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
     """``ufunc.reduce(a, axis=1)`` for np.add, np.maximum or np.minimum, bit for bit.
 
     numpy's reduce along a row pays a cost per row, which dominates on rows
-    of a few columns.  So a row of fewer than 8 columns is reduced column by
-    column, left to right, over the contiguous ``(d, N)`` transpose (free for
-    the transposed view of a ``(d, N)`` array): one numpy call at any height.
-    numpy sums a row of fewer than 8 terms left to right too, so no bit
-    changes.  From 8 terms on numpy's pairwise summation regroups, so wider
-    rows go to numpy's own reduce on C-ordered rows (across the rows of a
-    column-major stack it would sum left to right).
+    of a few columns.  So every row is reduced column by column over the
+    contiguous ``(d, N)`` transpose (free for the transposed view of a
+    ``(d, N)`` array), in a few numpy calls at any height.  A max or min
+    does not round, so its order is free; a sum follows numpy's pairwise
+    order column by column (see :func:`_sum_columns`).  A row's result so
+    depends on the row alone, whatever the stack's memory layout.
     """
-    return ufunc.reduce(*_row_layout(a))
+    t = np.ascontiguousarray(a.T)
+    return _sum_columns(t) if ufunc is np.add else ufunc.reduce(t, 0)
 
 
-def _lp_of_abs_rows(a: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise l_p norm of a nonnegative 2-d array; a zero or NaN row keeps its max."""
-    # every step, not just the sums, runs in reduce_rows' layout
-    t, axis = _row_layout(a)
-    m = np.maximum.reduce(t, axis, keepdims=True)
+def _lp_rows(a: np.ndarray, p: float) -> np.ndarray:
+    """Row-wise l_p norm of a real 2-d array; a zero or NaN row keeps its max."""
+    # every step, the abs too, runs in reduce_rows' layout, on one fresh array
+    t = np.abs(a.T, order="C")
+    m = np.maximum.reduce(t, 0)
     if p == INF:
-        return m.ravel()
+        return m
     if p == 1.0:
-        return np.add.reduce(t, axis)
-    # a NaN row is divided by its NaN max, so its powers stay NaN and never overflow
-    safe = np.where(m == 0.0, 1.0, m)
-    out = safe * np.add.reduce(np.power(t / safe, p), axis, keepdims=True) ** (1.0 / p)
-    return np.where(m > 0.0, out, m).ravel()
+        return _sum_columns(t)
+    # a zero row is divided by 1 and sums to 0, and a NaN row is divided by
+    # its NaN max, so its powers stay NaN and never overflow
+    safe = m if m.all() else np.where(m == 0.0, 1.0, m)
+    np.divide(t, safe, out=t)
+    np.power(t, p, out=t)
+    s = _sum_columns(t)
+    # numpy's ``s ** 0.5`` is a sqrt, not a power
+    if p == 2.0:
+        np.sqrt(s, out=s)
+    else:
+        np.power(s, 1.0 / p, out=s)
+    return np.multiply(safe, s, out=s)
 
 
 def lp_norms_stack(xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -268,7 +299,7 @@ class Lp:
         return float(self.norm_batch(as_real_vector(x, self.d)[None, :])[0])
 
     def norm_batch(self, xs: np.ndarray) -> np.ndarray:
-        return _lp_of_abs_rows(np.abs(np.asarray(xs, dtype=float)), self.p)
+        return _lp_rows(np.asarray(xs, dtype=float), self.p)
 
 
 @dataclass(frozen=True)
@@ -290,7 +321,7 @@ class Euclid:
     def norm_batch(self, xs: np.ndarray) -> np.ndarray:
         # not np.linalg.norm: that squares without rescaling and drowns
         # at ~1e-154 / overflows at ~1e154
-        return _lp_of_abs_rows(np.abs(np.asarray(xs, dtype=float)), 2.0)
+        return _lp_rows(np.asarray(xs, dtype=float), 2.0)
 
 
 @dataclass(frozen=True)
@@ -320,7 +351,7 @@ class Schatten:
         if a.ndim == 2:
             a = a.reshape(a.shape[0], self.d, self.d)
         s = singular_values_stack(a)
-        return _lp_of_abs_rows(s, self.p)
+        return _lp_rows(s, self.p)
 
 
 @dataclass(frozen=True)

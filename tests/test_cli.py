@@ -21,6 +21,7 @@ from modbanach import cli, geomconst
 from modbanach import verify as vf
 from modbanach.cli import CampaignResult, ConfigError, emit_plot_data, run_campaign, validate_config
 from modbanach.nakano import BlockVector, nakano_norm, spec_from_dict
+from modbanach.spaces import space_from_dict
 
 ROOT = Path(__file__).parent.parent
 GOLDEN_CONFIGS = sorted((ROOT / "configs" / "golden").glob("*.json"))
@@ -60,6 +61,29 @@ def test_run_norm_command():
     assert res.passed and not res.violated
     assert res.payload["norms"][0] == pytest.approx(3.0 ** (1.0 / 3.0) , rel=1e-12)
     assert res.payload["norms"][1] == 2.0
+
+
+_NORM_SPACES = {
+    "lp": ({"kind": "lp", "p": 3.5, "d": 9}, 9),
+    "euclid": ({"kind": "euclid", "d": 3}, 3),
+    "schatten_flat": ({"kind": "schatten", "p": 3.0, "d": 2}, 4),
+    "schatten_matrix": ({"kind": "schatten", "p": 3.0, "d": 2}, (2, 2)),
+    "two_sum": ({"kind": "two_sum", "parts": [{"kind": "lp", "p": 4.0, "d": 2}, {"kind": "euclid", "d": 3}]}, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NORM_SPACES))
+def test_norm_campaign_on_a_space_has_each_vectors_norm_bits(name):
+    # the campaign norms its vectors as one stack; each keeps the bits of its own space.norm
+    desc, shape = _NORM_SPACES[name]
+    rng = np.random.default_rng(23)
+    vectors = [(rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300)).tolist() for _ in range(40)]
+    vectors += [np.zeros(shape).tolist(), np.full(shape, 5e-324).tolist()]
+    res = run_campaign({"command": "norm", "seed": 0, "norm": {"space": desc, "vectors": vectors}})
+    space = space_from_dict(desc)
+    assert [float.hex(v) for v in res.payload["norms"]] == [float.hex(space.norm(v)) for v in vectors]
+    empty = run_campaign({"command": "norm", "seed": 0, "norm": {"space": desc, "vectors": []}})
+    assert empty.payload["norms"] == []
 
 
 def test_run_norm_nakano_variant():

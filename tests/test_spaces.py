@@ -14,6 +14,7 @@ from modbanach.spaces import (
     TwoSum,
     dual_exponent,
     lp_norms_stack,
+    reduce_rows,
     singular_values_stack,
     space_from_dict,
     space_to_dict,
@@ -138,9 +139,10 @@ def _bit_rows(rng, d, scale, special=True):
     return xs
 
 
-@pytest.mark.parametrize("d", range(1, 10))
+@pytest.mark.parametrize("d", [*range(1, 10), 15, 16, 17, 64, 127, 128, 129, 300])
 def test_row_kernels_keep_axis_reduction_bits(d):
-    # rows under 8 columns are reduced column by column, wider ones by numpy
+    # every width is reduced column by column: left to right under 8 columns,
+    # then 8 running sums, then split in halves above 128
     rng = np.random.default_rng(100 + d)
     with np.errstate(over="ignore", invalid="ignore"):
         _check_row_kernel_bits(rng, d)
@@ -161,6 +163,9 @@ def _check_row_kernel_bits(rng, d):
             if np.isfinite(x).all():
                 assert _bits(g) == _bits(Lp(p, d).norm(x))
         assert lp_norms_stack(xs[:0], ps[:0]).shape == (0,)
+        if d > 17:
+            # Lp reaches these widths; eigvalsh on d x d matrices would cost seconds
+            continue
         # eigvalsh does not take non-finite matrices, so Schatten gets finite rows
         ms = (_bit_rows(rng, d * d, scale, special=False)
               + 1j * _bit_rows(rng, d * d, scale, special=False)).reshape(-1, d, d)
@@ -222,21 +227,59 @@ def test_scalar_and_batch_norms_agree_at_any_height(kind, d, p, log_scale, seed,
 
 
 @st.composite
+def _signed_stack(draw):
+    """A signed stack of width 1-300, with rows of -0.0 and NaN and +-inf entries, and a layout of it."""
+    width = draw(st.integers(1, 300))
+    height = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.standard_normal((height, width)) * 10.0 ** rng.uniform(-300.0, 300.0, (height, 1))
+    xs[rng.uniform(size=height) < 0.2] = -0.0
+    for value in (np.nan, np.inf, -np.inf):
+        xs[rng.uniform(size=height) < 0.1, rng.integers(width)] = value
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return xs, np.asfortranarray(xs)
+    if layout == "strided":
+        big = np.zeros((height, 2 * width))
+        big[:, ::2] = xs
+        return xs, big[:, ::2]
+    return xs, xs
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_signed_stack(), ufunc=st.sampled_from([np.add, np.maximum, np.minimum]))
+def test_reduce_rows_is_numpys_row_reduce(case, ufunc):
+    xs, layout = case
+    with np.errstate(invalid="ignore"):
+        want = ufunc.reduce(np.ascontiguousarray(xs), axis=1)
+        assert np.array_equal(_bits(reduce_rows(ufunc, layout)), _bits(want))
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 129, 300])
+def test_reduce_rows_sums_a_row_of_negative_zeros_to_positive_zero(width):
+    # numpy adds the row's sum to its start +0.0
+    got = reduce_rows(np.add, np.full((3, width), -0.0))
+    assert np.array_equal(_bits(got), _bits(np.zeros(3)))
+    assert np.array_equal(_bits(got), _bits(np.add.reduce(np.full((3, width), -0.0), axis=1)))
+
+
+@st.composite
 def _layout_case(draw):
-    """A space of width 1-12 and a stack for it, with zero and NaN rows."""
+    """A space of width 1-12, 16 or 130 and a stack for it, with zero and NaN rows."""
     kind = draw(st.sampled_from(["lp", "euclid", "schatten", "two_sum"]))
     p = draw(st.sampled_from([1.0, 2.0, 3.0, 4.0, INF]))
     if kind == "schatten":
         d = draw(st.integers(1, 3))
         space, width = Schatten(p, d), d * d
     else:
-        width = draw(st.integers(1, 12))
+        width = draw(st.integers(1, 12) | st.sampled_from([16, 130]))
         if kind == "two_sum" and width > 1:
             k = draw(st.integers(1, width - 1))
             space = TwoSum((Lp(p, k), Euclid(width - k)))
         else:
             space = Euclid(width) if kind == "euclid" else Lp(p, width)
-    height = draw(st.integers(1, 5000))
+    # wide stacks are capped at about as many entries as a 5000-row stack of width 12
+    height = draw(st.integers(1, 60000 // max(width, 12)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # row scales spread by 1e+-4 about 10 ** log_scale, kept inside the float range
     scale = 10.0 ** (draw(st.floats(-300.0, 300.0)) + rng.uniform(-4.0, 4.0, (height, 1)))
@@ -252,9 +295,9 @@ def _layout_case(draw):
 @settings(max_examples=120, deadline=None)
 @given(_layout_case())
 def test_norm_batch_bits_do_not_depend_on_stack_layout(case):
-    # rows under 8 columns are normed on the transposed stack, wider rows on
-    # C-ordered rows: a Fortran-ordered copy or a strided view of the same
-    # rows must give the bits of the C-ordered stack, on both sides of 8
+    # rows are normed on the contiguous transposed stack: a Fortran-ordered
+    # copy or a strided view of the same rows must give the bits of the
+    # C-ordered stack, at widths under 8, to 128 and past 128
     space, xs = case
     big = np.zeros((xs.shape[0], 2 * xs.shape[1]), dtype=xs.dtype)
     big[:, ::2] = xs
