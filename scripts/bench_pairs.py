@@ -14,7 +14,7 @@ to depend on where a checkout lives.  They have also been seen to depend
 on glibc's dynamic mmap and trim thresholds, which follow the sizes a run
 happens to free: one comment line added to a source file moved ``solve``'s
 ``wall_s`` by 20%, and exporting ``MALLOC_MMAP_THRESHOLD_`` for both sides
-took the gap away.  So the report records every ``MALLOC_*`` variable of
+took that gap away.  So the report records every ``MALLOC_*`` variable of
 the run's environment, which both sides inherit.
 
 The report holds every run's end-to-end metrics, counts and raw (unscaled)

@@ -221,7 +221,7 @@ def _lp_rows(a: np.ndarray, p: float) -> np.ndarray:
     np.divide(t, safe, out=t)
     np.power(t, p, out=t)
     s = _sum_columns(t)
-    # numpy's ``s ** 0.5`` is a sqrt, not a power
+    # a root of p = 2 is a sqrt, as numpy's ``s ** 0.5`` and lp_norms_stack take it
     if p == 2.0:
         np.sqrt(s, out=s)
     else:
