@@ -33,8 +33,7 @@ from .modular import NumericalFailure, luxemburg_norms
 from .nakano import (_EXPONENT_KINDS, _INDEX_MAX, BlockVector, FormulaExponents, NakanoModular,
                      nakano_condition_terms, nakano_condition_verdict, spec_from_dict)
 from .spaces import (_COORDS_MAX, _ELEMENTS_MAX, _SCHATTEN_D, REQUIRED, ConfigError, Schatten, _int_reader,
-                     _list_reader, _read_kind, _read_object, as_matrix, as_real, as_real_vector,
-                     space_from_dict)
+                     _list_reader, _read_kind, _read_object, as_real, space_from_dict)
 
 ENV_OUT = "MODBANACH_OUT"
 
@@ -153,11 +152,7 @@ def _run_norm(seed, jobs, space, nakano, vectors):
     if (space is None) == (nakano is None):
         raise ConfigError("norm: give exactly one of 'space' or 'nakano'")
     if space is not None:
-        # each vector is read as space.norm reads it; a row's norm depends on that row alone
-        read = (partial(as_matrix, d=space.d) if isinstance(space, Schatten)
-                else partial(as_real_vector, dim=space.dim))
-        rows = [read(_floats(v, "norm.vectors")) for v in vectors]
-        norms = space.norm_batch(np.stack(rows)).tolist() if rows else []
+        norms = [space.norm(_floats(v, "norm.vectors")) for v in vectors]
     else:
         norms = luxemburg_norms(NakanoModular(nakano), _block_vectors(vectors, "norm.vectors")).tolist()
     return {"norms": norms}, True, False, False

@@ -197,10 +197,12 @@ def reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
     numpy's reduce along a row pays a cost per row, which dominates on rows
     of a few columns.  So every row is reduced column by column over the
     contiguous ``(d, N)`` transpose (free for the transposed view of a
-    ``(d, N)`` array), in a few numpy calls at any height.  A max or min
-    does not round, so its order is free; a sum follows numpy's pairwise
-    order column by column (see :func:`_sum_columns`).  A row's result so
-    depends on the row alone, whatever the stack's memory layout.
+    ``(d, N)`` array), in a number of numpy calls that does not grow with
+    the height.  A max or min does not round, so its order is free; a sum
+    follows numpy's pairwise order column by column (see
+    :func:`_sum_columns`), in about d/8 calls, which on a stack of a few
+    wide rows costs more than numpy's one.  A row's result so depends on
+    the row alone, whatever the stack's memory layout.
     """
     t = np.ascontiguousarray(a.T)
     return _sum_columns(t) if ufunc is np.add else ufunc.reduce(t, 0)
