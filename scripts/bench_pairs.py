@@ -10,17 +10,28 @@ there, with the same workload and seed and with ``--seconds`` set to
 workload uses seed ``seed_base + 100 * j + i`` (i from 1), and the side that
 runs first alternates from pair to pair, parent first in pair 1.  Put both
 checkouts at the same path depth: perfbench's rescaled times have been seen
-to depend on where a checkout lives.  They have also been seen to depend
-on glibc's dynamic mmap and trim thresholds, which follow the sizes a run
-happens to free: one comment line added to a source file moved ``solve``'s
-``wall_s`` by 20%, and exporting ``MALLOC_MMAP_THRESHOLD_`` for both sides
-took that gap away.  So the report records every ``MALLOC_*`` variable of
-the run's environment, which both sides inherit.
+to depend on where a checkout lives.
 
-The report holds every run's end-to-end metrics, counts and raw (unscaled)
-pass times, and per workload the quartiles of each metric on both sides,
-how many pairs the change won, the ratio of the medians and the gap between
-the medians over the parent's interquartile range.
+They also depend on glibc's dynamic mmap threshold.  The reference kernel of
+``perfbench/speed.py`` allocates temporaries of 256 KiB, above the 128 KiB
+threshold glibc starts with, so it mmaps them.  Once the process frees an
+mmapped chunk of 256 KiB or more, glibc raises the threshold to that
+chunk's size, and the kernel's temporaries come from the heap, faster.  In
+a ``solve`` process, freeing one 1 MB array before the ops took the kernel
+from 3.13 ms to 2.60 ms, and ``wall_s`` read about 20% worse while the raw
+pass times did not move.  So every run records its
+implied kernel time, 1.5 ms (``speed.REF_SECONDS``) times its median raw
+pass over its ``wall_s``: the kernel time at which the rescaled wall time
+matches the raw one.  Two sides whose implied kernels differ were rescaled
+by different kernel speeds, and their rescaled metrics differ by that ratio
+whatever their code does.  The report also records every ``MALLOC_*``
+variable of the run's environment, which both sides inherit.
+
+The report holds every run's end-to-end metrics, counts, raw (unscaled)
+pass times and implied kernel time, and per workload the quartiles of each
+metric and of the implied kernel time on both sides, how many pairs the
+change won, the ratio of the medians and the gap between the medians over
+the parent's interquartile range.
 """
 import argparse
 import json
@@ -35,6 +46,8 @@ from pathlib import Path
 import numpy as np
 
 RAW_PASSES = re.compile(r"raw pass times = (.*) s$")
+#: perfbench's reference kernel time, speed.REF_SECONDS, in ms
+REF_KERNEL_MS = 1.5
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -46,13 +59,15 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
     result = json.loads(lines[-1])
-    raw = next(m.group(1) for m in map(RAW_PASSES.search, lines) if m)
+    raw = [float(t) for t in next(m.group(1) for m in map(RAW_PASSES.search, lines) if m).split(", ")]
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
     return {
-        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "metrics": metrics,
         "attempted": result["attempted"],
         "failed": result["failed"],
         "correct": result["correct"],
-        "raw_pass_s": [float(t) for t in raw.split(", ")],
+        "raw_pass_s": raw,
+        "implied_kernel_ms": REF_KERNEL_MS * statistics.median(raw) / metrics["wall_s"],
     }
 
 
@@ -87,6 +102,9 @@ def summarize(pairs: list, better: dict) -> dict:
         "change_q1_median_q3": quartiles(chg),
         "change_faster_pairs": f"{sum(c < q for q, c in zip(par, chg))}/{n}",
     }
+    par = [p["parent"]["implied_kernel_ms"] for p in pairs]
+    chg = [p["change"]["implied_kernel_ms"] for p in pairs]
+    out["implied_kernel_ms"] = {"parent_q1_median_q3": quartiles(par), "change_q1_median_q3": quartiles(chg)}
     out["failed"] = {
         "parent": sum(p["parent"]["failed"] for p in pairs),
         "change": sum(p["change"]["failed"] for p in pairs),
@@ -124,7 +142,9 @@ def main(argv=None) -> int:
         "parent": git_rev(sides["parent"]),
         "metrics_note": "metrics are rescaled to the reference kernel speed by perfbench; raw_pass_s are "
                         "unscaled seconds of each timed pass, and raw_pass_s_median_per_run summarizes each "
-                        "run's median pass; quartiles are statistics.quantiles(n=4, method='inclusive')",
+                        "run's median pass; implied_kernel_ms is 1.5 ms * median raw pass / wall_s, the "
+                        "kernel time the run was rescaled by; quartiles are "
+                        "statistics.quantiles(n=4, method='inclusive')",
         "summary": {},
         "seeds": {},
         "pairs": [],
@@ -140,7 +160,8 @@ def main(argv=None) -> int:
                 pair[side] = run_side(sides[side], workload, seed, seconds)
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{side} {pair[side]['metrics']['secondary_per_s']:.6g}/{pair[side]['metrics']['wall_s']:.4g}s"
-                for side in order) + " (secondary_per_s/wall_s)", file=sys.stderr)
+                f"/{pair[side]['implied_kernel_ms']:.3f}ms"
+                for side in order) + " (secondary_per_s/wall_s/implied kernel)", file=sys.stderr)
             pairs.append(pair)
         report["pairs"] += pairs
         report["summary"][workload] = summarize(pairs, better)

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, geomconst, isolab
 from . import verify as vf
 from .modular import NumericalFailure, luxemburg_norms
-from .nakano import (_EXPONENT_KINDS, _INDEX_MAX, BlockVector, FormulaExponents, NakanoModular,
+from .nakano import (_EXPONENT_KINDS, _INDEX_MAX, BlockVector, FormulaExponents, NakanoModular, _read_items,
                      nakano_condition_terms, nakano_condition_verdict, spec_from_dict)
 from .spaces import (_COORDS_MAX, _ELEMENTS_MAX, _SCHATTEN_D, REQUIRED, ConfigError, Schatten, _int_reader,
                      _list_reader, _read_kind, _read_object, as_real, space_from_dict)
@@ -62,11 +62,10 @@ def _plain(obj):
 # ConfigError that names the path
 
 
-def _block_vectors(objs, where: str) -> list:
-    for obj in objs:
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{where}: block vector must map block indices to coordinate lists")
-    return BlockVector.from_dicts(objs)
+def _block_dict(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: block vector must map block indices to coordinate lists")
+    return obj
 
 
 def _floats(obj, where: str) -> np.ndarray:
@@ -154,7 +153,8 @@ def _run_norm(seed, jobs, space, nakano, vectors):
     if space is not None:
         norms = [space.norm(_floats(v, "norm.vectors")) for v in vectors]
     else:
-        norms = luxemburg_norms(NakanoModular(nakano), _block_vectors(vectors, "norm.vectors")).tolist()
+        columns = _read_items(_block_dict(v, "norm.vectors").items() for v in vectors)
+        norms = luxemburg_norms(NakanoModular(nakano), columns).tolist()
     return {"norms": norms}, True, False, False
 
 
@@ -296,7 +296,8 @@ _CHECKS = {
                  "lambdas": (_lambdas, None), "tolerance": _TOLERANCE}),
     "far_block_limit": (_bound(_run_far_block_limit),
                         {"nakano": (spec_from_dict, REQUIRED), "schedule": (_schedule, REQUIRED),
-                         "x": (lambda obj, where: _block_vectors([obj], where)[0], REQUIRED), "t": (as_real, 1.0)}),
+                         "x": (lambda obj, where: BlockVector.from_dict(_block_dict(obj, where)), REQUIRED),
+                         "t": (as_real, 1.0)}),
 }
 
 

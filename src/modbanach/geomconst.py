@@ -75,9 +75,9 @@ def _ratio_stack(space, thetas: np.ndarray) -> np.ndarray:
 def _normalize(space, thetas: np.ndarray) -> np.ndarray:
     """Each row scaled to ||x||^2 + ||y||^2 = 1; a zero row stays zero."""
     x, y = _unpack_stack(space, thetas)
+    norms = space.norm_batch(np.concatenate([x, y])).reshape(2, -1).tolist()
     # squares of Python floats: `**` calls libm pow, whose bits numpy's square does not always match
-    s = np.array([math.sqrt(a ** 2 + b ** 2)
-                  for a, b in zip(space.norm_batch(x).tolist(), space.norm_batch(y).tolist())])
+    s = np.array([math.sqrt(a ** 2 + b ** 2) for a, b in zip(*norms)])
     return thetas / np.where(s > 0.0, s, 1.0)[:, None]
 
 

@@ -4,11 +4,11 @@ Every modular shipped here is a finite sum of terms ``||x_i||_{E_i} ** q_i``
 with exponents q_i in [1, inf).  That structure is exploited by the norm
 solver: a modular reduces a whole batch of points to flat (norm, exponent)
 term arrays in one ``batch_terms`` call, after which the setup and the
-Newton iteration run on padded ``(rows, terms)`` arrays and never touch the
-vectors again.  Per point, only the Newton start log(m) / q_max and the
-equal-exponent closed form stay scalar ``math``, because numpy's vector log
-and power round some values differently and every norm keeps the bits it
-has when solved alone.
+Newton iteration run on the contiguous ``(terms, rows)`` transpose of the
+padded terms and never touch the vectors again.  Only the Newton start
+log(m) / q_max and the equal-exponent closed form are libm's ``log`` and
+``pow``, mapped over lists, because numpy's vector log and power round some
+values differently and every norm keeps the bits it has when solved alone.
 
 Theta itself has one kernel, :func:`_theta_rows`, behind :func:`modular_eval`
 (through ``ScaleProfile``), ``nakano.nakano_modular`` and the tail defect of
@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import Euclid, Schatten, as_matrix, as_real_vector, reduce_rows
+from .spaces import Euclid, Schatten, _sum_columns, as_matrix, as_real_vector, reduce_rows
 
 __all__ = [
     "ConvexModular",
@@ -187,11 +188,12 @@ def luxemburg_norms(theta: ConvexModular, points) -> np.ndarray:
     m = 1 has norm s, and a point whose exponents are all equal has the
     closed form s * m ** (1/q).  A norm above the largest float raises.
 
-    u0 and the closed form stay scalar ``math.log`` and ``**`` per point:
-    numpy's vector log and power round some values differently from them,
-    and every norm keeps the bits it had when each point was set up on its
-    own.  All points are solved in lockstep, each taking exactly the steps
-    it would take alone, so a norm has the same bits in any batch.
+    Newton runs in place on the ``(terms, rows)`` transpose.  u0 and the
+    closed form are ``math.log`` and ``pow`` mapped over lists: numpy's
+    vector log and power round some values differently, and every norm
+    keeps the bits it had when each point was set up on its own.  All
+    points are solved in lockstep, each taking exactly the steps it would
+    take alone, so a norm has the same bits in any batch.
     """
     return _solve_terms(*theta.batch_terms(points))
 
@@ -199,12 +201,13 @@ def luxemburg_norms(theta: ConvexModular, points) -> np.ndarray:
 def _solve_terms(norms, exps, counts) -> np.ndarray:
     """The Luxemburg norms of points given as ``batch_terms`` output."""
     out = np.zeros(counts.size)
-    if not np.isfinite(norms).all():
+    # count_nonzero and ufunc reduces are plain C calls; any(), all(), max() and min() go through Python
+    if np.count_nonzero(np.isfinite(norms)) < norms.size:
         raise NumericalFailure("modular value is not finite")
     if not norms.size:
         return out
-    width = int(counts.max())
-    if counts.min() == width:
+    width = int(np.maximum.reduce(counts))
+    if np.minimum.reduce(counts) == width:
         n = norms.reshape(-1, width)
         q = exps.reshape(-1, width)
     else:
@@ -226,7 +229,7 @@ def _solve_terms(norms, exps, counts) -> np.ndarray:
     # zero terms, and terms that underflow to 0 against the largest one,
     # contribute nothing at any scale
     live = n > 0.0
-    if (live[:, 1:] > live[:, :-1]).any():
+    if np.count_nonzero(live[:, 1:] > live[:, :-1]):
         # a zero term ahead of a live one would regroup the sums below, so
         # each row's live terms move to its front, in their order
         order = np.argsort(~live, axis=1, kind="stable")
@@ -238,56 +241,60 @@ def _solve_terms(norms, exps, counts) -> np.ndarray:
     # spaces.reduce_rows), so padding them with zero terms up to 7 columns
     # changes no bit; wider rows would regroup, so they go unpadded, by live count
     if width < 8:
-        _solve_rows(out, rows, s, n, q, live)
+        _solve_rows(out, rows, s, n, q)
         return out
     keys = np.maximum(live.sum(axis=1), 7)
     for key in np.unique(keys).tolist():
         g = keys == key
-        _solve_rows(out, rows[g], s[g], n[g, :key], q[g, :key], live[g, :key])
+        _solve_rows(out, rows[g], s[g], n[g, :key], q[g, :key])
     return out
 
 
-def _solve_rows(out, rows, s, n, q, live) -> None:
-    """out[rows] from max-normalized terms (n, q) whose live terms lead each row."""
-    m = reduce_rows(np.add, np.power(n, q))
-    qmax = reduce_rows(np.maximum, q)
-    equal = reduce_rows(np.minimum, q) == qmax
-    solve = []
-    u0 = []
-    for k, (i, si, mi, qi, eq) in enumerate(zip(rows.tolist(), s.tolist(), m.tolist(),
-                                                qmax.tolist(), equal.tolist())):
-        if mi == 1.0:
-            out[i] = si
-        elif eq:
-            lam = si * mi ** (1.0 / qi)
-            if not math.isfinite(lam):
-                raise NumericalFailure("Luxemburg norm is not finite")
-            out[i] = lam
-        else:
-            solve.append(k)
-            u0.append(math.log(mi) / qi)
-    if not solve:
-        return
-    if len(solve) < rows.size:
-        rows, s, n, q, live = rows[solve], s[solve], n[solve], q[solve], live[solve]
+def _solve_rows(out, rows, s, n, q) -> None:
+    """out[rows] from max-normalized terms (n, q) whose live (nonzero) terms lead each row."""
+    n, q = np.ascontiguousarray(n.T), np.ascontiguousarray(q.T)
+    qmax = np.maximum.reduce(q, 0)
+    m = _sum_columns(np.power(n, q)).tolist()
+    # a row of equal exponents, or with m = 1 (1.0 ** x is 1.0), has the closed form
+    # s * m ** (1/q), and the others start Newton at log(m) / q_max: libm on lists
+    closed = list(map(operator.or_, (np.minimum.reduce(q, 0) == qmax).tolist(),
+                      map(operator.eq, m, itertools.repeat(1.0))))
+    if any(closed):
+        inverse = map(operator.truediv, itertools.repeat(1.0), itertools.compress(qmax.tolist(), closed))
+        lam = list(map(operator.mul, itertools.compress(s.tolist(), closed),
+                       map(pow, itertools.compress(m, closed), inverse)))
+        if not all(map(math.isfinite, lam)):
+            raise NumericalFailure("Luxemburg norm is not finite")
+        if all(closed):
+            # a lone row, or a batch of closed rows only, needs no mask
+            out[rows] = lam
+            return
+        m = list(itertools.compress(m, map(operator.not_, closed)))
+        closed = np.array(closed)
+        out[rows[closed]] = lam
+        newton = ~closed
+        rows, s, n, q, qmax = rows[newton], s[newton], n[:, newton], q[:, newton], qmax[newton]
+    u0 = np.fromiter(map(math.log, m), float, len(m)) / qmax
     # a dead term has a = -inf, so its w is exactly 0
-    a = np.log(n, out=np.full(n.shape, -np.inf), where=live)
+    a = np.log(n, out=np.full(n.shape, -np.inf), where=n > 0.0)
     with np.errstate(over="ignore"):
-        lam = s * np.exp(_newton(a, q, np.array(u0)))
+        lam = s * np.exp(_newton(a, q, u0))
     if not np.isfinite(lam).all():
         raise NumericalFailure("Luxemburg norm is not finite")
     out[rows] = lam
 
 
 def _newton(a, q, u) -> np.ndarray:
-    """The roots u of the rows (a, q) solved in lockstep from the starts u."""
+    """The roots u of the columns (a, q) solved in lockstep from the starts u."""
     active = np.ones(u.shape, dtype=bool)
-    while active.any():
-        w = np.exp(q * (a - u[:, None]))
-        total = reduce_rows(np.add, w)
-        step = np.log(total) * total / reduce_rows(np.add, q * w)
+    w = np.empty(a.shape)
+    while np.count_nonzero(active):
+        # w = exp(q (a - u)) and then q w, in place, with the rows' own bits
+        np.exp(np.multiply(q, np.subtract(a, u, out=w), out=w), out=w)
+        total = _sum_columns(w)
+        step = np.log(total) * total / _sum_columns(np.multiply(q, w, out=w))
         # a stopped row keeps its root while the others go on
-        u = np.where(active, u + step, u)
+        np.add(u, step, out=u, where=active)
         active &= step > 4e-16 * np.maximum(1.0, np.abs(u))
     return u
 

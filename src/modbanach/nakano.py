@@ -11,6 +11,7 @@ finite, which governs the existence of an equivalent hilbertian norm.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -285,7 +286,12 @@ _NOT_A_FLOAT = "block has an integer too large for a float"
 #: the coordinate types a flat read takes: JSON's numbers, and booleans,
 #: which numpy reads as 1 and 0 either way
 _NUMBERS = frozenset((float, int, bool))
-_index = operator.itemgetter(0)
+_first, _second = operator.itemgetter(0), operator.itemgetter(1)
+
+
+#: block vectors as columns, every vector's blocks in turn by increasing index: the indices, each vector's
+#: block count, each block's size, every coordinate (one read-only array) and which blocks are complex
+_Columns = collections.namedtuple("_Columns", "ns counts sizes flat cplx")
 
 
 def _number_lists(values) -> bool:
@@ -296,7 +302,7 @@ def _number_lists(values) -> bool:
 
 def _checked(a: np.ndarray) -> np.ndarray:
     # isfinite of a complex entry is False once either part is inf or NaN
-    if not np.isfinite(a).all():
+    if np.count_nonzero(np.isfinite(a)) < a.size:
         raise ValueError("block has non-finite entries")
     a.flags.writeable = False
     return a
@@ -315,46 +321,66 @@ def _coerce_block(arr) -> np.ndarray:
     return _checked(a if a.ndim == 1 else a.ravel())
 
 
-def _read_items(vectors) -> list:
-    """The items of many vectors, each given as ``(int index, block)`` pairs, read in one pass.
-
-    The indices of a vector are sorted, and one outside [1, _INDEX_MAX] or a
-    repeated one raises ``ValueError``.  When every block is a list of
-    numbers, all coordinates go into one float array, checked once and
-    read-only, and each block is a view into it.  Otherwise each block is
-    coerced on its own: read by ``np.array``, flattened, cast to float or
-    complex.  Both ways read a list of numbers to the same bits, and a
-    coordinate that is a string, is not finite, or is an integer too large
-    for a float raises ``ValueError``.
-    """
-    supports, values = [], []
-    for pairs in vectors:
-        items = sorted(pairs, key=_index)
-        support, vals = zip(*items) if items else ((), ())
-        if support and not 1 <= support[0] <= support[-1] <= _INDEX_MAX:
+def _index_fault(keys: list, counts) -> None:
+    """Raise the first vector's first fault: a key ``int`` does not read, an index out of range, a repeat."""
+    for start, end in itertools.pairwise(itertools.accumulate(counts.tolist(), initial=0)):
+        support = sorted(map(int, keys[start:end]))
+        if support:
             _check_index(support[0] if support[0] < 1 else support[-1])
         if len(set(support)) < len(support):
-            n = next(n for n, m in zip(support, support[1:]) if n == m)
-            raise ValueError(f"duplicate block index {n}")
-        supports.append(support)
-        values.extend(vals)
+            raise ValueError(f"duplicate block index {next(n for n, m in zip(support, support[1:]) if n == m)}")
+
+
+def _read_items(vectors) -> _Columns:
+    """The columns of many vectors, each given as ``(index, block)`` pairs, read in one pass.
+
+    The indices are read by ``int`` (JSON makes them strings) into one intp
+    array, sorted within each vector by one ``np.lexsort`` and checked as
+    arrays.  When every block is a list of numbers, all coordinates go into
+    one float array, checked once; otherwise each block is read by
+    ``np.array``, flattened, cast to float or complex and checked, in block
+    order.  Both ways give a list of numbers the same bits; a string, a
+    coordinate that is not finite or an integer too large for a float
+    raises ``ValueError``.
+    """
+    vectors = list(map(list, vectors))
+    pairs = list(itertools.chain.from_iterable(vectors))
+    keys, values = list(map(_first, pairs)), list(map(_second, pairs))
+    counts = np.fromiter(map(len, vectors), np.intp, len(vectors))
+    try:
+        ns = np.array(list(map(int, keys)), dtype=np.intp)
+    except (ValueError, TypeError, OverflowError):
+        _index_fault(keys, counts)
+        raise
+    owner = np.repeat(np.arange(counts.size), counts)
+    order = np.lexsort((ns, owner))
+    ns = ns[order]
+    same = ns[1:] == ns[:-1]
+    if np.count_nonzero(ns < 1) or np.count_nonzero(same) and np.count_nonzero(same & (owner[1:] == owner[:-1])):
+        _index_fault(keys, counts)
+    values = list(map(values.__getitem__, order.tolist()))
     if _number_lists(values):
         try:
-            flat = np.array(list(itertools.chain.from_iterable(values)), dtype=float)
+            flat = _checked(np.array(list(itertools.chain.from_iterable(values)), dtype=float))
         except OverflowError:
             raise ValueError(_NOT_A_FLOAT) from None
-        _checked(flat)
-        sizes = list(map(len, values))
-        if len(set(sizes)) == 1:
-            # blocks of one size are the rows of the coordinates
-            blocks = iter(flat.reshape(len(sizes), -1))
-        else:
-            ends = list(itertools.accumulate(sizes))
-            blocks = iter(map(flat.__getitem__, map(slice, [0] + ends[:-1], ends)))
     else:
-        blocks = iter(map(_coerce_block, values))
-    # zip stops at the end of a support before it takes a block
-    return [tuple(zip(support, blocks)) for support in supports]
+        values = list(map(_coerce_block, values))
+        flat = np.concatenate(values) if values else np.empty(0)
+        flat.flags.writeable = False
+    complex_blocks = (block.dtype.kind == "c" for block in values)
+    cplx = np.fromiter(complex_blocks, bool, len(values)) if flat.dtype.kind == "c" else np.zeros(len(values), bool)
+    return _Columns(ns, counts, np.fromiter(map(len, values), np.intp, len(values)), flat, cplx)
+
+
+def _join(points) -> _Columns:
+    """The columns of many block vectors; columns are taken as they are."""
+    if isinstance(points, _Columns):
+        return points
+    parts = [x.columns for x in points]
+    if len(parts) < 2:
+        return parts[0] if parts else _read_items([])
+    return _Columns(*map(np.concatenate, zip(*parts)))
 
 
 @dataclass(frozen=True)
@@ -363,21 +389,23 @@ class BlockVector:
 
     Entries are stored sorted by block index and are immutable.  Arithmetic
     acts blockwise with union support.  Every block vector is read by
-    ``_read_items``, from its pairs here and from dicts in :meth:`from_dicts`.
+    ``_read_items``, from its pairs here and from dicts in :meth:`from_dicts`,
+    and keeps the ``columns`` read; each block of ``items`` views them.
     """
 
     items: tuple
 
     def __post_init__(self):
-        items, = _read_items([[(_check_index(n), arr) for n, arr in self.items]])
-        object.__setattr__(self, "items", items)
+        self._hold(_read_items([[(_check_index(n), arr) for n, arr in self.items]]))
 
-    @classmethod
-    def _of(cls, items: tuple) -> "BlockVector":
-        """A block vector of items already checked, sorted and coerced."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "items", items)
-        return x
+    def _hold(self, columns: _Columns) -> "BlockVector":
+        stops = list(itertools.accumulate(columns.sizes.tolist(), initial=0))
+        blocks = map(columns.flat.__getitem__, map(slice, stops, stops[1:]))
+        if columns.flat.dtype.kind == "c":
+            blocks = [block if c else block.real for block, c in zip(blocks, columns.cplx.tolist())]
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "items", tuple(zip(columns.ns.tolist(), blocks)))
+        return self
 
     @classmethod
     def from_dict(cls, d: dict) -> "BlockVector":
@@ -386,12 +414,13 @@ class BlockVector:
 
     @classmethod
     def from_dicts(cls, ds) -> list:
-        """The block vectors of many ``{index: coordinates}`` dicts, read in one pass.
-
-        An index is read by ``int``, as JSON round trips turn it into a
-        string; the rest is ``_read_items``.
-        """
-        return [cls._of(items) for items in _read_items(zip(map(int, d.keys()), d.values()) for d in ds)]
+        """The block vectors of many ``{index: coordinates}`` dicts, read in one pass; each
+        holds views of the columns read."""
+        ns, counts, sizes, flat, cplx = _read_items(d.items() for d in ds)
+        stops = list(itertools.accumulate(sizes.tolist(), initial=0))
+        bounds = enumerate(itertools.pairwise(itertools.accumulate(counts.tolist(), initial=0)))
+        return [object.__new__(cls)._hold(_Columns(ns[a:b], counts[i:i + 1], sizes[a:b], flat[stops[a]:stops[b]],
+                                                   cplx[a:b])) for i, (a, b) in bounds]
 
     @property
     def support(self) -> tuple:
@@ -414,7 +443,8 @@ class BlockVector:
         return self._binary(other, -1.0)
 
     def scale(self, t: float) -> "BlockVector":
-        return BlockVector(tuple((n, t * arr) for n, arr in self.items))
+        # the indices stay as read, and the scaled coordinates are checked again
+        return object.__new__(BlockVector)._hold(self.columns._replace(flat=_checked(self.columns.flat * t)))
 
 
 def nakano_modular(spec: NakanoSpec, x: BlockVector) -> float:
@@ -422,9 +452,9 @@ def nakano_modular(spec: NakanoSpec, x: BlockVector) -> float:
     return modular_eval(NakanoModular(spec), x)
 
 
-def _block_info(blk) -> tuple:
+def _lp_exponent(blk) -> float:
     kind = type(blk)
-    return blk, blk.dim, 2.0 if kind is Euclid else blk.p if kind is Lp else 0.0
+    return 2.0 if kind is Euclid else blk.p if kind is Lp else 0.0
 
 
 @dataclass(frozen=True)
@@ -436,45 +466,42 @@ class NakanoModular(ConvexModular):
     def batch_terms(self, points):
         """The block norms and exponents of all points, read in one pass.
 
-        The exponents come from one ``values`` call over every block index,
+        ``points`` are block vectors, whose columns are joined, or columns.
+        The exponents come from one ``values`` call over the index column,
         and each distinct index gets one ``block`` call.  Real blocks of an
-        l_p or Euclidean space are gathered by dimension from one array of
-        all coordinates and normed by one :func:`spaces.lp_norms_stack` call
-        per dimension, with the bits of ``blk.norm``; every other block,
-        complex ones included, goes through ``blk.norm`` and keeps its errors.
+        l_p or Euclidean space are gathered by dimension from the coordinate
+        column and normed by one :func:`spaces.lp_norms_stack` call per
+        dimension, with the bits of ``blk.norm``; every other block, complex
+        ones included, goes through ``blk.norm`` and keeps its errors.
         """
-        items = [item for point in points for item in point.items]
-        counts = np.fromiter((len(point.items) for point in points), dtype=np.intp, count=len(points))
-        ns, arrs = zip(*items) if items else ((), ())
-        exps = self.spec.exponents.values(np.array(ns, dtype=np.intp))
-        if not items:
+        ns, counts, sizes, flat, cplx = _join(points)
+        exps = self.spec.exponents.values(ns)
+        if not ns.size:
             return np.empty(0), exps, counts
         # each distinct index's block, its dimension and its l_p exponent
         # (0 for a block that is not l_p or Euclidean)
-        info = {n: _block_info(self.spec.blocks.block(n, p)) for n, p in dict(zip(ns, exps.tolist())).items()}
-        blks, dims, ps = zip(*map(info.__getitem__, ns))
-        sizes = tuple(map(len, arrs))
-        if sizes != dims:
-            i = next(i for i, (k, d) in enumerate(zip(sizes, dims)) if k != d)
-            raise ValueError(f"block {ns[i]} has {sizes[i]} coordinates, expected {dims[i]}")
-        flat = np.concatenate(arrs)
-        real = flat.dtype.kind != "c"
-        if real and 0.0 not in ps and len(set(dims)) == 1:
+        ns_list = ns.tolist()
+        blks = {n: self.spec.blocks.block(n, p) for n, p in dict(zip(ns_list, exps.tolist())).items()}
+        dim_of = {n: blk.dim for n, blk in blks.items()}
+        p_of = {n: _lp_exponent(blk) for n, blk in blks.items()}
+        dims = np.fromiter(map(dim_of.__getitem__, ns_list), np.intp, ns.size)
+        bad = sizes != dims
+        if np.count_nonzero(bad):
+            i = int(bad.argmax())
+            raise ValueError(f"block {ns_list[i]} has {sizes[i]} coordinates, expected {dims[i]}")
+        ps = np.fromiter(map(p_of.__getitem__, ns_list), float, ns.size)
+        if flat.dtype.kind != "c" and 0.0 not in p_of.values() and len(set(dim_of.values())) == 1:
             # one stack takes every block, in order
-            return spaces.lp_norms_stack(flat.reshape(len(ns), -1), np.array(ps)), exps, counts
-        ps = np.array(ps)
-        if not real:
-            ps[[arr.dtype.kind == "c" for arr in arrs]] = 0.0
-            flat = flat.real
-        stacked = ps > 0.0
-        norms = np.empty(len(ns))
+            return spaces.lp_norms_stack(flat.reshape(ns.size, -1), ps), exps, counts
+        stacked = (ps > 0.0) & ~cplx
+        norms = np.empty(ns.size)
+        ends = np.cumsum(sizes)
+        starts, real = ends - sizes, flat.real
         for i in np.flatnonzero(~stacked).tolist():
-            norms[i] = blks[i].norm(arrs[i])
-        dims = np.array(dims)
-        starts = np.cumsum(dims) - dims
+            norms[i] = blks[ns_list[i]].norm((flat if cplx[i] else real)[starts[i]:ends[i]])
         for d in np.unique(dims[stacked]).tolist():
             rows = np.flatnonzero(stacked & (dims == d))
-            norms[rows] = spaces.lp_norms_stack(flat[starts[rows, None] + np.arange(d)], ps[rows])
+            norms[rows] = spaces.lp_norms_stack(real[starts[rows, None] + np.arange(d)], ps[rows])
         return norms, exps, counts
 
 

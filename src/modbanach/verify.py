@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .modular import luxemburg_norms, modular_sum_norm_with_scalar
-from .nakano import BlockVector, NakanoModular, NakanoSpec, _unit_block
+from .nakano import BlockVector, NakanoModular, NakanoSpec, _read_items, _unit_block
 from .sampling import gaussian_batch, rng_stream, structured_pairs
 from .spaces import Lp, Schatten, as_real, space_from_dict, space_to_dict
 
@@ -328,7 +328,8 @@ def far_block_limit_gaps(spec: NakanoSpec, x: BlockVector, t: float, schedule) -
             raise ValueError(f"schedule index {n} lies inside the support of x")
     theta = NakanoModular(spec)
     target = modular_sum_norm_with_scalar(theta, x, t)
-    shifted = [x + BlockVector(((int(n), t * _unit_block(spec, n)),)) for n in schedule]
+    # every x + t u_n, read in one pass
+    shifted = _read_items((*x.items, (int(n), t * _unit_block(spec, n))) for n in schedule)
     return np.abs(luxemburg_norms(theta, shifted) - target)
 
 

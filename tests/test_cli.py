@@ -885,24 +885,36 @@ def test_real_slot_on_any_json_exits_0_1_2_or_3(slot, value):
 
 
 # the five block families of the benchmark's norm campaigns, with their block dimension
+# (spec, the dimensions of its blocks 1, 2, ...): the perfbench specs, cycled
+# blocks of unequal sizes, and Schatten blocks, which are normed one by one
 _SOLVE_SPECS = [
-    ({"exponents": {"kind": "power", "a": 1.0}}, 1),
-    ({"exponents": {"kind": "log", "a": 1.0, "b": 1.0}}, 1),
-    ({"exponents": {"kind": "loglog", "a": 1.0, "b": 3.0}}, 1),
+    ({"exponents": {"kind": "power", "a": 1.0}}, (1,)),
+    ({"exponents": {"kind": "log", "a": 1.0, "b": 1.0}}, (1,)),
+    ({"exponents": {"kind": "loglog", "a": 1.0, "b": 3.0}}, (1,)),
     ({"exponents": {"kind": "log", "a": 1.0, "b": 1.0},
-      "blocks": {"kind": "uniform", "space": {"kind": "euclid", "d": 2}}}, 2),
-    ({"exponents": {"kind": "power", "a": 1.0}, "blocks": {"kind": "lp_matched", "d": 2}}, 2),
+      "blocks": {"kind": "uniform", "space": {"kind": "euclid", "d": 2}}}, (2,)),
+    ({"exponents": {"kind": "power", "a": 1.0}, "blocks": {"kind": "lp_matched", "d": 2}}, (2,)),
+    ({"exponents": {"kind": "power", "a": 1.0},
+      "blocks": {"kind": "cycle", "spaces": [{"kind": "euclid", "d": 1}, {"kind": "lp", "p": 3.0, "d": 3}]}}, (1, 3)),
+    ({"exponents": {"kind": "log", "a": 1.0, "b": 1.0},
+      "blocks": {"kind": "uniform", "space": {"kind": "schatten", "p": 3.0, "d": 2}}}, (4,)),
 ]
 _MAGNITUDE = st.floats(1e-300, 1e300) | st.just(0.0)
 
 
 @st.composite
+def _solve_vector(draw, dims):
+    coordinate = st.builds(lambda m, sign: sign * m, _MAGNITUDE, st.sampled_from([1.0, -1.0]))
+    indices = draw(st.lists(st.integers(1, 40), unique=True, max_size=6))
+    d = len(dims)
+    return {str(n): draw(st.lists(coordinate, min_size=dims[(n - 1) % d], max_size=dims[(n - 1) % d]))
+            for n in indices}
+
+
+@st.composite
 def _solve_campaign(draw):
-    spec, d = draw(st.sampled_from(_SOLVE_SPECS))
-    coordinates = st.lists(st.builds(lambda m, sign: sign * m, _MAGNITUDE, st.sampled_from([1.0, -1.0])),
-                           min_size=d, max_size=d)
-    vector = st.dictionaries(st.integers(1, 40).map(str), coordinates, max_size=6)
-    vectors = draw(st.lists(vector, min_size=1, max_size=12))
+    spec, dims = draw(st.sampled_from(_SOLVE_SPECS))
+    vectors = draw(st.lists(_solve_vector(dims) | st.just({}), min_size=1, max_size=12))
     cuts = sorted(draw(st.lists(st.integers(0, len(vectors)), max_size=3)))
     return spec, vectors, cuts
 
@@ -919,6 +931,36 @@ def test_campaign_norms_are_lone_norms_bitwise(campaign):
         got += res.payload["norms"]
     nakano = spec_from_dict(spec)
     assert [float.hex(v) for v in got] == [float.hex(nakano_norm(nakano, BlockVector.from_dict(v))) for v in vectors]
+
+
+_SCALAR = {"exponents": {"kind": "power", "a": 1.0}}
+_EUCLID2_BLOCKS = {**_SCALAR, "blocks": {"kind": "uniform", "space": {"kind": "euclid", "d": 2}}}
+_INDEX_RANGE = "block index must be a positive integer up to 9223372036854775807, got"
+
+
+@pytest.mark.parametrize("spec, vectors, message", [
+    # the indices of every vector are checked before any coordinate, vector by vector
+    (_SCALAR, [{"2": [1.0]}, {"1": [1.0], "0": [2.0]}, {"1": [1.0], "01": [2.0]}], f"{_INDEX_RANGE} 0"),
+    (_SCALAR, [{"2": [1.0]}, {"01": [1.0], "1": [2.0]}, {"0": [2.0], "3": [1.0]}], "duplicate block index 1"),
+    (_SCALAR, [{"0": [1.0]}, {"a": [1.0]}], f"{_INDEX_RANGE} 0"),
+    (_SCALAR, [{"a": [1.0]}, {"0": [1.0]}], "invalid literal for int() with base 10: 'a'"),
+    (_SCALAR, [{"1": ["a"]}, {"2": [1.0], str(10 ** 30): [1.0]}], f"{_INDEX_RANGE} {10 ** 30}"),
+    (_SCALAR, [{str(10 ** 30): [1.0]}, {"3": [1.0], "1": ["a"]}], f"{_INDEX_RANGE} {10 ** 30}"),
+    # coordinates: block by block once one is not a list of numbers, else all at once
+    (_SCALAR, [{"2": [1.0], "1": [math.nan]}, {"1": ["a"]}], "block has non-finite entries"),
+    (_SCALAR, [{"1": ["a"]}, {"2": [1.0], "1": [math.nan]}], "block has a string coordinate"),
+    (_SCALAR, [{"1": [math.nan]}, {"2": [10 ** 400]}], "block has an integer too large for a float"),
+    # then the block sizes, in block order
+    (_SCALAR, [{"1": [1.0, 2.0]}, {"3": [math.nan]}], "block has non-finite entries"),
+    (_EUCLID2_BLOCKS, [{"2": [1.0, 2.0], "1": [1.0]}, {"3": [math.nan, 1.0]}], "block has non-finite entries"),
+    (_EUCLID2_BLOCKS, [{"2": [1.0, 2.0], "4": [1.0, 2.0, 3.0]}, {"1": [1.0]}],
+     "block 4 has 3 coordinates, expected 2"),
+])
+def test_campaign_with_faults_in_two_vectors_names_the_first(spec, vectors, message, tmp_path, capsys):
+    cfg_path = tmp_path / "faults.json"
+    cfg_path.write_text(json.dumps({"command": "norm", "seed": 0, "norm": {"nakano": spec, "vectors": vectors}}))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: norm: {message}"
 
 
 def test_regen_golden_check_writes_nothing_and_names_differences(tmp_path):
