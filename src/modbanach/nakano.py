@@ -304,14 +304,13 @@ def _checked(a: np.ndarray) -> np.ndarray:
     # isfinite of a complex entry is False once either part is inf or NaN
     if np.count_nonzero(np.isfinite(a)) < a.size:
         raise ValueError("block has non-finite entries")
-    a.flags.writeable = False
     return a
 
 
 def _coerce_block(arr) -> np.ndarray:
-    # np.array copies an array and reads a list once, and the cast below
-    # copies only when the dtype changes
-    a = np.array(arr)
+    # the blocks are joined into one fresh array, so an array is read without
+    # a copy here, and the cast below copies only when the dtype changes
+    a = np.asarray(arr)
     if a.dtype.kind in "SU":
         raise ValueError("block has a string coordinate")
     try:
@@ -367,7 +366,7 @@ def _read_items(vectors) -> _Columns:
     else:
         values = list(map(_coerce_block, values))
         flat = np.concatenate(values) if values else np.empty(0)
-        flat.flags.writeable = False
+    flat.flags.writeable = False
     complex_blocks = (block.dtype.kind == "c" for block in values)
     cplx = np.fromiter(complex_blocks, bool, len(values)) if flat.dtype.kind == "c" else np.zeros(len(values), bool)
     return _Columns(ns, counts, np.fromiter(map(len, values), np.intp, len(values)), flat, cplx)
@@ -444,7 +443,9 @@ class BlockVector:
 
     def scale(self, t: float) -> "BlockVector":
         # the indices stay as read, and the scaled coordinates are checked again
-        return object.__new__(BlockVector)._hold(self.columns._replace(flat=_checked(self.columns.flat * t)))
+        flat = _checked(self.columns.flat * t)
+        flat.flags.writeable = False
+        return object.__new__(BlockVector)._hold(self.columns._replace(flat=flat))
 
 
 def nakano_modular(spec: NakanoSpec, x: BlockVector) -> float:
