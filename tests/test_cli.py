@@ -884,9 +884,9 @@ def test_real_slot_on_any_json_exits_0_1_2_or_3(slot, value):
     assert _exit_code(_with_slot(template, path, value)) in (0, 1, 2, 3)
 
 
-# the five block families of the benchmark's norm campaigns, with their block dimension
-# (spec, the dimensions of its blocks 1, 2, ...): the perfbench specs, cycled
-# blocks of unequal sizes, and Schatten blocks, which are normed one by one
+# (spec, the dimensions of its blocks 1, 2, ... in turn): the five block
+# families of the benchmark's norm campaigns, cycled blocks of unequal sizes,
+# and Schatten blocks, which are normed one by one
 _SOLVE_SPECS = [
     ({"exponents": {"kind": "power", "a": 1.0}}, (1,)),
     ({"exponents": {"kind": "log", "a": 1.0, "b": 1.0}}, (1,)),
