@@ -29,9 +29,9 @@ import numpy as np
 
 from . import __version__, geomconst, isolab
 from . import verify as vf
-from .modular import NumericalFailure, luxemburg_norms
-from .nakano import (_EXPONENT_KINDS, _INDEX_MAX, BlockVector, FormulaExponents, NakanoModular, _read_items,
-                     nakano_condition_terms, nakano_condition_verdict, spec_from_dict)
+from .modular import NumericalFailure
+from .nakano import (_EXPONENT_KINDS, _INDEX_MAX, BlockVector, FormulaExponents, nakano_condition_terms,
+                     nakano_condition_verdict, nakano_norms, spec_from_dict)
 from .spaces import (_COORDS_MAX, _ELEMENTS_MAX, _SCHATTEN_D, REQUIRED, ConfigError, Schatten, _int_reader,
                      _list_reader, _read_kind, _read_object, as_real, space_from_dict)
 
@@ -153,8 +153,7 @@ def _run_norm(seed, jobs, space, nakano, vectors):
     if space is not None:
         norms = [space.norm(_floats(v, "norm.vectors")) for v in vectors]
     else:
-        columns = _read_items(_block_dict(v, "norm.vectors").items() for v in vectors)
-        norms = luxemburg_norms(NakanoModular(nakano), columns).tolist()
+        norms = nakano_norms(nakano, (_block_dict(v, "norm.vectors").items() for v in vectors)).tolist()
     return {"norms": norms}, True, False, False
 
 
@@ -238,8 +237,7 @@ def _run_iterate(seed, jobs, embedding, x, n_max):
         raise ConfigError(f"iterate.x: expected {t.domain.dim} coordinates")
     trace = isolab.pt_iterate(t, x, n_max=n_max)
     iso = isolab.is_isometric_embedding(t, seed=seed)
-    cauchy = abs(trace.norms[-1] - trace.norms[-6]) <= 1e-9
-    numerical_failure = not cauchy
+    numerical_failure = not trace.cauchy
     try:
         inter_dim = isolab.range_intersection_dim(t)
     except isolab.AmbiguousRankError:
@@ -247,10 +245,10 @@ def _run_iterate(seed, jobs, embedding, x, n_max):
         numerical_failure = True
     series = {"n": list(range(len(trace.norms))), "norm": trace.norms.tolist(),
               "residual": trace.residuals.tolist(), "defect": trace.defects.tolist()}
-    payload = {"isometric": iso.isometric, "max_deviation": iso.max_deviation, "cauchy": bool(cauchy),
+    payload = {"isometric": iso.isometric, "max_deviation": iso.max_deviation, "cauchy": trace.cauchy,
                "intersection_dim": inter_dim, "trace": series}
     max_defect = float(trace.defects.max()) if len(trace.defects) else 0.0
-    passed = iso.isometric and cauchy and max_defect <= 1e-10
+    passed = iso.isometric and trace.cauchy and max_defect <= 1e-10
     return payload, passed, False, numerical_failure
 
 

@@ -92,11 +92,16 @@ def _ascend(space, thetas: np.ndarray) -> Descent:
 def _starts(space, budget: int, seed: int) -> np.ndarray:
     """The (budget, n) stack of packed start pairs: structured, then Gaussian.
 
-    Gaussian start i is x and then y drawn from stream i of `seed`, each as
-    one ``gaussian_batch(space, 1, rng_stream(seed, i))`` draws it: a
-    Schatten element takes its real and then its imaginary normals.
+    A short budget leads with (ones, alternating) and (e_0, e_1), extremal for
+    p > 2 and p < 2.  Gaussian start i is x and then y drawn from stream i of
+    `seed`, each as one ``gaussian_batch(space, 1, rng_stream(seed, i))``
+    draws it: a Schatten element takes its real and then its imaginary normals.
     """
-    starts = [_pack(space, x, y) for x, y in structured_pairs(space)][:budget]
+    pairs = structured_pairs(space)
+    # (ones, alternating) is pairs[-5] and (e_0, e_1) pairs[1], which is pairs[-5] in one dimension
+    lead = list(dict.fromkeys((len(pairs) - 5, 1))) if budget < len(pairs) else []
+    pairs = [pairs[i] for i in lead] + [q for i, q in enumerate(pairs) if i not in lead]
+    starts = [_pack(space, x, y) for x, y in pairs[:budget]]
     n = (4 if isinstance(space, Schatten) else 2) * space.dim
     rand = stream_normals(seed, budget - len(starts), n)
     if isinstance(space, Schatten):
@@ -162,13 +167,13 @@ def jvn_upper_bound_clarkson(p: float) -> float:
     return 2.0 ** (2.0 * abs(0.5 - 1.0 / p))
 
 
-def duality_gap(p: float, d: int, budget: int = 64, seed: int = 0) -> float:
-    """|a-estimate(l_p^d) - a-estimate(l_p'^d)|; vanishes in exact arithmetic."""
+def duality_gap(p: float, d: int, seed: int = 0) -> float:
+    """|a-estimate(l_p^d) - a-estimate(l_p'^d)| at the default budget; vanishes in exact arithmetic."""
     p = float(p)
     if not (1.0 < p < math.inf):
         raise ValueError(f"duality gap needs p in (1, inf), got {p!r}")
-    lb = jvn_lower_bound(Lp(p, d), budget, seed).lower_bound
-    lb_dual = jvn_lower_bound(Lp(dual_exponent(p), d), budget, seed).lower_bound
+    lb = jvn_lower_bound(Lp(p, d), seed=seed).lower_bound
+    lb_dual = jvn_lower_bound(Lp(dual_exponent(p), d), seed=seed).lower_bound
     return abs(lb - lb_dual)
 
 

@@ -42,6 +42,7 @@ __all__ = [
 
 # each check's fixed tolerance or size, named once
 _ISOMETRY_TOL = 1e-10       # relative deviation that still counts as isometric
+_ISOMETRY_SUITE = 512       # samples an isometry check measures the deviation on
 _SUMMAND_SUITE = 64         # samples a summand search scores its candidates on
 _FOUND_RESIDUAL = 1e-8      # a summand search's residual that counts as found
 _LIMIT_TOL = 1e-8           # slack of lim ||(PT)^n x|| = ||x|| and of the projected isometry
@@ -77,9 +78,8 @@ class LinearMap:
 
 
 def _domain_suite(space, samples: int, seed: int) -> np.ndarray:
-    struct = [v for v in structured_vectors(space)]
     rand = gaussian_batch(space, samples, rng_stream(seed, 999983))
-    return np.vstack([np.stack(struct), rand])
+    return np.vstack([np.stack(structured_vectors(space)), rand])
 
 
 def _nonzero_suite(space, samples: int, seed: int) -> tuple:
@@ -97,9 +97,9 @@ class IsometryCheck:
     tolerance: float
 
 
-def is_isometric_embedding(t: LinearMap, samples: int = 512, seed: int = 0) -> IsometryCheck:
-    """Max relative deviation | ||Tx|| - ||x|| | / ||x|| over a sample suite, isometric within _ISOMETRY_TOL."""
-    suite = _domain_suite(t.domain, samples, seed)
+def is_isometric_embedding(t: LinearMap, seed: int = 0) -> IsometryCheck:
+    """Max relative deviation | ||Tx|| - ||x|| | / ||x|| on _ISOMETRY_SUITE samples, isometric within _ISOMETRY_TOL."""
+    suite = _domain_suite(t.domain, _ISOMETRY_SUITE, seed)
     nx = t.domain.norm_batch(suite)
     keep = nx > 0.0
     images = suite[keep] @ t.matrix.T
@@ -313,6 +313,11 @@ class IterationTrace:
     residuals: np.ndarray
     defects: np.ndarray
 
+    @property
+    def cauchy(self) -> bool:
+        """Whether the last norms five steps apart lie within _CAUCHY_TOL; never under five steps."""
+        return len(self.norms) > 5 and bool(abs(self.norms[-1] - self.norms[-6]) <= _CAUCHY_TOL)
+
 
 def pt_iterate(t: LinearMap, x, n_max: int = 50) -> IterationTrace:
     """Iterate the compression P T from x, with exact mass bookkeeping."""
@@ -372,12 +377,11 @@ def limit_isometry_check(t: LinearMap, xs, n_max: int = 60, seed: int = 0) -> Li
     for i, x in enumerate(xs):
         trace = pt_iterate(t, x, n_max)
         limit = float(trace.norms[-1])
-        cauchy = abs(trace.norms[-1] - trace.norms[-6]) <= _CAUCHY_TOL
-        if not cauchy:
+        if not trace.cauchy:
             non_cauchy.append(i)
         nx = float(trace.norms[0])
-        passed = cauchy and abs(limit - nx) <= _LIMIT_TOL
-        entries.append(LimitSample(nx, limit, cauchy, passed))
+        passed = trace.cauchy and abs(limit - nx) <= _LIMIT_TOL
+        entries.append(LimitSample(nx, limit, trace.cauchy, passed))
     all_passed = all(e.passed for e in entries)
     summand_found = None
     projection_isometric = None

@@ -92,10 +92,6 @@ class ConvexModular:
         number of terms."""
         raise NotImplementedError
 
-    def profile(self, point) -> ScaleProfile:
-        norms, exps, _ = self.batch_terms((point,))
-        return ScaleProfile(norms, exps)
-
 
 @dataclass(frozen=True)
 class PowerModular(ConvexModular):
@@ -158,7 +154,7 @@ class DirectSumModular(ConvexModular):
 
 def modular_eval(theta: ConvexModular, point) -> float:
     """Theta(x), with the point validated by the modular's own spaces."""
-    return theta.profile(point)(1.0)
+    return ScaleProfile(*theta.batch_terms((point,))[:2])(1.0)
 
 
 def luxemburg_norm(theta: ConvexModular, point) -> float:

@@ -16,12 +16,12 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import spaces
-from .modular import ConvexModular, luxemburg_norm, modular_eval
+from .modular import ConvexModular, luxemburg_norm, luxemburg_norms, modular_eval
 from .spaces import (_DIM, REQUIRED, Euclid, Lp, _check_dim, _list_reader, _read_kind, _read_object, as_real,
                      space_from_dict)
 
@@ -30,7 +30,6 @@ __all__ = [
     "ConstantExponents",
     "ExplicitExponents",
     "FormulaExponents",
-    "ScalarBlocks",
     "UniformBlocks",
     "CycledBlocks",
     "ExplicitBlocks",
@@ -40,6 +39,7 @@ __all__ = [
     "NakanoModular",
     "nakano_modular",
     "nakano_norm",
+    "nakano_norms",
     "ConditionTermSeries",
     "ConditionVerdict",
     "ConditionReport",
@@ -194,16 +194,6 @@ class FormulaExponents:
 
 
 @dataclass(frozen=True)
-class ScalarBlocks:
-    """Every block is the scalar line."""
-
-    _line = Euclid(1)
-
-    def block(self, n: int, p: float):
-        return self._line
-
-
-@dataclass(frozen=True)
 class UniformBlocks:
     """The same space at every index."""
 
@@ -211,6 +201,10 @@ class UniformBlocks:
 
     def block(self, n: int, p: float):
         return self.space
+
+
+#: every block the scalar line: the default block family, and the "scalar" kind
+_SCALAR = UniformBlocks(Euclid(1))
 
 
 @dataclass(frozen=True)
@@ -269,7 +263,7 @@ class NakanoSpec:
     """Exponent sequence plus block family."""
 
     exponents: object
-    blocks: object = field(default_factory=ScalarBlocks)
+    blocks: object = _SCALAR
 
     def exponent(self, n: int) -> float:
         return float(self.exponents.values([_check_index(n)])[0])
@@ -386,10 +380,10 @@ def _join(points) -> _Columns:
 class BlockVector:
     """Finitely supported vector over the blocks; index -> coordinate array.
 
-    Entries are stored sorted by block index and are immutable.  Arithmetic
-    acts blockwise with union support.  Every block vector is read by
-    ``_read_items``, from its pairs here and from dicts in :meth:`from_dicts`,
-    and keeps the ``columns`` read; each block of ``items`` views them.
+    Entries are stored sorted by block index and are immutable.  Every block
+    vector is read by ``_read_items``, from its pairs here and from a dict in
+    :meth:`from_dict`, and keeps the ``columns`` read; each block of
+    ``items`` views them.
     """
 
     items: tuple
@@ -408,38 +402,12 @@ class BlockVector:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BlockVector":
-        """The one-vector case of :meth:`from_dicts`."""
-        return cls.from_dicts((d,))[0]
-
-    @classmethod
-    def from_dicts(cls, ds) -> list:
-        """The block vectors of many ``{index: coordinates}`` dicts, read in one pass; each
-        holds views of the columns read."""
-        ns, counts, sizes, flat, cplx = _read_items(d.items() for d in ds)
-        stops = list(itertools.accumulate(sizes.tolist(), initial=0))
-        bounds = enumerate(itertools.pairwise(itertools.accumulate(counts.tolist(), initial=0)))
-        return [object.__new__(cls)._hold(_Columns(ns[a:b], counts[i:i + 1], sizes[a:b], flat[stops[a]:stops[b]],
-                                                   cplx[a:b])) for i, (a, b) in bounds]
+        """The block vector of an ``{index: coordinates}`` dict, whose keys ``int`` reads."""
+        return object.__new__(cls)._hold(_read_items((d.items(),)))
 
     @property
     def support(self) -> tuple:
         return tuple(n for n, _ in self.items)
-
-    def _binary(self, other: "BlockVector", sign: float) -> "BlockVector":
-        # BlockVector copies every block it is given
-        out = dict(self.items)
-        for n, arr in other.items:
-            if n in out:
-                out[n] = out[n] + sign * arr
-            else:
-                out[n] = sign * arr
-        return BlockVector(tuple(out.items()))
-
-    def __add__(self, other):
-        return self._binary(other, 1.0)
-
-    def __sub__(self, other):
-        return self._binary(other, -1.0)
 
     def scale(self, t: float) -> "BlockVector":
         # the indices stay as read, and the scaled coordinates are checked again
@@ -509,6 +477,11 @@ class NakanoModular(ConvexModular):
 def nakano_norm(spec: NakanoSpec, x: BlockVector) -> float:
     """Luxemburg norm of a block vector in the Nakano space."""
     return luxemburg_norm(NakanoModular(spec), x)
+
+
+def nakano_norms(spec: NakanoSpec, vectors) -> np.ndarray:
+    """The Luxemburg norms of many vectors of ``(index, block)`` pairs, read in one pass with BlockVector's checks."""
+    return luxemburg_norms(NakanoModular(spec), _read_items(vectors))
 
 
 def _unit_block(spec: NakanoSpec, n: int) -> np.ndarray:
@@ -626,7 +599,7 @@ _EXPONENT_KINDS = {
 _SPACES = (_list_reader(space_from_dict), REQUIRED)
 #: each block kind's constructor and the keys of its description
 _BLOCK_KINDS = {
-    "scalar": (ScalarBlocks, {}),
+    "scalar": (lambda: _SCALAR, {}),
     "uniform": (UniformBlocks, {"space": (space_from_dict, REQUIRED)}),
     "cycle": (lambda spaces: CycledBlocks(spaces), {"spaces": _SPACES}),
     "list": (lambda spaces: ExplicitBlocks(spaces), {"spaces": _SPACES}),
@@ -635,7 +608,7 @@ _BLOCK_KINDS = {
 
 
 _SPEC_KEYS = {"exponents": (functools.partial(_read_kind, _EXPONENT_KINDS), REQUIRED),
-              "blocks": (functools.partial(_read_kind, _BLOCK_KINDS), ScalarBlocks())}
+              "blocks": (functools.partial(_read_kind, _BLOCK_KINDS), _SCALAR)}
 
 
 def spec_from_dict(d: dict, where: str = "nakano") -> NakanoSpec:

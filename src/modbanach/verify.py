@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .modular import luxemburg_norms, modular_sum_norm_with_scalar
-from .nakano import BlockVector, NakanoModular, NakanoSpec, _read_items, _unit_block
+from .modular import modular_sum_norm_with_scalar
+from .nakano import BlockVector, NakanoModular, NakanoSpec, _unit_block, nakano_norms
 from .sampling import gaussian_batch, rng_stream, structured_pairs
 from .spaces import Lp, Schatten, as_real, space_from_dict, space_to_dict
 
@@ -326,11 +326,10 @@ def far_block_limit_gaps(spec: NakanoSpec, x: BlockVector, t: float, schedule) -
     for n in schedule:
         if n in x.support:
             raise ValueError(f"schedule index {n} lies inside the support of x")
-    theta = NakanoModular(spec)
-    target = modular_sum_norm_with_scalar(theta, x, t)
+    target = modular_sum_norm_with_scalar(NakanoModular(spec), x, t)
     # every x + t u_n, read in one pass
-    shifted = _read_items((*x.items, (int(n), t * _unit_block(spec, n))) for n in schedule)
-    return np.abs(luxemburg_norms(theta, shifted) - target)
+    shifted = ((*x.items, (int(n), t * _unit_block(spec, n))) for n in schedule)
+    return np.abs(nakano_norms(spec, shifted) - target)
 
 
 def reevaluate_witness(report: ViolationReport) -> float:

@@ -169,12 +169,20 @@ def nakano_theta_loop(spec, x):
     return total
 
 
+def block_sum(x, y, sign=1.0):
+    """The block vector x + sign * y, block by block over the union of the supports."""
+    out = dict(x.items)
+    for n, arr in y.items:
+        out[n] = out[n] + sign * arr if n in out else sign * arr
+    return type(x)(tuple(out.items()))
+
+
 def tail_defect_loop(spec, pairs):
     """max (Theta(x+y) + Theta(x-y)) / (2 (Theta(x) + Theta(y))) over the pairs,
-    one :func:`nakano_theta_loop` per vector and block-vector arithmetic."""
+    one :func:`nakano_theta_loop` per vector and :func:`block_sum` for x + y and x - y."""
     worst = 0.0
     for x, y in pairs:
-        num = nakano_theta_loop(spec, x + y) + nakano_theta_loop(spec, x - y)
+        num = nakano_theta_loop(spec, block_sum(x, y)) + nakano_theta_loop(spec, block_sum(x, y, -1.0))
         den = 2.0 * (nakano_theta_loop(spec, x) + nakano_theta_loop(spec, y))
         if den != 0.0:
             worst = max(worst, num / den)

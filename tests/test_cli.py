@@ -808,6 +808,8 @@ _BLOCK_FORMS = {
     "nested_column": (_EUCLID2, {"1": [[3.0], [4.0]]}, "0x1.4000000000000p+2"),
     "boolean": (_EXPLICIT, {"1": [True]}, "0x1.0000000000000p+0"),
     "integers": (_EXPLICIT, {"1": [3], "2": [-2]}, "0x1.afa6ea162d0f0p+1"),
+    # the "scalar" block kind is the default block family
+    "scalar_kind": ({**_EXPLICIT, "blocks": {"kind": "scalar"}}, {"1": [3], "2": [-2]}, "0x1.afa6ea162d0f0p+1"),
     "unsorted_keys": (_EXPLICIT, {"3": [1.0], "1": [2.0]}, "0x1.077225f1da572p+1"),
     "empty_vector": (_EXPLICIT, {}, "0x0.0p+0"),
     "ragged": (_EUCLID2, {"1": [[1.0], [2.0, 3.0]]}, ValueError),

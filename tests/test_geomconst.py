@@ -78,17 +78,29 @@ def test_jvn_deterministic_for_fixed_seed():
 
 
 # exact bounds and evaluation counts of small searches that no golden covers:
-# any change to the descent, its starts or its stopping rule shows up here
+# any change to the descent, its starts or its stopping rule shows up here.
+# A budget of 4 starts from (ones, alternating) and (e_0, e_1), so the direct
+# sum reaches sqrt(2), the constant of its l_4^2 summand
 @pytest.mark.parametrize("space, bound_hex, evaluations", [
     (Schatten(3.0, 2), "0x1.0000000000000p+0", 213),
-    (TwoSum((Lp(4.0, 2), Euclid(1))), "0x1.0000000000000p+0", 89),
-    (Lp(1.5, 3), "0x1.428a2f98d728ap+0", 185),
+    (TwoSum((Lp(4.0, 2), Euclid(1))), "0x1.6a09e667f3a2fp+0", 965),
+    (Lp(1.5, 3), "0x1.428a2f98d728ap+0", 545),
 ], ids=["schatten", "two_sum", "lp"])
 def test_jvn_search_path_pinned(space, bound_hex, evaluations):
     est = jvn_lower_bound(space, budget=4, seed=5)
     assert est.lower_bound == float.fromhex(bound_hex)
     assert est.evaluations == evaluations
     assert est.starts == 5
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("d", [4, 8])
+def test_small_budget_reaches_the_lp_constant(p, d):
+    # a budget below the 21 structured pairs keeps the extremal pairs of
+    # either side of p = 2, so every budget from 2 on finds 2 ** |1 - 2/p|
+    want = 2.0 ** abs(1.0 - 2.0 / p)
+    for budget in range(2, 23):
+        assert jvn_lower_bound(Lp(p, d), budget=budget).lower_bound == pytest.approx(want, abs=1e-9), budget
 
 
 @pytest.mark.parametrize("space", [Lp(3.0, 2), Schatten(1.5, 3), TwoSum((Lp(4.0, 2), Euclid(1)))], ids=repr)
@@ -157,7 +169,7 @@ def test_jvn_matches_angle_grid_oracle_l3():
 
 
 def test_duality_gap_small():
-    assert duality_gap(3.0, 2, budget=48, seed=0) <= 1e-3
+    assert duality_gap(3.0, 2, seed=0) <= 1e-3
     with pytest.raises(ValueError):
         duality_gap(1.0, 2)
 

@@ -10,6 +10,7 @@ from modbanach.modular import (
     LuxemburgSpace,
     NumericalFailure,
     PowerModular,
+    ScaleProfile,
     luxemburg_norm,
     luxemburg_norms,
     modular_eval,
@@ -199,7 +200,8 @@ def test_scale_profile_matches_direct_eval():
     rng = np.random.default_rng(7)
     for theta, shape in _kinds():
         x = _point(rng, shape)
-        prof = theta.profile(x)
+        norms, exps, _ = theta.batch_terms((x,))
+        prof = ScaleProfile(norms, exps)
         for t in (0.25, 1.0, 3.0):
             assert prof(t) == pytest.approx(modular_eval(theta, _scale(x, t)), rel=1e-13)
 

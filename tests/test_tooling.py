@@ -1,6 +1,6 @@
 """The package's public names and the benchmark tracer's hooks stay in place,
 every public name has a caller beyond its own unit test, and every defaulted
-parameter has a caller."""
+parameter has a caller that sets it to a value other than its default."""
 import ast
 import importlib
 import importlib.util
@@ -72,7 +72,8 @@ def test_config_validation_imports_no_jsonschema():
     assert out.returncode == 0, out.stderr
 
 
-#: parameters that keep a default no call in the tree sets, each with its reason
+#: parameters that may keep a default no call in the tree sets, or sets only
+#: to the default, each with its reason
 _UNSET_ALLOWED = {
     ("*", "seed"): "a seed names a reproducible run; the default run is seed 0",
     ("spec_from_dict", "where"): "a reader in the config key tables, called as reader(value, where)",
@@ -89,13 +90,26 @@ def _trees(folder):
 
 
 def _defaulted(fn) -> dict:
-    """Each defaulted parameter of a def: its position after self or cls, or None if keyword-only."""
+    """Each defaulted parameter of a def: its position after self or cls (None if
+    keyword-only) and its default."""
     args = fn.args
     pos = [a.arg for a in args.posonlyargs + args.args]
     skip = 1 if pos[:1] in (["self"], ["cls"]) else 0
-    out = {a: i - skip for i, a in enumerate(pos) if i >= len(pos) - len(args.defaults)}
-    out.update({a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None})
+    first = len(pos) - len(args.defaults)
+    out = {a: (i - skip, args.defaults[i - first]) for i, a in enumerate(pos) if i >= first}
+    out.update({a.arg: (None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None})
     return out
+
+
+_NOT_LITERAL = object()
+
+
+def _literal(node):
+    """The value of a literal expression node, or _NOT_LITERAL."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return _NOT_LITERAL
 
 
 def _outside_trees():
@@ -107,7 +121,9 @@ def _outside_trees():
 
 def test_every_defaulted_parameter_has_a_caller():
     # a call is matched to every def of its name, and it sets a parameter by
-    # keyword, by position, or by * or ** unpacking (which may set any)
+    # keyword, by position, or by * or ** unpacking (which may set any).  A
+    # parameter fails when no call sets it, or when every call that sets it
+    # gives a literal equal to its default: then the default is its one value
     calls = {}
     for tree in _trees("src") + _outside_trees():
         for node in ast.walk(tree):
@@ -115,19 +131,29 @@ def test_every_defaulted_parameter_has_a_caller():
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 unpacked = any(isinstance(a, ast.Starred) for a in node.args) or any(
                     k.arg is None for k in node.keywords)
-                calls.setdefault(name, []).append((len(node.args), {k.arg for k in node.keywords}, unpacked))
-    unset = []
+                calls.setdefault(name, []).append((node.args, {k.arg: k.value for k in node.keywords}, unpacked))
+    unset, default_only = [], []
     for tree in _trees("src"):
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            for param, pos in _defaulted(fn).items():
-                if ((fn.name, param) in _UNSET_ALLOWED or ("*", param) in _UNSET_ALLOWED
-                        or any(unpacked or param in keys or (pos is not None and pos < n)
-                               for n, keys, unpacked in calls.get(fn.name, ()))):
+            for param, (pos, default) in _defaulted(fn).items():
+                if (fn.name, param) in _UNSET_ALLOWED or ("*", param) in _UNSET_ALLOWED:
                     continue
-                unset.append(f"{fn.name}.{param}")
+                # the value each call that sets it gives, or None for an unpacked call
+                given = []
+                for args, keys, unpacked in calls.get(fn.name, ()):
+                    if unpacked or param in keys:
+                        given.append(None if unpacked else keys[param])
+                    elif pos is not None and pos < len(args):
+                        given.append(args[pos])
+                if not given:
+                    unset.append(f"{fn.name}.{param}")
+                elif _literal(default) is not _NOT_LITERAL and all(
+                        v is not None and _literal(v) == _literal(default) for v in given):
+                    default_only.append(f"{fn.name}.{param}")
     assert unset == [], f"defaulted parameters that no call sets: {unset}"
+    assert default_only == [], f"defaulted parameters that every call sets to their default: {default_only}"
 
 
 #: public names that nothing in the package, the benchmark, the scripts or the
