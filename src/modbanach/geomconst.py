@@ -92,15 +92,22 @@ def _ascend(space, thetas: np.ndarray) -> Descent:
 def _starts(space, budget: int, seed: int) -> np.ndarray:
     """The (budget, n) stack of packed start pairs: structured, then Gaussian.
 
-    A short budget leads with (ones, alternating) and (e_0, e_1), extremal for
-    p > 2 and p < 2.  Gaussian start i is x and then y drawn from stream i of
-    `seed`, each as one ``gaussian_batch(space, 1, rng_stream(seed, i))``
-    draws it: a Schatten element takes its real and then its imaginary normals.
+    A budget with no room for a Gaussian start leads with (ones, alternating)
+    and (e_0, e_1), extremal for p > 2 and p < 2; a Schatten class of d >= 2
+    puts their diagonal forms (I, diag(1, -1, 1, ...)) and (E_00, E_11)
+    first.  Gaussian start i is x and then y drawn from stream i of `seed`,
+    each as one ``gaussian_batch(space, 1, rng_stream(seed, i))`` draws it:
+    a Schatten element takes its real and then its imaginary normals.
     """
     pairs = structured_pairs(space)
-    # (ones, alternating) is pairs[-5] and (e_0, e_1) pairs[1], which is pairs[-5] in one dimension
-    lead = list(dict.fromkeys((len(pairs) - 5, 1))) if budget < len(pairs) else []
-    pairs = [pairs[i] for i in lead] + [q for i, q in enumerate(pairs) if i not in lead]
+    if budget <= len(pairs):
+        # (ones, alternating) is pairs[-5] and (e_0, e_1) pairs[1], which is pairs[-5] in one dimension
+        lead = list(dict.fromkeys((len(pairs) - 5, 1)))
+        pairs = [pairs[i] for i in lead] + [q for i, q in enumerate(pairs) if i not in lead]
+        if isinstance(space, Schatten) and space.d > 1:
+            eye = np.eye(space.d, dtype=complex)
+            alt = np.diag([(-1.0) ** i for i in range(space.d)]).astype(complex)
+            pairs = [(eye, alt), (np.diag(eye[0]), np.diag(eye[1]))] + pairs
     starts = [_pack(space, x, y) for x, y in pairs[:budget]]
     n = (4 if isinstance(space, Schatten) else 2) * space.dim
     rand = stream_normals(seed, budget - len(starts), n)

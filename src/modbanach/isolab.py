@@ -124,10 +124,11 @@ class TwoProjectionCandidate:
         object.__setattr__(self, "phi", as_real_vector(self.phi))
 
 
-#: Residual rows per norm call at most, unless one candidate has more.  Whole
-#: residual stacks run to hundreds of thousands of rows, and their freshly
-#: mapped temporaries cost more in page faults than the norms cost in
-#: arithmetic; blocks this size stay in the cache.
+#: Residual rows per norm call of the summand search at most, unless one
+#: candidate has more.  Whole residual stacks run to hundreds of thousands of
+#: rows, and their freshly mapped temporaries cost more in page faults than
+#: the norms cost in arithmetic; blocks this size stay in the cache.  The
+#: angle grid norms no residual.
 _BLOCK_ROWS = 8192
 
 
@@ -243,6 +244,15 @@ def two_summand_grid_floor(space, n_xi: int = 720, n_phi: int = 720,
     phi(xi) = 1 rescaling) and returns the smallest worst-case defect.  A
     floor bounded away from zero certifies that no one-dimensional
     hilbertian summand exists anywhere near the grid.
+
+    In the plane phi = <b, .> vanishes on the line of b_perp = (-sin b, cos b),
+    so the residual r = x - f xi, f = <b, x> / <b, xi>, is c b_perp with
+    |c| = |xi_0 x_1 - xi_1 x_0| / |<b, xi>|, and ||r|| = |c| ||b_perp|| in
+    any norm.  With s_x = (<b, x>^2 + ||b_perp||^2 (xi_0 x_1 - xi_1 x_0)^2) / ||x||^2
+    the defect | ||x||^2 - f^2 - ||r||^2 | / ||x||^2 is |1 - s_x / <b, xi>^2|,
+    whose worst over the suite is max(1 - min s_x / <b, xi>^2,
+    max s_x / <b, xi>^2 - 1).  So the b_perp directions are normed once, and
+    no residual is built.
     """
     if space.dim != 2:
         raise ValueError("the angle grid applies to two-dimensional spaces only")
@@ -252,7 +262,11 @@ def two_summand_grid_floor(space, n_xi: int = 720, n_phi: int = 720,
 
     b = np.arange(n_phi) * math.pi / n_phi
     dirs_b = np.stack([np.cos(b), np.sin(b)], axis=1)
-    xb = suite @ dirs_b.T                                # (n_s, n_phi)
+    perp2 = np.square(space.norm_batch(np.stack([-dirs_b[:, 1], dirs_b[:, 0]], axis=1)))
+    # <b, x>^2 / ||x||^2 and then s_x, each (n_s, n_phi): no array grows with n_xi
+    base = np.square(suite @ dirs_b.T)
+    np.divide(base, n2[:, None], out=base)
+    s = np.empty_like(base)
     xi_dirs = np.array([[math.cos(a), math.sin(a)] for a in np.arange(n_xi) * math.pi / n_xi])
     floor = math.inf
     for xi in xi_dirs / space.norm_batch(xi_dirs)[:, None]:
@@ -260,8 +274,13 @@ def two_summand_grid_floor(space, n_xi: int = 720, n_phi: int = 720,
         valid = np.abs(pv) > 1e-9
         if not np.any(valid):
             continue
-        f = xb.compress(valid, axis=1) / pv[valid][None, :]
-        floor = min(floor, float(_worst_defects(space, suite, n2, f, xi[:, None]).min()))
+        cross2 = np.square(suite @ np.array([-xi[1], xi[0]])) / n2
+        np.multiply.outer(cross2, perp2, out=s)
+        np.add(s, base, out=s)
+        pv2 = np.square(pv[valid])
+        lo = s.min(axis=0)[valid] / pv2
+        hi = s.max(axis=0)[valid] / pv2
+        floor = min(floor, float(np.maximum(1.0 - lo, hi - 1.0).min()))
     return floor
 
 

@@ -220,3 +220,30 @@ def luxemburg_lone(norms, exps):
         u = u + step
         if not step[0] > 4e-16 * max(1.0, abs(float(u[0]))):
             return float(s * np.exp(u)[0])
+
+
+def grid_floor_by_residuals(space, suite, n2, n_xi, n_phi):
+    """The angle-grid floor of the two-projection defect, norming every residual.
+
+    For each of n_xi directions xi (unit in ``space``) and n_phi functionals
+    phi = <b, .> with |phi(xi)| > 1e-9, the worst |n2 - f^2 - ||x - f xi||^2| / n2
+    over the suite rows x (squared norms n2), f = phi(x) / phi(xi); each
+    direction's residual stack goes to ``space.norm_batch`` whole.  The
+    smallest worst defect is the floor; inf when every cell is skipped.
+    """
+    b = np.arange(n_phi) * math.pi / n_phi
+    dirs_b = np.stack([np.cos(b), np.sin(b)], axis=1)
+    xb = suite @ dirs_b.T
+    xi_dirs = np.array([[math.cos(a), math.sin(a)] for a in np.arange(n_xi) * math.pi / n_xi])
+    floor = math.inf
+    for xi in xi_dirs / space.norm_batch(xi_dirs)[:, None]:
+        pv = dirs_b @ xi
+        valid = np.abs(pv) > 1e-9
+        if not np.any(valid):
+            continue
+        f = xb[:, valid] / pv[valid][None, :]                           # (n_s, k)
+        r = suite[:, None, :] - f[:, :, None] * xi[None, None, :]        # (n_s, k, 2)
+        rn = space.norm_batch(r.reshape(-1, 2)).reshape(f.shape)
+        defect = np.abs(n2[:, None] - (f ** 2 + rn ** 2)) / n2[:, None]
+        floor = min(floor, float(defect.max(axis=0).min()))
+    return floor

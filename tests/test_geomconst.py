@@ -80,9 +80,10 @@ def test_jvn_deterministic_for_fixed_seed():
 # exact bounds and evaluation counts of small searches that no golden covers:
 # any change to the descent, its starts or its stopping rule shows up here.
 # A budget of 4 starts from (ones, alternating) and (e_0, e_1), so the direct
-# sum reaches sqrt(2), the constant of its l_4^2 summand
+# sum reaches sqrt(2), the constant of its l_4^2 summand, and the Schatten
+# class from (I, diag(1, -1)), so it reaches 2 ** (1/3)
 @pytest.mark.parametrize("space, bound_hex, evaluations", [
-    (Schatten(3.0, 2), "0x1.0000000000000p+0", 213),
+    (Schatten(3.0, 2), "0x1.428a2f98d728ap+0", 261),
     (TwoSum((Lp(4.0, 2), Euclid(1))), "0x1.6a09e667f3a2fp+0", 965),
     (Lp(1.5, 3), "0x1.428a2f98d728ap+0", 545),
 ], ids=["schatten", "two_sum", "lp"])
@@ -101,6 +102,16 @@ def test_small_budget_reaches_the_lp_constant(p, d):
     want = 2.0 ** abs(1.0 - 2.0 / p)
     for budget in range(2, 23):
         assert jvn_lower_bound(Lp(p, d), budget=budget).lower_bound == pytest.approx(want, abs=1e-9), budget
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_small_budget_reaches_the_schatten_constant(p):
+    # the 21 structured pairs of a 2 x 2 Schatten class reach no more than 1
+    # in their listed order; a budget of at most 21 leads with the diagonal
+    # extremals (I, diag(1, -1)) and (E_00, E_11), and 22 adds a Gaussian start
+    want = 2.0 ** abs(1.0 - 2.0 / p)
+    for budget in range(2, 23):
+        assert jvn_lower_bound(Schatten(p, 2), budget=budget).lower_bound == pytest.approx(want, abs=1e-9), budget
 
 
 @pytest.mark.parametrize("space", [Lp(3.0, 2), Schatten(1.5, 3), TwoSum((Lp(4.0, 2), Euclid(1)))], ids=repr)

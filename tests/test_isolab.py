@@ -1,8 +1,13 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from modbanach import isolab
 from modbanach.isolab import (
     AmbiguousRankError,
@@ -259,15 +264,18 @@ def test_grid_floor_positive_for_l4_small_grid():
 
 
 def test_grid_floor_pinned_for_l4():
-    # the bits of the floor before the row kernels reduced short rows by column
-    assert two_summand_grid_floor(Lp(4.0, 2), n_xi=360, n_phi=360) == 0.17432493467530763
+    # the bits of the kernel-line formula; norming every residual gave
+    # 0.17432493467530763, a few ulps away
+    floor = two_summand_grid_floor(Lp(4.0, 2), n_xi=360, n_phi=360)
+    assert floor == 0.17432493467530774
+    assert floor == pytest.approx(0.17432493467530763, rel=1e-15)
 
 
 def test_residual_stacks_reach_the_norm_as_transposed_views(monkeypatch):
-    # the residual of the grid and of the summand search reaches norm_batch as
-    # the transpose of a C-ordered (d, rows) array, so the short-row kernel's
-    # transpose of it copies nothing; and in blocks of at most _BLOCK_ROWS
-    # rows, where a whole stack of the search's objective calls has more
+    # the residual of the summand search reaches norm_batch as the transpose
+    # of a C-ordered (d, rows) array, so the short-row kernel's transpose of
+    # it copies nothing; and in blocks of at most _BLOCK_ROWS rows, where a
+    # whole stack of the search's objective calls has more
     residuals, inside = [], []
     norm_batch, worst_defects = Lp.norm_batch, isolab._worst_defects
 
@@ -285,11 +293,9 @@ def test_residual_stacks_reach_the_norm_as_transposed_views(monkeypatch):
 
     monkeypatch.setattr(Lp, "norm_batch", recording)
     monkeypatch.setattr(isolab, "_worst_defects", helper)
-    two_summand_grid_floor(Lp(4.0, 2), n_xi=8, n_phi=8, samples=64, seed=0)
-    grid = len(residuals)
     # 8 starts probe 24 halvings at once: 192 candidates of 68 suite rows each
     find_one_dim_two_summand(Lp(3.0, 3), budget=8, seed=0)
-    assert 0 < grid < len(residuals)
+    assert residuals
     for stack in residuals:
         assert stack.T.flags.c_contiguous and not stack.flags.c_contiguous
         assert stack.shape[0] <= isolab._BLOCK_ROWS
@@ -313,13 +319,11 @@ _BLOCK_SPACES = [Lp(4.0, 2), Lp(3.0, 3), TwoSum((Lp(4.0, 2), Euclid(1)))]
 @pytest.mark.parametrize("block", [1, 7, 97, 10**9])
 def test_summand_defects_do_not_depend_on_the_block_size(monkeypatch, block):
     expected = [_defects_of_candidates(space) for space in _BLOCK_SPACES]
-    floor = two_summand_grid_floor(Lp(4.0, 2), 90, 90)
     monkeypatch.setattr(isolab, "_BLOCK_ROWS", block)
     for space, want in zip(_BLOCK_SPACES, expected):
         got = _defects_of_candidates(space)
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
         assert np.count_nonzero(got == 1e6) == 16
-    assert two_summand_grid_floor(Lp(4.0, 2), 90, 90).hex() == floor.hex()
 
 
 @pytest.mark.parametrize("n_xi,n_phi", [(0, 4), (4, -3)])
@@ -336,3 +340,65 @@ def test_grid_floor_zero_for_euclid():
 def test_grid_floor_requires_plane():
     with pytest.raises(ValueError):
         two_summand_grid_floor(Euclid(3))
+
+
+def _matches_the_residual_grid(space, n_xi, n_phi, seed):
+    floor = two_summand_grid_floor(space, n_xi=n_xi, n_phi=n_phi, seed=seed)
+    suite, n2 = isolab._nonzero_suite(space, 128, seed)
+    want = oracles.grid_floor_by_residuals(space, suite, n2, n_xi, n_phi)
+    if want < 1e-3:
+        return abs(floor - want) <= 1e-14
+    return abs(floor - want) <= 1e-12 * want
+
+
+_LINES = st.one_of(st.just(Euclid(1)), st.floats(1.0, 8.0).map(lambda p: Lp(p, 1)))
+_PLANES = st.one_of(
+    st.floats(1.0, 8.0).map(lambda p: Lp(p, 2)),
+    st.just(Euclid(2)),
+    st.tuples(_LINES, _LINES).map(TwoSum),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(space=_PLANES, n_xi=st.integers(1, 48), n_phi=st.integers(1, 48), seed=st.integers(min_value=0))
+def test_grid_floor_matches_the_residual_grid(space, n_xi, n_phi, seed):
+    # the kernel-line formula against the grid that norms every residual
+    assert _matches_the_residual_grid(space, n_xi, n_phi, seed)
+
+
+def test_grid_floor_skips_cells_where_phi_vanishes_on_xi():
+    # xi = e_0 and b = (cos pi/2, sin pi/2) give <b, xi> = 6e-17, and that cell is skipped
+    assert abs(math.cos(math.pi / 2)) <= 1e-9
+    assert _matches_the_residual_grid(Euclid(2), 2, 2, 0)
+    assert two_summand_grid_floor(Euclid(2), n_xi=2, n_phi=2) <= 1e-15
+
+
+@pytest.mark.parametrize("n_xi, n_phi", [(1, 1), (2, 2), (4, 4), (90, 30)])
+def test_grid_floor_norms_three_stacks_and_warns_nowhere(monkeypatch, n_xi, n_phi):
+    # the suite, the xi directions and the b_perp directions, whatever the grid size
+    calls = []
+    norm_batch = Lp.norm_batch
+
+    def counting(space, stack):
+        calls.append(len(stack))
+        return norm_batch(space, stack)
+
+    monkeypatch.setattr(Lp, "norm_batch", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        two_summand_grid_floor(Lp(4.0, 2), n_xi=n_xi, n_phi=n_phi)
+    assert calls[1:] == [n_phi, n_xi]
+    assert len(calls) == 3
+
+
+# the grid that normed every residual peaked at 1.47 and 16.7 MiB here; one
+# array of all n_xi x n_phi cells takes 2 MiB at 4096 x 64
+@pytest.mark.parametrize("n_xi, n_phi, limit_mib", [(4096, 64, 2.0), (64, 4096, 16.7)])
+def test_grid_floor_memory_does_not_grow_with_the_grid(n_xi, n_phi, limit_mib):
+    tracemalloc.start()
+    try:
+        two_summand_grid_floor(Lp(4.0, 2), n_xi=n_xi, n_phi=n_phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2 ** 20
