@@ -127,9 +127,41 @@ class TwoProjectionCandidate:
 #: Residual rows per norm call of the summand search at most, unless one
 #: candidate has more.  Whole residual stacks run to hundreds of thousands of
 #: rows, and their freshly mapped temporaries cost more in page faults than
-#: the norms cost in arithmetic; blocks this size stay in the cache.  The
-#: angle grid norms no residual.
+#: the norms cost in arithmetic; blocks this size stay in the cache.  Only
+#: spaces of d >= 3 norm residuals: in the plane the search and the angle
+#: grid score the quadratic form of _plane_forms instead.
 _BLOCK_ROWS = 8192
+
+
+def _plane_monomials(suite: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """The rows (u_0^2, 2 u_0 u_1, u_1^2) of u = x / ||x|| for each suite row x of the plane."""
+    x0, x1 = suite[:, 0], suite[:, 1]
+    mono = np.stack([np.square(x0), 2.0 * x0 * x1, np.square(x1)], axis=1)
+    return np.divide(mono, n2[:, None], out=mono)
+
+
+def _plane_forms(mono: np.ndarray, xi: np.ndarray, phi: np.ndarray, perp2: np.ndarray) -> np.ndarray:
+    """Q(u) = u^T M u for each monomial row u and each of k candidates, shape (n_s, k).
+
+    With phi(xi) = 1, the residual x - phi(x) xi lies on the kernel of phi,
+    the line of phi_perp = (-phi_1, phi_0), and xi x phi_perp = phi(xi) = 1
+    makes it (xi_0 x_1 - xi_1 x_0) phi_perp, so in every norm
+    ||x - phi(x) xi||^2 = ||phi_perp||^2 (xi_perp . x)^2, xi_perp = (-xi_1, xi_0).
+    The defect | ||x||^2 - phi(x)^2 - ||x - phi(x) xi||^2 | / ||x||^2 is then
+    |1 - Q(x / ||x||)| with M = phi phi^T + ||phi_perp||^2 xi_perp xi_perp^T.
+    xi and phi are (k, 2) rows (or one xi of shape (2,) for all k) and perp2
+    holds ||phi_perp||^2.  The columns (M_00, M_01, M_11) go into one product
+    with the monomial rows; a lone column goes in twice, since a one-column
+    product takes a matrix-vector BLAS path with other bits, so a candidate's
+    Q has the same bits at any stack height.
+    """
+    x0, x1 = xi[..., 0], xi[..., 1]
+    p0, p1 = phi[:, 0], phi[:, 1]
+    cols = np.stack([np.square(p0) + perp2 * np.square(x1),
+                     p0 * p1 - perp2 * (x0 * x1),
+                     np.square(p1) + perp2 * np.square(x0)])       # (3, k)
+    k = cols.shape[1]
+    return (mono @ np.repeat(cols, 1 + (k == 1), axis=1))[:, :k]
 
 
 def _worst_defects(space, suite: np.ndarray, n2: np.ndarray, f: np.ndarray,
@@ -137,15 +169,16 @@ def _worst_defects(space, suite: np.ndarray, n2: np.ndarray, f: np.ndarray,
     """Worst relative defect |n2 - f^2 - ||x - f xi||^2| / n2 over the suite, per column of f.
 
     Column j of f holds phi_j(x) for each suite row x, and column j of the
-    (d, k) xi_cols its direction xi_j (one column serves every j).  The
+    (d, k) xi_cols its direction xi_j.  The
     residuals are normed in blocks of whole columns of at most _BLOCK_ROWS
     rows; a row's norm depends on that row alone, so no bit depends on the
-    block size.
+    block size.  The search calls it for d >= 3 only; in the plane
+    _plane_forms gives the same defects without a residual.
     """
     n_s, k = f.shape
     d = suite.shape[1]
     # C-ordered, so each block's product reads its directions in order
-    xi_cols = np.ascontiguousarray(np.broadcast_to(xi_cols, (d, k)))
+    xi_cols = np.ascontiguousarray(xi_cols)
     step = max(1, _BLOCK_ROWS // n_s)
     out = np.empty(k)
     for lo in range(0, k, step):
@@ -168,6 +201,9 @@ def _candidate_violations(space, xi_raw: np.ndarray, phi_raw: np.ndarray,
     """Batched objective over rows of (xi_raw, phi_raw) parameter stacks.
 
     Invalid rows (vanishing xi norm or phi(xi) too close to 0) score 1e6.
+    In the plane a candidate's worst defect is max(1 - min Q, max Q - 1) of
+    its quadratic form (_plane_forms), for one more norm_batch call, on the
+    phi_perp rows; for d >= 3 _worst_defects norms its residuals.
     """
     k = xi_raw.shape[0]
     out = np.full(k, 1e6)
@@ -181,13 +217,19 @@ def _candidate_violations(space, xi_raw: np.ndarray, phi_raw: np.ndarray,
     if not np.any(ok2):
         return out
     phi = phi_raw[ok][ok2] / pv[ok2, None]
+    rows = np.nonzero(ok)[0][ok2]
+    if space.dim == 2:
+        perp2 = np.square(space.norm_batch(np.stack([-phi[:, 1], phi[:, 0]], axis=1)))
+        q = _plane_forms(_plane_monomials(suite, suite_norm2), xi[ok2], phi, perp2)
+        out[rows] = np.maximum(1.0 - q.min(axis=0), q.max(axis=0) - 1.0)
+        return out
     # one product for every candidate, never one per block, and never of one
     # column: that takes a matrix-vector BLAS path, with other bits, so a lone
     # candidate's phi goes in twice.  A candidate's f then has the same bits
     # at any stack height.
     lone = len(phi) == 1
     f = (suite @ np.repeat(phi, 1 + lone, axis=0).T)[:, :len(phi)]     # (n_s, k')
-    out[np.nonzero(ok)[0][ok2]] = _worst_defects(space, suite, suite_norm2, f, xi[ok2].T)
+    out[rows] = _worst_defects(space, suite, suite_norm2, f, xi[ok2].T)
     return out
 
 
@@ -245,41 +287,34 @@ def two_summand_grid_floor(space, n_xi: int = 720, n_phi: int = 720,
     floor bounded away from zero certifies that no one-dimensional
     hilbertian summand exists anywhere near the grid.
 
-    In the plane phi = <b, .> vanishes on the line of b_perp = (-sin b, cos b),
-    so the residual r = x - f xi, f = <b, x> / <b, xi>, is c b_perp with
-    |c| = |xi_0 x_1 - xi_1 x_0| / |<b, xi>|, and ||r|| = |c| ||b_perp|| in
-    any norm.  With s_x = (<b, x>^2 + ||b_perp||^2 (xi_0 x_1 - xi_1 x_0)^2) / ||x||^2
-    the defect | ||x||^2 - f^2 - ||r||^2 | / ||x||^2 is |1 - s_x / <b, xi>^2|,
-    whose worst over the suite is max(1 - min s_x / <b, xi>^2,
-    max s_x / <b, xi>^2 - 1).  So the b_perp directions are normed once, and
-    no residual is built.
+    With phi = <b, .> / <b, xi> the quadratic form of _plane_forms is that
+    of the unit b, with ||b_perp||^2 for ||phi_perp||^2, over <b, xi>^2, so
+    the worst defect of a cell is max(1 - min Q / <b, xi>^2,
+    max Q / <b, xi>^2 - 1) with Q the form of (xi, b).  The b_perp
+    directions are normed once, and no residual is built.
     """
     if space.dim != 2:
         raise ValueError("the angle grid applies to two-dimensional spaces only")
     if n_xi < 1 or n_phi < 1:
         raise ValueError(f"the angle grid needs at least one step per angle, got {n_xi} x {n_phi}")
     suite, n2 = _nonzero_suite(space, samples, seed)
+    mono = _plane_monomials(suite, n2)
 
     b = np.arange(n_phi) * math.pi / n_phi
     dirs_b = np.stack([np.cos(b), np.sin(b)], axis=1)
     perp2 = np.square(space.norm_batch(np.stack([-dirs_b[:, 1], dirs_b[:, 0]], axis=1)))
-    # <b, x>^2 / ||x||^2 and then s_x, each (n_s, n_phi): no array grows with n_xi
-    base = np.square(suite @ dirs_b.T)
-    np.divide(base, n2[:, None], out=base)
-    s = np.empty_like(base)
     xi_dirs = np.array([[math.cos(a), math.sin(a)] for a in np.arange(n_xi) * math.pi / n_xi])
     floor = math.inf
+    # one (n_s, n_phi) form per xi: no array grows with n_xi
     for xi in xi_dirs / space.norm_batch(xi_dirs)[:, None]:
         pv = dirs_b @ xi
         valid = np.abs(pv) > 1e-9
         if not np.any(valid):
             continue
-        cross2 = np.square(suite @ np.array([-xi[1], xi[0]])) / n2
-        np.multiply.outer(cross2, perp2, out=s)
-        np.add(s, base, out=s)
+        q = _plane_forms(mono, xi, dirs_b, perp2)
         pv2 = np.square(pv[valid])
-        lo = s.min(axis=0)[valid] / pv2
-        hi = s.max(axis=0)[valid] / pv2
+        lo = q.min(axis=0)[valid] / pv2
+        hi = q.max(axis=0)[valid] / pv2
         floor = min(floor, float(np.maximum(1.0 - lo, hi - 1.0).min()))
     return floor
 

@@ -182,12 +182,15 @@ def test_summand_search_l4_fails():
 
 # exact residuals of small searches that no golden covers
 @pytest.mark.parametrize("space, residual_hex, found", [
-    (Lp(4.0, 2), "0x1.8c128d9c2a675p-2", False),
+    (Lp(4.0, 2), "0x1.8c128d9c20a88p-2", False),
     (TwoSum((Lp(4.0, 2), Euclid(1))), "0x1.fb7d4c0f7b0eap-53", True),
 ], ids=["lp", "two_sum"])
 def test_summand_search_path_pinned(space, residual_hex, found):
     res = find_one_dim_two_summand(space, budget=3, seed=2)
     assert res.residual == float.fromhex(residual_hex)
+    if space.dim == 2:
+        # the residual the search reached when it normed each residual
+        assert res.residual == pytest.approx(0.38678952470454614, rel=1e-9)
     assert res.found is found
     assert res.starts == 3
 
@@ -218,8 +221,9 @@ def _summand_reference(space, budget, seed):
     return best_val, best_theta, stops, objective, starts
 
 
-@pytest.mark.parametrize("space", [Lp(4.0, 2), Lp(3.0, 3), Lp(4.0, 8), Euclid(3), TwoSum((Lp(4.0, 2), Euclid(1)))],
-                         ids=["lp4", "lp3", "lp4_d8", "euclid", "two_sum"])
+@pytest.mark.parametrize("space", [Lp(4.0, 2), Lp(3.0, 3), Lp(4.0, 8), Euclid(3), TwoSum((Lp(4.0, 2), Euclid(1))),
+                                   Euclid(2), TwoSum((Lp(4.0, 1), Euclid(1)))],
+                         ids=["lp4", "lp3", "lp4_d8", "euclid", "two_sum", "euclid_plane", "two_lines"])
 def test_summand_objective_scores_a_row_alike_at_any_height(space):
     # descend scores all its starts in one call, so a start's value must not
     # depend on the stack it is scored in; a one-column product of a lone row
@@ -312,7 +316,8 @@ def _defects_of_candidates(space):
     return isolab._candidate_violations(space, stack[:, :d], stack[:, d:], suite, n2)
 
 
-_BLOCK_SPACES = [Lp(4.0, 2), Lp(3.0, 3), TwoSum((Lp(4.0, 2), Euclid(1)))]
+# of d >= 3 only: the plane's objective norms no residual, so has no blocks
+_BLOCK_SPACES = [Lp(4.0, 3), Lp(3.0, 3), TwoSum((Lp(4.0, 2), Euclid(1)))]
 
 
 # 10**9 is larger than any stack: each input is normed as one whole stack
@@ -324,6 +329,84 @@ def test_summand_defects_do_not_depend_on_the_block_size(monkeypatch, block):
         got = _defects_of_candidates(space)
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
         assert np.count_nonzero(got == 1e6) == 16
+
+
+_LINES = st.one_of(st.just(Euclid(1)), st.floats(1.0, 8.0).map(lambda p: Lp(p, 1)))
+_PLANES = st.one_of(
+    st.floats(1.0, 8.0).map(lambda p: Lp(p, 2)),
+    st.just(Euclid(2)),
+    st.tuples(_LINES, _LINES).map(TwoSum),
+)
+
+
+def _agree(got, want):
+    """Within 1e-12 relative, or within 1e-14 absolute below 1e-3."""
+    return abs(got - want) <= (1e-14 if want < 1e-3 else 1e-12 * want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(space=_PLANES, seed=st.integers(min_value=0), height=st.integers(1, 300),
+       no_xi=st.sets(st.integers(0, 299), max_size=8), phi_off_xi=st.sets(st.integers(0, 299), max_size=8))
+def test_plane_objective_matches_the_residual_defects(space, seed, height, no_xi, phi_off_xi):
+    # the quadratic form against _worst_defects, which norms each residual
+    suite, n2 = isolab._nonzero_suite(space, isolab._SUMMAND_SUITE, seed)
+    stack = rng_stream(seed, 1).standard_normal((height, 4))
+    for i in phi_off_xi:
+        stack[i % height, 2:] = [-stack[i % height, 1], stack[i % height, 0]]   # phi(xi) = 0 exactly
+    for i in no_xi:
+        stack[i % height, :2] = 0.0
+    got = isolab._candidate_violations(space, stack[:, :2], stack[:, 2:], suite, n2)
+
+    nxi = space.norm_batch(stack[:, :2])
+    xi = stack[:, :2] / np.where(nxi > 1e-12, nxi, 1.0)[:, None]
+    pv = np.einsum("kd,kd->k", stack[:, 2:], xi)
+    valid = (nxi > 1e-12) & (np.abs(pv) > 1e-9)
+    assert np.all(got[~valid] == 1e6)
+    assert not valid[[i % height for i in no_xi | phi_off_xi]].any()
+    if valid.any():
+        phi = stack[valid, 2:] / pv[valid, None]
+        want = isolab._worst_defects(space, suite, n2, suite @ phi.T, xi[valid].T)
+        assert all(_agree(g, w) for g, w in zip(got[valid].tolist(), want.tolist()))
+
+
+@pytest.mark.parametrize("space", [Lp(4.0, 2), Euclid(2)], ids=["lp4", "euclid"])
+@pytest.mark.parametrize("height", [1, 2, 5, 300])
+def test_plane_objective_norms_two_stacks_and_no_residual(monkeypatch, space, height):
+    # the xi rows and the phi_perp rows, whatever the stack height
+    calls = []
+    norm_batch = type(space).norm_batch
+
+    def counting(self, stack):
+        calls.append(len(stack))
+        return norm_batch(self, stack)
+
+    def no_residuals(*args):
+        raise AssertionError("the plane's objective built a residual")
+
+    suite, n2 = isolab._nonzero_suite(space, isolab._SUMMAND_SUITE, 0)
+    stack = rng_stream(3, 0).standard_normal((height, 4))
+    monkeypatch.setattr(type(space), "norm_batch", counting)
+    monkeypatch.setattr(isolab, "_worst_defects", no_residuals)
+    got = isolab._candidate_violations(space, stack[:, :2], stack[:, 2:], suite, n2)
+    assert calls == [height, height]
+    assert np.all(got < 1e6)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_plane_search_reaches_the_l4_floor(seed):
+    # Lp(4, 2) has no hilbertian summand; the least worst defect is 3 - 2 sqrt 2
+    res = find_one_dim_two_summand(Lp(4.0, 2), budget=32, seed=seed)
+    assert 0.0 <= res.residual - (3.0 - 2.0 * math.sqrt(2.0)) <= 1e-7
+
+
+@pytest.mark.parametrize("space", [Euclid(2), TwoSum((Lp(4.0, 1), Euclid(1))), TwoSum((Lp(1.5, 1), Lp(3.0, 1)))],
+                         ids=["euclid", "l4_line_plus_line", "two_lines"])
+def test_plane_search_finds_hilbertian_summands(space):
+    res = find_one_dim_two_summand(space, budget=8, seed=0)
+    assert res.found
+    assert res.residual <= 1e-8
+    xi, phi = res.candidate.xi, res.candidate.phi
+    assert float(phi @ xi) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("n_xi,n_phi", [(0, 4), (4, -3)])
@@ -345,18 +428,7 @@ def test_grid_floor_requires_plane():
 def _matches_the_residual_grid(space, n_xi, n_phi, seed):
     floor = two_summand_grid_floor(space, n_xi=n_xi, n_phi=n_phi, seed=seed)
     suite, n2 = isolab._nonzero_suite(space, 128, seed)
-    want = oracles.grid_floor_by_residuals(space, suite, n2, n_xi, n_phi)
-    if want < 1e-3:
-        return abs(floor - want) <= 1e-14
-    return abs(floor - want) <= 1e-12 * want
-
-
-_LINES = st.one_of(st.just(Euclid(1)), st.floats(1.0, 8.0).map(lambda p: Lp(p, 1)))
-_PLANES = st.one_of(
-    st.floats(1.0, 8.0).map(lambda p: Lp(p, 2)),
-    st.just(Euclid(2)),
-    st.tuples(_LINES, _LINES).map(TwoSum),
-)
+    return _agree(floor, oracles.grid_floor_by_residuals(space, suite, n2, n_xi, n_phi))
 
 
 @settings(max_examples=120, deadline=None)
