@@ -27,6 +27,18 @@ by different kernel speeds, and their rescaled metrics differ by that ratio
 whatever their code does.  The report also records every ``MALLOC_*``
 variable of the run's environment, which both sides inherit.
 
+Per workload, ``kernel_mode_mismatch`` is true when the interquartile
+ranges of the two sides' implied kernels do not overlap, and the run says
+so on stderr.  Then compare the raw pass times, and run the pairs again
+with the allocator pinned for both sides, which the report records:
+
+    MALLOC_MMAP_THRESHOLD_=4194304 MALLOC_TRIM_THRESHOLD_=67108864 \\
+        python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workloads solve ...
+
+Both are process-local glibc settings that switch its dynamic threshold
+off and keep the kernel's temporaries on the heap.  Two sides that read
+alike pinned but apart plain differ in kernel mode, not in code.
+
 The report holds every run's end-to-end metrics, counts, raw (unscaled)
 pass times and implied kernel time, and per workload the quartiles of each
 metric and of the implied kernel time on both sides, how many pairs the
@@ -102,9 +114,10 @@ def summarize(pairs: list, better: dict) -> dict:
         "change_q1_median_q3": quartiles(chg),
         "change_faster_pairs": f"{sum(c < q for q, c in zip(par, chg))}/{n}",
     }
-    par = [p["parent"]["implied_kernel_ms"] for p in pairs]
-    chg = [p["change"]["implied_kernel_ms"] for p in pairs]
-    out["implied_kernel_ms"] = {"parent_q1_median_q3": quartiles(par), "change_q1_median_q3": quartiles(chg)}
+    pq = quartiles([p["parent"]["implied_kernel_ms"] for p in pairs])
+    cq = quartiles([p["change"]["implied_kernel_ms"] for p in pairs])
+    out["implied_kernel_ms"] = {"parent_q1_median_q3": pq, "change_q1_median_q3": cq}
+    out["kernel_mode_mismatch"] = pq[2] < cq[0] or cq[2] < pq[0]
     out["failed"] = {
         "parent": sum(p["parent"]["failed"] for p in pairs),
         "change": sum(p["change"]["failed"] for p in pairs),
@@ -165,6 +178,9 @@ def main(argv=None) -> int:
             pairs.append(pair)
         report["pairs"] += pairs
         report["summary"][workload] = summarize(pairs, better)
+        if report["summary"][workload]["kernel_mode_mismatch"]:
+            print(f"{workload}: the implied kernel IQRs do not overlap, so the sides ran in different "
+                  f"kernel modes; compare the raw passes and rerun with the allocator pinned", file=sys.stderr)
         # write after every workload, so a long session keeps what it measured
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0

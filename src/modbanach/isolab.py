@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import descend, gaussian_batch, rng_stream, stop_counts, stream_normals, structured_vectors
+from .sampling import (argmin_selection, descend, gaussian_batch, rng_stream, stop_counts, stream_normals,
+                       structured_vectors)
 from .spaces import Euclid, TwoSum, as_real_vector
 
 __all__ = [
@@ -164,73 +165,175 @@ def _plane_forms(mono: np.ndarray, xi: np.ndarray, phi: np.ndarray, perp2: np.nd
     return (mono @ np.repeat(cols, 1 + (k == 1), axis=1))[:, :k]
 
 
+def _defects(space, x: np.ndarray, n2: np.ndarray, f: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Relative defects |n2 - f^2 - ||x - f xi||^2| / n2 of one block of residuals, shape f.shape.
+
+    x and xi carry the coordinates on their first axis; their other axes
+    and n2 broadcast to f's shape.  Every step acts element by element, so
+    an entry's bits depend on its own row and candidate alone, whatever
+    block or subset of rows it is scored in.
+    """
+    d = xi.shape[0]
+    # r is C-ordered (d, ...), so the norm kernel reads its transpose contiguously
+    r = np.multiply(f[None], xi, order="C")
+    np.subtract(x, r, out=r)
+    rn = space.norm_batch(r.reshape(d, -1).T).reshape(f.shape)
+    defect = np.square(f)
+    np.add(defect, np.square(rn, out=rn), out=defect)
+    np.subtract(n2, defect, out=defect)
+    np.abs(defect, out=defect)
+    return np.divide(defect, n2, out=defect)
+
+
+def _suite_defects(space, suite: np.ndarray, n2: np.ndarray, f: np.ndarray, xi_cols: np.ndarray):
+    """Yield (cols, defects): the (n_s, cols) defects of blocks of whole columns of f.
+
+    Column j of f holds phi_j(x) for each suite row x, and column j of the
+    (d, k) xi_cols its direction xi_j.  The residuals are normed in blocks
+    of at most _BLOCK_ROWS rows; a row's norm depends on that row alone, so
+    no bit depends on the block size.
+    """
+    n_s, k = f.shape
+    # C-ordered, so each block's product reads its directions in order
+    xi_cols = np.ascontiguousarray(xi_cols)
+    step = max(1, _BLOCK_ROWS // n_s)
+    for lo in range(0, k, step):
+        cols = slice(lo, lo + step)
+        yield cols, _defects(space, suite.T[:, :, None], n2[:, None], f[:, cols], xi_cols[:, None, cols])
+
+
 def _worst_defects(space, suite: np.ndarray, n2: np.ndarray, f: np.ndarray,
                    xi_cols: np.ndarray) -> np.ndarray:
     """Worst relative defect |n2 - f^2 - ||x - f xi||^2| / n2 over the suite, per column of f.
 
-    Column j of f holds phi_j(x) for each suite row x, and column j of the
-    (d, k) xi_cols its direction xi_j.  The
-    residuals are normed in blocks of whole columns of at most _BLOCK_ROWS
-    rows; a row's norm depends on that row alone, so no bit depends on the
-    block size.  The search calls it for d >= 3 only; in the plane
-    _plane_forms gives the same defects without a residual.
+    The search calls it for d >= 3 only; in the plane _plane_forms gives
+    the same defects without a residual.
     """
-    n_s, k = f.shape
-    d = suite.shape[1]
-    # C-ordered, so each block's product reads its directions in order
-    xi_cols = np.ascontiguousarray(xi_cols)
-    step = max(1, _BLOCK_ROWS // n_s)
-    out = np.empty(k)
-    for lo in range(0, k, step):
-        cols = slice(lo, lo + step)
-        fb = f[:, cols]
-        # r is C-ordered (d, n_s, cols), so the norm kernel reads its transpose contiguously
-        r = np.multiply(fb[None], xi_cols[:, None, cols], order="C")
-        np.subtract(suite.T[:, :, None], r, out=r)
-        rn = space.norm_batch(r.reshape(d, -1).T).reshape(fb.shape)
-        defect = np.square(fb)
-        np.add(defect, np.square(rn, out=rn), out=defect)
-        np.subtract(n2[:, None], defect, out=defect)
-        np.abs(defect, out=defect)
-        out[cols] = np.divide(defect, n2[:, None], out=defect).max(axis=0)
+    out = np.empty(f.shape[1])
+    for cols, defect in _suite_defects(space, suite, n2, f, xi_cols):
+        out[cols] = defect.max(axis=0)
     return out
 
 
+def _valid_candidates(space, xi_raw: np.ndarray, phi_raw: np.ndarray) -> tuple:
+    """(rows, xi, phi): the valid rows of a (xi_raw, phi_raw) stack, xi normed and phi(xi) = 1.
+
+    A row is invalid when its xi has norm at most 1e-12 or its phi_raw(xi)
+    lies within 1e-9 of 0.
+    """
+    nxi = space.norm_batch(xi_raw)
+    ok = nxi > 1e-12
+    xi = xi_raw[ok] / nxi[ok, None]
+    pv = np.einsum("kd,kd->k", phi_raw[ok], xi)
+    ok2 = np.abs(pv) > 1e-9
+    return np.flatnonzero(ok)[ok2], xi[ok2], phi_raw[ok][ok2] / pv[ok2, None]
+
+
+def _functional_values(suite: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """f = suite @ phi.T, (n_s, k): phi_j(x) for each suite row x and candidate j.
+
+    One product for every candidate, never one per block, and never of one
+    column: that takes a matrix-vector BLAS path, with other bits, so a
+    lone candidate's phi goes in twice.  A candidate's f then has the same
+    bits at any stack height.
+    """
+    lone = len(phi) == 1
+    return (suite @ np.repeat(phi, 1 + lone, axis=0).T)[:, :len(phi)]
+
+
 def _candidate_violations(space, xi_raw: np.ndarray, phi_raw: np.ndarray,
-                          suite: np.ndarray, suite_norm2: np.ndarray) -> np.ndarray:
+                          suite: np.ndarray, suite_norm2: np.ndarray, mono=None) -> np.ndarray:
     """Batched objective over rows of (xi_raw, phi_raw) parameter stacks.
 
     Invalid rows (vanishing xi norm or phi(xi) too close to 0) score 1e6.
     In the plane a candidate's worst defect is max(1 - min Q, max Q - 1) of
     its quadratic form (_plane_forms), for one more norm_batch call, on the
-    phi_perp rows; for d >= 3 _worst_defects norms its residuals.
+    phi_perp rows; `mono` holds the suite's monomial rows there, if the
+    caller built them once.  For d >= 3 _worst_defects norms the residuals.
     """
-    k = xi_raw.shape[0]
-    out = np.full(k, 1e6)
-    nxi = space.norm_batch(xi_raw)
-    ok = nxi > 1e-12
-    if not np.any(ok):
+    out = np.full(xi_raw.shape[0], 1e6)
+    rows, xi, phi = _valid_candidates(space, xi_raw, phi_raw)
+    if not rows.size:
         return out
-    xi = xi_raw[ok] / nxi[ok, None]
-    pv = np.einsum("kd,kd->k", phi_raw[ok], xi)
-    ok2 = np.abs(pv) > 1e-9
-    if not np.any(ok2):
-        return out
-    phi = phi_raw[ok][ok2] / pv[ok2, None]
-    rows = np.nonzero(ok)[0][ok2]
     if space.dim == 2:
+        if mono is None:
+            mono = _plane_monomials(suite, suite_norm2)
         perp2 = np.square(space.norm_batch(np.stack([-phi[:, 1], phi[:, 0]], axis=1)))
-        q = _plane_forms(_plane_monomials(suite, suite_norm2), xi[ok2], phi, perp2)
+        q = _plane_forms(mono, xi, phi, perp2)
         out[rows] = np.maximum(1.0 - q.min(axis=0), q.max(axis=0) - 1.0)
         return out
-    # one product for every candidate, never one per block, and never of one
-    # column: that takes a matrix-vector BLAS path, with other bits, so a lone
-    # candidate's phi goes in twice.  A candidate's f then has the same bits
-    # at any stack height.
-    lone = len(phi) == 1
-    f = (suite @ np.repeat(phi, 1 + lone, axis=0).T)[:, :len(phi)]     # (n_s, k')
-    out[rows] = _worst_defects(space, suite, suite_norm2, f, xi[ok2].T)
+    out[rows] = _worst_defects(space, suite, suite_norm2, _functional_values(suite, phi), xi.T)
     return out
+
+
+#: Suite rows each halving step of the pruned selection is bounded on: the
+#: rows where its start's smallest step is worst.
+_BOUND_ROWS = 8
+
+
+def _pruned_selection(space, suite: np.ndarray, n2: np.ndarray, objective):
+    """The halving selection of sampling.descend for d >= 3, pruned by exact lower bounds.
+
+    A candidate's value is its worst defect over the suite rows, and a
+    row's defect has the same bits in any block, so the worst over any
+    subset of rows is an exact lower bound on the value.  Each start's
+    smallest step is scored in full; the other steps are bounded on the
+    _BOUND_ROWS rows where it is worst.  The step of least bound is scored
+    in full, then every step whose bound is at or below the least full
+    value so far.  A step left out has a value strictly above that least
+    value, so the least value and the first index that reaches it are
+    those of sampling.argmin_selection, the default.
+
+    Stacks of one block of residuals at most take the default, since one
+    norm call costs less than the extra calls save, as do stacks with an
+    invalid candidate (they score 1e6) and stacks with a non-finite f or
+    xi, where a NaN could sit in a row no bound looked at.
+    """
+    full = argmin_selection(objective)
+    d, n_s = space.dim, len(suite)
+
+    def select(cands: np.ndarray) -> tuple:
+        m, h, n = cands.shape
+        if m * h * n_s <= _BLOCK_ROWS:
+            return full(cands)
+        flat = cands.reshape(-1, n)
+        rows, xi, phi = _valid_candidates(space, flat[:, :d], flat[:, d:])
+        if rows.size < m * h:
+            return full(cands)
+        f = _functional_values(suite, phi)
+        # no coordinate of a normed xi exceeds 1, so with f and xi finite every
+        # residual is finite, and no row's norm or defect is NaN
+        if not (np.isfinite(f).all() and np.isfinite(xi).all()):
+            return full(cands)
+        smallest = np.arange(m) * h + h - 1
+        others = (np.arange(m) * h)[:, None] + np.arange(h - 1)
+        vals = np.full((m, h), np.inf)
+        worst = np.empty((_BOUND_ROWS, m), dtype=np.intp)
+        for cols, defect in _suite_defects(space, suite, n2, f[:, smallest], xi[smallest].T):
+            vals[cols, h - 1] = defect.max(axis=0)
+            worst[:, cols] = np.argpartition(defect, -_BOUND_ROWS, axis=0)[-_BOUND_ROWS:]
+        bound = np.empty((m, h - 1))
+        step = max(1, _BLOCK_ROWS // (_BOUND_ROWS * (h - 1)))
+        for lo in range(0, m, step):
+            part = slice(lo, lo + step)
+            r, c = worst[:, part], others[part]
+            bound[part] = _defects(space, suite.T[:, r, None], n2[r, None], f[r[:, :, None], c[None]],
+                                   xi.T[:, None, c]).max(axis=0)
+
+        def score(starts, steps):
+            ids = others[starts, steps]
+            vals[starts, steps] = _worst_defects(space, suite, n2, f[:, ids], xi[ids].T)
+
+        least = bound.argmin(axis=1)
+        first = np.flatnonzero(bound[np.arange(m), least] <= vals[:, h - 1])
+        score(first, least[first])
+        pending = bound <= vals.min(axis=1)[:, None]
+        pending[first, least[first]] = False
+        score(*np.nonzero(pending))
+        j = np.argmin(vals, axis=1)
+        return j, vals[np.arange(m), j]
+
+    return select
 
 
 @dataclass(frozen=True)
@@ -254,15 +357,18 @@ def find_one_dim_two_summand(space, budget: int = 16, seed: int = 0) -> SummandS
         raise ValueError("budget must be at least 1")
     d = space.dim
     suite, n2 = _nonzero_suite(space, _SUMMAND_SUITE, seed)
+    mono = _plane_monomials(suite, n2) if d == 2 else None
 
     def objective(stack: np.ndarray) -> np.ndarray:
-        return _candidate_violations(space, stack[:, :d], stack[:, d:], suite, n2)
+        return _candidate_violations(space, stack[:, :d], stack[:, d:], suite, n2, mono)
 
     structured = np.tile(np.eye(d)[:min(8, budget)], 2)
     starts = np.concatenate([structured, stream_normals(seed, budget - len(structured), 2 * d)])
 
     # the first start (in index order) at or below the cut ends the search
-    run = descend(objective, starts, first_step=0.5, max_steps=150, tol=1e-15, cut=_FOUND_RESIDUAL * 1e-2)
+    select = _pruned_selection(space, suite, n2, objective) if d >= 3 else None
+    run = descend(objective, starts, first_step=0.5, max_steps=150, tol=1e-15, cut=_FOUND_RESIDUAL * 1e-2,
+                  select=select)
     best_val, best_theta = math.inf, None
     for val, theta in zip(run.values.tolist(), run.thetas):
         if val < best_val:

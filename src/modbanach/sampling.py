@@ -28,6 +28,7 @@ __all__ = [
     "STOPS",
     "Descent",
     "stop_counts",
+    "argmin_selection",
     "descend",
 ]
 
@@ -235,7 +236,7 @@ class Descent(NamedTuple):
 
     values: np.ndarray    # (starts,)
     thetas: np.ndarray    # (starts, n)
-    evals: np.ndarray     # (starts,) objective rows spent on each start
+    evals: np.ndarray     # (starts,) candidates scored or bounded for each start
     stops: tuple          # one name of STOPS per start
 
 
@@ -244,8 +245,22 @@ def stop_counts(stops: tuple) -> dict:
     return {name: stops.count(name) for name in STOPS}
 
 
+def argmin_selection(objective):
+    """The plain halving selection of :func:`descend`: one objective call on every candidate.
+
+    The returned callable maps a (starts, steps, n) stack of halving
+    candidates to each start's index of its least value (the first one, as
+    ``np.argmin`` takes it, so a NaN wins) and that value.
+    """
+    def select(cands: np.ndarray) -> tuple:
+        vals = objective(cands.reshape(-1, cands.shape[2])).reshape(cands.shape[:2])
+        j = np.argmin(vals, axis=1)
+        return j, vals[np.arange(j.shape[0]), j]
+    return select
+
+
 def descend(objective, thetas, first_step: float, max_steps: int, tol: float,
-            project=None, cut: float | None = None) -> Descent:
+            project=None, cut: float | None = None, select=None) -> Descent:
     """Finite-difference steepest descent from every row of a (starts, n) stack.
 
     `objective` maps a (k, n) stack of rows to k values, and `project` maps a
@@ -256,12 +271,19 @@ def descend(objective, thetas, first_step: float, max_steps: int, tol: float,
     gradient.  A start leaves when its gradient vanishes or is not finite,
     when no halving step gains more than `tol`, or after `max_steps` steps.
     Every start gets the bits it would get alone, as long as `objective`
-    scores a row with the same bits at any stack height.  With a `cut`, the
+    scores a row with the same bits at any stack height.  `select` picks each
+    start's halving step: it maps the (live, 24, n) stack of halving
+    candidates to each start's step index and value, and must return what
+    :func:`argmin_selection` of `objective`, the default, returns; it may
+    get there without scoring every candidate in full (the summand search
+    prunes by lower bounds), and `evals` counts every candidate it scored
+    or bounded.  With a `cut`, the
     first start (in index order) whose final value is at or below it ends
     the search: every later start is dropped, every earlier one runs to its
     end.
     """
     project = project or (lambda th: th)
+    select = select or argmin_selection(objective)
     thetas = np.array(thetas, dtype=float)
     k, n = thetas.shape
     values = np.full(k, np.nan)
@@ -271,7 +293,7 @@ def descend(objective, thetas, first_step: float, max_steps: int, tol: float,
     for lo in range(0, k, size):
         part = slice(lo, lo + size)
         thetas[part], values[part], evals[part], stops[part] = _lockstep(
-            objective, thetas[part], first_step, max_steps, tol, project, cut)
+            objective, thetas[part], first_step, max_steps, tol, project, cut, select)
         if cut is not None and np.any(values[part] <= cut):
             break
     return Descent(values, thetas, evals, tuple(STOPS[s] for s in stops))
@@ -283,7 +305,7 @@ def _first_hit(value: np.ndarray, cut: float | None) -> int:
     return int(hit[0]) if len(hit) else value.shape[0]
 
 
-def _lockstep(objective, theta, first_step, max_steps, tol, project, cut):
+def _lockstep(objective, theta, first_step, max_steps, tol, project, cut, select):
     """:func:`descend` on one chunk of starts; returns (thetas, values, evals, stops)."""
     k, n = theta.shape
     theta = project(theta)
@@ -311,10 +333,8 @@ def _lockstep(objective, theta, first_step, max_steps, tol, project, cut):
             break
         unit = grad[ok] / gn[ok, None]
         cands = th[:, None, :] - steps[None, :, None] * unit[:, None, :]
-        cvals = objective(cands.reshape(-1, n)).reshape(-1, steps.shape[0])
+        j, best = select(cands)
         evals[live] += steps.shape[0]
-        j = np.argmin(cvals, axis=1)
-        best = cvals[np.arange(live.size), j]
         # not `best < value - tol`: a NaN best is taken, as a lone start's loop took it
         gain = ~(best >= value[live] - tol)
         stops[live[~gain]] = _STALLED

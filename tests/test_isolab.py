@@ -21,7 +21,7 @@ from modbanach.isolab import (
     range_intersection_dim,
     two_summand_grid_floor,
 )
-from modbanach.sampling import descend, rng_stream, stop_counts
+from modbanach.sampling import argmin_selection, descend, rng_stream, stop_counts
 from modbanach.spaces import Euclid, Lp, TwoSum
 
 
@@ -474,3 +474,114 @@ def test_grid_floor_memory_does_not_grow_with_the_grid(n_xi, n_phi, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mib * 2 ** 20
+
+
+_SOLIDS = st.one_of(
+    st.tuples(st.floats(1.0, 8.0), st.integers(3, 5)).map(lambda pd: Lp(*pd)),
+    st.just(Euclid(3)),
+    st.just(TwoSum((Lp(4.0, 2), Euclid(1)))),
+)
+#: a halving step whose candidate is made a copy of another step's: of the
+#: smallest step (index 23) or of any, so that equal values occur
+_COPIES = st.tuples(st.integers(0, 59), st.integers(0, 23), st.one_of(st.just(23), st.integers(0, 23)))
+
+
+def _objective(space, suite, n2):
+    d = space.dim
+    return lambda stack: isolab._candidate_violations(space, stack[:, :d], stack[:, d:], suite, n2)
+
+
+#: a candidate that scores 1e6 (xi = 0) or holds a non-finite entry
+_SPOILS = st.one_of(st.none(), st.tuples(st.sampled_from(["no_xi", math.inf, math.nan]), st.integers(0, 60 * 24 - 1)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(space=_SOLIDS, seed=st.integers(0, 2 ** 32 - 1), starts=st.integers(1, 60),
+       first_step=st.floats(1e-3, 4.0), copies=st.lists(_COPIES, max_size=12), spoil=_SPOILS)
+def test_pruned_selection_matches_the_argmin(space, seed, starts, first_step, copies, spoil):
+    # the same step and the same value bits as scoring every candidate, on
+    # stacks of one block (default) and of several (pruned), with equal
+    # values, candidates that score 1e6 and non-finite entries
+    suite, n2 = isolab._nonzero_suite(space, isolab._SUMMAND_SUITE, seed % 8)
+    d = space.dim
+    rng = rng_stream(seed, 0)
+    theta, unit = rng.standard_normal((2, starts, 2 * d))
+    cands = theta[:, None] - (first_step * 0.5 ** np.arange(24))[None, :, None] * unit[:, None]
+    for s, t, u in copies:
+        cands[s % starts, t] = cands[s % starts, u]
+    if spoil is not None:
+        kind, i = spoil
+        row = cands.reshape(-1, 2 * d)[i % (24 * starts)]
+        if kind == "no_xi":
+            row[:d] = 0.0
+        else:
+            row[d] = kind
+    objective = _objective(space, suite, n2)
+    want_j, want_v = argmin_selection(objective)(cands)
+    got_j, got_v = isolab._pruned_selection(space, suite, n2, objective)(cands)
+    assert got_j.tolist() == want_j.tolist()
+    assert [v.hex() for v in got_v.tolist()] == [v.hex() for v in want_v.tolist()]
+
+
+def _lp_rows_normed(monkeypatch, run):
+    """(result of run(), rows normed by Lp.norm_batch during it)."""
+    rows = []
+    norm_batch = Lp.norm_batch
+
+    def counting(space, stack):
+        rows.append(len(stack))
+        return norm_batch(space, stack)
+
+    monkeypatch.setattr(Lp, "norm_batch", counting)
+    try:
+        return run(), sum(rows)
+    finally:
+        monkeypatch.setattr(Lp, "norm_batch", norm_batch)
+
+
+def test_pruned_search_norms_half_the_rows(monkeypatch):
+    # the search of the benchmark's lp(3, 3) campaign, with and without the
+    # pruning: the same result, from under 52% of the normed rows
+    def search():
+        res = find_one_dim_two_summand(Lp(3.0, 3), budget=64, seed=0)
+        return res.residual.hex(), res.stops
+
+    pruned, pruned_rows = _lp_rows_normed(monkeypatch, search)
+    monkeypatch.setattr(isolab, "_pruned_selection", lambda space, suite, n2, objective: argmin_selection(objective))
+    plain, plain_rows = _lp_rows_normed(monkeypatch, search)
+    assert pruned == plain
+    assert plain_rows == 7_718_269
+    assert pruned_rows < 0.52 * plain_rows
+
+
+def test_small_summand_stacks_keep_the_plain_selection(monkeypatch):
+    # budget 8 leaves 1-3 live starts, one block of residuals per step, so
+    # the two_sum search makes the norm calls it made before the pruning
+    calls = []
+    norm_batch = TwoSum.norm_batch
+
+    def counting(space, stack):
+        calls.append(len(stack))
+        return norm_batch(space, stack)
+
+    monkeypatch.setattr(TwoSum, "norm_batch", counting)
+    find_one_dim_two_summand(TwoSum((Lp(4.0, 2), Euclid(1))), budget=8, seed=0)
+    assert (len(calls), sum(calls)) == (192, 166_950)
+
+
+# the search before the pruning peaked at 1.76 MiB (lp3) and 157 KiB (the
+# golden summand_euclid3 search); bounding every step of a whole stack at
+# once, unblocked, took the lp3 search to 2.77 MiB
+@pytest.mark.parametrize("space, budget, seed, limit_kib", [
+    (Lp(3.0, 3), 64, 0, 2048),
+    (Euclid(3), 6, 3, 256),
+], ids=["lp3", "golden_euclid3"])
+def test_summand_search_memory(space, budget, seed, limit_kib):
+    tracemalloc.start()
+    try:
+        find_one_dim_two_summand(space, budget=budget, seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_kib * 2 ** 10

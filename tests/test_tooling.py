@@ -217,3 +217,23 @@ def test_every_public_name_has_a_caller():
         dead |= unreached
     names = sorted(".".join(q) for q in dead)
     assert names == [], f"public names that no caller reaches: {names}"
+
+
+def _bench_pair(parent_kernel_ms: float, change_kernel_ms: float) -> dict:
+    side = lambda kernel: {"metrics": {"wall_s": 1.0}, "raw_pass_s": [1.0], "failed": 0, "attempted": 1,
+                           "implied_kernel_ms": kernel}
+    return {"parent": side(parent_kernel_ms), "change": side(change_kernel_ms)}
+
+
+@pytest.mark.parametrize("change_kernels, mismatch", [
+    ([2.0, 2.1, 2.2, 2.3, 2.4], False),    # the two IQRs overlap
+    ([2.5, 2.6, 2.6, 2.7, 2.8], True),     # every change kernel is slower
+])
+def test_bench_pairs_flags_a_kernel_mode_mismatch(change_kernels, mismatch):
+    # the parent's implied kernels have the IQR [2.05, 2.15]
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    pairs = [_bench_pair(p, c) for p, c in zip([2.0, 2.05, 2.1, 2.15, 2.2], change_kernels)]
+    summary = bench_pairs.summarize(pairs, {"wall_s": "lower"})
+    assert summary["kernel_mode_mismatch"] is mismatch
