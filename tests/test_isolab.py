@@ -484,15 +484,9 @@ _SOLIDS = st.one_of(
 #: a halving step whose candidate is made a copy of another step's: of the
 #: smallest step (index 23) or of any, so that equal values occur
 _COPIES = st.tuples(st.integers(0, 59), st.integers(0, 23), st.one_of(st.just(23), st.integers(0, 23)))
-
-
-def _objective(space, suite, n2):
-    d = space.dim
-    return lambda stack: isolab._candidate_violations(space, stack[:, :d], stack[:, d:], suite, n2)
-
-
 #: a candidate that scores 1e6 (xi = 0) or holds a non-finite entry
-_SPOILS = st.one_of(st.none(), st.tuples(st.sampled_from(["no_xi", math.inf, math.nan]), st.integers(0, 60 * 24 - 1)))
+_SPOILS = st.one_of(st.none(), st.tuples(st.sampled_from(["no_xi", math.inf, math.nan]),
+                                         st.integers(0, 60 * 24 - 1)))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -517,15 +511,19 @@ def test_pruned_selection_matches_the_argmin(space, seed, starts, first_step, co
             row[:d] = 0.0
         else:
             row[d] = kind
-    objective = _objective(space, suite, n2)
+
+    def objective(stack):
+        return isolab._candidate_violations(space, stack[:, :d], stack[:, d:], suite, n2)
+
     want_j, want_v = argmin_selection(objective)(cands)
     got_j, got_v = isolab._pruned_selection(space, suite, n2, objective)(cands)
     assert got_j.tolist() == want_j.tolist()
     assert [v.hex() for v in got_v.tolist()] == [v.hex() for v in want_v.tolist()]
 
 
-def _lp_rows_normed(monkeypatch, run):
-    """(result of run(), rows normed by Lp.norm_batch during it)."""
+def test_pruned_search_norms_half_the_rows(monkeypatch):
+    # the search of the benchmark's lp(3, 3) campaign, with and without the
+    # pruning: the same result, from under 52% of the normed rows
     rows = []
     norm_batch = Lp.norm_batch
 
@@ -533,23 +531,15 @@ def _lp_rows_normed(monkeypatch, run):
         rows.append(len(stack))
         return norm_batch(space, stack)
 
-    monkeypatch.setattr(Lp, "norm_batch", counting)
-    try:
-        return run(), sum(rows)
-    finally:
-        monkeypatch.setattr(Lp, "norm_batch", norm_batch)
-
-
-def test_pruned_search_norms_half_the_rows(monkeypatch):
-    # the search of the benchmark's lp(3, 3) campaign, with and without the
-    # pruning: the same result, from under 52% of the normed rows
     def search():
+        rows.clear()
         res = find_one_dim_two_summand(Lp(3.0, 3), budget=64, seed=0)
-        return res.residual.hex(), res.stops
+        return res.residual.hex(), res.stops, sum(rows)
 
-    pruned, pruned_rows = _lp_rows_normed(monkeypatch, search)
+    monkeypatch.setattr(Lp, "norm_batch", counting)
+    *pruned, pruned_rows = search()
     monkeypatch.setattr(isolab, "_pruned_selection", lambda space, suite, n2, objective: argmin_selection(objective))
-    plain, plain_rows = _lp_rows_normed(monkeypatch, search)
+    *plain, plain_rows = search()
     assert pruned == plain
     assert plain_rows == 7_718_269
     assert pruned_rows < 0.52 * plain_rows
@@ -578,6 +568,8 @@ def test_small_summand_stacks_keep_the_plain_selection(monkeypatch):
     (Euclid(3), 6, 3, 256),
 ], ids=["lp3", "golden_euclid3"])
 def test_summand_search_memory(space, budget, seed, limit_kib):
+    # a first search imports numpy.random, whose modules tracemalloc would count
+    find_one_dim_two_summand(space, budget=1, seed=seed)
     tracemalloc.start()
     try:
         find_one_dim_two_summand(space, budget=budget, seed=seed)

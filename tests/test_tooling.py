@@ -219,10 +219,9 @@ def test_every_public_name_has_a_caller():
     assert names == [], f"public names that no caller reaches: {names}"
 
 
-def _bench_pair(parent_kernel_ms: float, change_kernel_ms: float) -> dict:
-    side = lambda kernel: {"metrics": {"wall_s": 1.0}, "raw_pass_s": [1.0], "failed": 0, "attempted": 1,
-                           "implied_kernel_ms": kernel}
-    return {"parent": side(parent_kernel_ms), "change": side(change_kernel_ms)}
+def _bench_run(implied_kernel_ms: float) -> dict:
+    return {"metrics": {"wall_s": 1.0}, "raw_pass_s": [1.0], "failed": 0, "attempted": 1,
+            "implied_kernel_ms": implied_kernel_ms}
 
 
 @pytest.mark.parametrize("change_kernels, mismatch", [
@@ -234,6 +233,7 @@ def test_bench_pairs_flags_a_kernel_mode_mismatch(change_kernels, mismatch):
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
-    pairs = [_bench_pair(p, c) for p, c in zip([2.0, 2.05, 2.1, 2.15, 2.2], change_kernels)]
+    pairs = [{"parent": _bench_run(p), "change": _bench_run(c)}
+             for p, c in zip([2.0, 2.05, 2.1, 2.15, 2.2], change_kernels)]
     summary = bench_pairs.summarize(pairs, {"wall_s": "lower"})
     assert summary["kernel_mode_mismatch"] is mismatch
