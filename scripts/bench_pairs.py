@@ -109,10 +109,12 @@ def summarize(pairs: list, better: dict) -> dict:
         }
     par = [statistics.median(p["parent"]["raw_pass_s"]) for p in pairs]
     chg = [statistics.median(p["change"]["raw_pass_s"]) for p in pairs]
+    pq, cq = quartiles(par), quartiles(chg)
     out["raw_pass_s_median_per_run"] = {
-        "parent_q1_median_q3": quartiles(par),
-        "change_q1_median_q3": quartiles(chg),
+        "parent_q1_median_q3": pq,
+        "change_q1_median_q3": cq,
         "change_faster_pairs": f"{sum(c < q for q, c in zip(par, chg))}/{n}",
+        "median_ratio_change_over_parent": cq[1] / pq[1] if pq[1] else None,
     }
     pq = quartiles([p["parent"]["implied_kernel_ms"] for p in pairs])
     cq = quartiles([p["change"]["implied_kernel_ms"] for p in pairs])

@@ -268,6 +268,17 @@ def _params(run, table):
 
 
 _SPACE = (space_from_dict, REQUIRED)
+
+
+def _real_space(obj, where: str):
+    # the isometry lab's suites, candidates and maps are real vectors
+    space = space_from_dict(obj, where)
+    if isinstance(space, Schatten):
+        raise ConfigError(f"{where}: expected a real space (lp, euclid or two_sum), got schatten")
+    return space
+
+
+_REAL_SPACE = (_real_space, REQUIRED)
 _EXPONENTS = (partial(_read_kind, _EXPONENT_KINDS), REQUIRED)
 _TOLERANCE = (as_real, 1e-10)
 # the upper bounds of size keys, each keeping the largest array its key drives
@@ -306,8 +317,8 @@ def _read_verify(obj, where: str):
 
 
 _EMBEDDINGS = {
-    "counterexample": (isolab.build_counterexample_embedding, {"e1": _SPACE, "h_dim": _H_DIM}),
-    "inclusion": (isolab.build_inclusion_embedding, {"e0": _SPACE, "h_dim": _H_DIM}),
+    "counterexample": (isolab.build_counterexample_embedding, {"e1": _REAL_SPACE, "h_dim": _H_DIM}),
+    "inclusion": (isolab.build_inclusion_embedding, {"e0": _REAL_SPACE, "h_dim": _H_DIM}),
 }
 
 
@@ -334,7 +345,7 @@ _RUNNERS = {
                                    "jvn_values": (_floats_or("clarkson"), "clarkson")}),
         lambda p: p["beta"][0] if p["beta"] else 0.0),
     "summand": _Command(
-        _params(_run_summand, {"space": _SPACE, "budget": (_BUDGET, 16),
+        _params(_run_summand, {"space": _REAL_SPACE, "budget": (_BUDGET, 16),
                                "grid": (partial(_read_object, {"n_xi": (_ANGLES, 720),
                                                                "n_phi": (_ANGLES, 720)}), None)}),
         lambda p: p.get("grid_floor", p["residual"])),

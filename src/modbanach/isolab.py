@@ -165,6 +165,15 @@ def _plane_forms(mono: np.ndarray, xi: np.ndarray, phi: np.ndarray, perp2: np.nd
     return (mono @ np.repeat(cols, 1 + (k == 1), axis=1))[:, :k]
 
 
+def _residual_norms(space, x: np.ndarray, f: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """||x - f xi|| of one block of residuals, shape f.shape; x and xi carry the coordinates on their first axis."""
+    d = xi.shape[0]
+    # r is C-ordered (d, ...), so the norm kernel reads its transpose contiguously
+    r = np.multiply(f[None], xi, order="C")
+    np.subtract(x, r, out=r)
+    return space.norm_batch(r.reshape(d, -1).T).reshape(f.shape)
+
+
 def _defects(space, x: np.ndarray, n2: np.ndarray, f: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Relative defects |n2 - f^2 - ||x - f xi||^2| / n2 of one block of residuals, shape f.shape.
 
@@ -172,12 +181,18 @@ def _defects(space, x: np.ndarray, n2: np.ndarray, f: np.ndarray, xi: np.ndarray
     and n2 broadcast to f's shape.  Every step acts element by element, so
     an entry's bits depend on its own row and candidate alone, whatever
     block or subset of rows it is scored in.
+
+    Accuracy: with kappa the norm's ``norm_ulps`` and u = 2^-53, a defect
+    is within (16 + 2 kappa) u S^2 / n2 of the exact defect of the same x,
+    n2, xi and phi, where S = sqrt(n2) + |f| + ||r|| + d ||x||_2 ||phi||_2.
+    The dot product f errs by d u ||x||_2 ||phi||_2; the residual's
+    coordinates by u (|x_i| + 2 |f xi_i|), which in the monotone norms of
+    Lp, Euclid and their TwoSum is at most u (sqrt(n2) + 2 |f|); the norm
+    by kappa u ||r||; and the squares, the sum, the difference and the
+    quotient round once each.  To first order in u, and for n2 of normal
+    range.
     """
-    d = xi.shape[0]
-    # r is C-ordered (d, ...), so the norm kernel reads its transpose contiguously
-    r = np.multiply(f[None], xi, order="C")
-    np.subtract(x, r, out=r)
-    rn = space.norm_batch(r.reshape(d, -1).T).reshape(f.shape)
+    rn = _residual_norms(space, x, f, xi)
     defect = np.square(f)
     np.add(defect, np.square(rn, out=rn), out=defect)
     np.subtract(n2, defect, out=defect)
@@ -185,34 +200,36 @@ def _defects(space, x: np.ndarray, n2: np.ndarray, f: np.ndarray, xi: np.ndarray
     return np.divide(defect, n2, out=defect)
 
 
-def _suite_defects(space, suite: np.ndarray, n2: np.ndarray, f: np.ndarray, xi_cols: np.ndarray):
-    """Yield (cols, defects): the (n_s, cols) defects of blocks of whole columns of f.
+def _pair_defects(space, suite: np.ndarray, n2: np.ndarray, f: np.ndarray, xi: np.ndarray,
+                  rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The defects of the (suite row, candidate) pairs that rows and cols index, broadcast together.
 
-    Column j of f holds phi_j(x) for each suite row x, and column j of the
-    (d, k) xi_cols its direction xi_j.  The residuals are normed in blocks
-    of at most _BLOCK_ROWS rows; a row's norm depends on that row alone, so
-    no bit depends on the block size.
+    f is the (n_s, k) product of _functional_values and xi the (k, d)
+    directions.  Along the first axis each index array has the full length
+    or 1, and the pairs are scored in blocks along it of at most
+    _BLOCK_ROWS pairs (or one entry); a row's norm depends on that row
+    alone, so no bit depends on the block or on the other pairs.
     """
-    n_s, k = f.shape
-    # C-ordered, so each block's product reads its directions in order
-    xi_cols = np.ascontiguousarray(xi_cols)
-    step = max(1, _BLOCK_ROWS // n_s)
-    for lo in range(0, k, step):
-        cols = slice(lo, lo + step)
-        yield cols, _defects(space, suite.T[:, :, None], n2[:, None], f[:, cols], xi_cols[:, None, cols])
+    shape = np.broadcast_shapes(rows.shape, cols.shape)
+    out = np.empty(shape)
+    step = max(1, _BLOCK_ROWS * shape[0] // max(1, out.size))
+    for lo in range(0, shape[0], step):
+        r, c = (a if a.shape[0] == 1 else a[lo:lo + step] for a in (rows, cols))
+        out[lo:lo + step] = _defects(space, suite.T[:, r], n2[r], f[r, c], xi.T[:, c])
+    return out
 
 
 def _worst_defects(space, suite: np.ndarray, n2: np.ndarray, f: np.ndarray,
                    xi_cols: np.ndarray) -> np.ndarray:
     """Worst relative defect |n2 - f^2 - ||x - f xi||^2| / n2 over the suite, per column of f.
 
-    The search calls it for d >= 3 only; in the plane _plane_forms gives
-    the same defects without a residual.
+    Column j of f holds phi_j(x) for each suite row x, and column j of the
+    (d, k) xi_cols its direction xi_j.  The search calls it for d >= 3
+    only; in the plane _plane_forms gives the same defects without a
+    residual.
     """
-    out = np.empty(f.shape[1])
-    for cols, defect in _suite_defects(space, suite, n2, f, xi_cols):
-        out[cols] = defect.max(axis=0)
-    return out
+    n_s, k = f.shape
+    return _pair_defects(space, suite, n2, f, xi_cols.T, np.arange(n_s)[None], np.arange(k)[:, None]).max(axis=1)
 
 
 def _valid_candidates(space, xi_raw: np.ndarray, phi_raw: np.ndarray) -> tuple:
@@ -271,54 +288,114 @@ def _candidate_violations(space, xi_raw: np.ndarray, phi_raw: np.ndarray,
 _BOUND_ROWS = 8
 
 
+def _defect_ceiling(space, defect: np.ndarray, scale: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """A computed defect bound widened by every rounding behind it: (80 + 8 kappa + 2 d) u scale^2 / n2.
+
+    kappa is the norm's ``norm_ulps`` and u = 2^-53; `scale` bounds the S
+    of _defects for the base and for every probe.  In units of u scale^2 /
+    n2, the widening covers the rounding bound of _defects twice, on the
+    base and on a probe, 32 + 4 kappa; the Lipschitz terms, below scale^2 /
+    n2 in size and computed from products with a relative error under
+    (d + kappa + 8) u, twice that; their cross terms with the base's errors,
+    kappa + 10; and the sums that form the bound, 11.  That is under 68 +
+    7 kappa + 2 d, to first order in u.
+    """
+    return defect + (80.0 + 8.0 * space.norm_ulps + 2.0 * space.dim) * 2.0 ** -53 * np.square(scale) / n2
+
+
+def _probe_ceilings(space, suite: np.ndarray, n2: np.ndarray, xn: np.ndarray, base: tuple,
+                    probes: tuple) -> np.ndarray:
+    """(n_s, m) upper bounds on the defect of every probe of each of m starts, per suite row.
+
+    xn holds the suite rows' Euclidean norms, base the (xi, phi, f) of the
+    m base points and probes the (xi, phi) of their k probes each, start by
+    start.  On a row x with the base's f = phi(x) and r = x - f xi, a probe
+    (xi', phi') has |f' - f| at most df = ||x||_2 max ||phi' - phi||_2, and
+    its residual r' - r = f (xi - xi') + (f - f') xi' a norm at most
+    dr = df + |f| max ||xi' - xi||, since ||xi'|| = 1.  So its defect is at
+    most (|n2 - f^2 - ||r||^2| + df (2|f| + df) + dr (2 ||r|| + dr)) / n2,
+    with no constant of the space, widened by _defect_ceiling.
+    """
+    xi_b, phi_b, f_b = base
+    xi, phi = probes
+    m, d = xi_b.shape
+    n_s = len(suite)
+    step = max(1, _BLOCK_ROWS // n_s)
+    rn = np.concatenate([_residual_norms(space, suite.T[:, :, None], f_b[:, lo:lo + step],
+                                         xi_b.T[:, None, lo:lo + step]) for lo in range(0, m, step)], axis=1)
+    dphi = np.sqrt(np.square(phi.reshape(m, -1, d) - phi_b[:, None]).sum(axis=2)).max(axis=1)
+    dxi = space.norm_batch((xi.reshape(m, -1, d) - xi_b[:, None]).reshape(-1, d)).reshape(m, -1).max(axis=1)
+    xn, n2 = xn[:, None], n2[:, None]
+    af = np.abs(f_b)
+    df = xn * dphi
+    dr = df + af * dxi
+    defect = np.abs(n2 - (np.square(f_b) + np.square(rn))) + df * (2.0 * af + df) + dr * (2.0 * rn + dr)
+    phin = np.sqrt(np.square(phi_b).sum(axis=1))
+    scale = np.sqrt(n2) + af + rn + d * xn * (phin + dphi) + df + dr
+    return _defect_ceiling(space, defect / n2, scale, n2)
+
+
 def _pruned_selection(space, suite: np.ndarray, n2: np.ndarray, objective):
-    """The halving selection of sampling.descend for d >= 3, pruned by exact lower bounds.
+    """The exact-maximum helper of the d >= 3 summand search: a halving selection and its `probe`.
 
     A candidate's value is its worst defect over the suite rows, and a
     row's defect has the same bits in any block, so the worst over any
-    subset of rows is an exact lower bound on the value.  Each start's
-    smallest step is scored in full; the other steps are bounded on the
-    _BOUND_ROWS rows where it is worst.  The step of least bound is scored
-    in full, then every step whose bound is at or below the least full
-    value so far.  A step left out has a value strictly above that least
-    value, so the least value and the first index that reaches it are
-    those of sampling.argmin_selection, the default.
+    subset of rows is an exact lower bound on the value, and a row whose
+    upper bound lies below a lower bound cannot hold the maximum.
 
-    Stacks of one block of residuals at most take the default, since one
-    norm call costs less than the extra calls save, as do stacks with an
-    invalid candidate (they score 1e6) and stacks with a non-finite f or
-    xi, where a NaN could sit in a row no bound looked at.
+    The returned selection, for sampling.descend's `select`, prunes the
+    halving steps by lower bounds.  Each start's smallest step is scored
+    in full; the other steps are bounded on the _BOUND_ROWS rows where it
+    is worst.  The step of least bound is scored in full, then every step
+    whose bound is at or below the least full value so far.  A step left
+    out has a value strictly above that least value, so the least value
+    and the first index that reaches it are those of
+    sampling.argmin_selection, the default.
+
+    Its attribute `probe`, for descend's `probe`, screens the rows of the
+    central differences by upper bounds.  The base's residuals are normed
+    once per start, which bounds every (row, start) pair over all of the
+    start's probes (_probe_ceilings).  Each probe is scored on its start's
+    row of highest bound; then every probe of the start on each other row
+    whose bound reaches the least of those values.  Every row left out
+    lies below its probe's value, so the maximum over the scored rows is
+    the objective's, bit for bit.
+
+    Stacks of one block of residuals at most take the plain call, since
+    one norm call costs less than the extra calls save, as do stacks with
+    an invalid candidate (they score 1e6), stacks with a non-finite f or
+    xi, where a NaN could sit in a row no bound looked at, and probe
+    stacks with a bound that is not finite.
     """
     full = argmin_selection(objective)
     d, n_s = space.dim, len(suite)
+    xn = np.sqrt(np.square(suite).sum(axis=1))
 
-    def select(cands: np.ndarray) -> tuple:
-        m, h, n = cands.shape
-        if m * h * n_s <= _BLOCK_ROWS:
-            return full(cands)
-        flat = cands.reshape(-1, n)
+    def prepared(flat: np.ndarray):
+        # (xi, phi, f) of a stack, or None if a candidate is invalid or f or xi not finite
         rows, xi, phi = _valid_candidates(space, flat[:, :d], flat[:, d:])
-        if rows.size < m * h:
-            return full(cands)
+        if rows.size < len(flat):
+            return None
         f = _functional_values(suite, phi)
         # no coordinate of a normed xi exceeds 1, so with f and xi finite every
         # residual is finite, and no row's norm or defect is NaN
         if not (np.isfinite(f).all() and np.isfinite(xi).all()):
+            return None
+        return xi, phi, f
+
+    def select(cands: np.ndarray) -> tuple:
+        m, h, n = cands.shape
+        got = prepared(cands.reshape(-1, n)) if m * h * n_s > _BLOCK_ROWS else None
+        if got is None:
             return full(cands)
+        xi, _, f = got
         smallest = np.arange(m) * h + h - 1
         others = (np.arange(m) * h)[:, None] + np.arange(h - 1)
         vals = np.full((m, h), np.inf)
-        worst = np.empty((_BOUND_ROWS, m), dtype=np.intp)
-        for cols, defect in _suite_defects(space, suite, n2, f[:, smallest], xi[smallest].T):
-            vals[cols, h - 1] = defect.max(axis=0)
-            worst[:, cols] = np.argpartition(defect, -_BOUND_ROWS, axis=0)[-_BOUND_ROWS:]
-        bound = np.empty((m, h - 1))
-        step = max(1, _BLOCK_ROWS // (_BOUND_ROWS * (h - 1)))
-        for lo in range(0, m, step):
-            part = slice(lo, lo + step)
-            r, c = worst[:, part], others[part]
-            bound[part] = _defects(space, suite.T[:, r, None], n2[r, None], f[r[:, :, None], c[None]],
-                                   xi.T[:, None, c]).max(axis=0)
+        defect = _pair_defects(space, suite, n2, f, xi, np.arange(n_s)[None], smallest[:, None])
+        vals[:, h - 1] = defect.max(axis=1)
+        worst = np.argpartition(defect, -_BOUND_ROWS, axis=1)[:, -_BOUND_ROWS:]
+        bound = _pair_defects(space, suite, n2, f, xi, worst[:, :, None], others[:, None]).max(axis=1)
 
         def score(starts, steps):
             ids = others[starts, steps]
@@ -333,6 +410,26 @@ def _pruned_selection(space, suite: np.ndarray, n2: np.ndarray, objective):
         j = np.argmin(vals, axis=1)
         return j, vals[np.arange(m), j]
 
+    def probe(bases: np.ndarray, cands: np.ndarray) -> np.ndarray:
+        m, k, n = cands.shape
+        flat = cands.reshape(-1, n)
+        got = prepared(flat) if m * k * n_s > _BLOCK_ROWS else None
+        base = prepared(bases) if got is not None else None
+        ceiling = _probe_ceilings(space, suite, n2, xn, base, got[:2]) if base is not None else None
+        if ceiling is None or not np.isfinite(ceiling).all():
+            return objective(flat).reshape(m, k)
+        xi, _, f = got
+        ids = np.arange(m * k).reshape(m, k)
+        top = ceiling.argmax(axis=0)
+        vals = _pair_defects(space, suite, n2, f, xi, top[:, None], ids)
+        # every probe of a start on each other row whose bound reaches its least probe value
+        near = ceiling >= vals.min(axis=1)
+        near[top, np.arange(m)] = False
+        rows, starts = np.nonzero(near)
+        np.maximum.at(vals, starts, _pair_defects(space, suite, n2, f, xi, rows[:, None], ids[starts]))
+        return vals
+
+    select.probe = probe
     return select
 
 
@@ -368,7 +465,7 @@ def find_one_dim_two_summand(space, budget: int = 16, seed: int = 0) -> SummandS
     # the first start (in index order) at or below the cut ends the search
     select = _pruned_selection(space, suite, n2, objective) if d >= 3 else None
     run = descend(objective, starts, first_step=0.5, max_steps=150, tol=1e-15, cut=_FOUND_RESIDUAL * 1e-2,
-                  select=select)
+                  select=select, probe=getattr(select, "probe", None))
     best_val, best_theta = math.inf, None
     for val, theta in zip(run.values.tolist(), run.thetas):
         if val < best_val:

@@ -260,30 +260,36 @@ def argmin_selection(objective):
 
 
 def descend(objective, thetas, first_step: float, max_steps: int, tol: float,
-            project=None, cut: float | None = None, select=None) -> Descent:
+            project=None, cut: float | None = None, select=None, probe=None) -> Descent:
     """Finite-difference steepest descent from every row of a (starts, n) stack.
 
     `objective` maps a (k, n) stack of rows to k values, and `project` maps a
     stack of points back onto the constraint set; it is applied to the starts
     and to every accepted point.  All live starts advance together: each
-    step makes one objective call on their 2n central differences, then one
-    on their 24 halving steps from `first_step` along the normalized negative
-    gradient.  A start leaves when its gradient vanishes or is not finite,
-    when no halving step gains more than `tol`, or after `max_steps` steps.
-    Every start gets the bits it would get alone, as long as `objective`
-    scores a row with the same bits at any stack height.  `select` picks each
-    start's halving step: it maps the (live, 24, n) stack of halving
-    candidates to each start's step index and value, and must return what
-    :func:`argmin_selection` of `objective`, the default, returns; it may
-    get there without scoring every candidate in full (the summand search
-    prunes by lower bounds), and `evals` counts every candidate it scored
-    or bounded.  With a `cut`, the
-    first start (in index order) whose final value is at or below it ends
-    the search: every later start is dropped, every earlier one runs to its
-    end.
+    step scores their 2n central differences in one `probe` call, then
+    picks among their 24 halving steps from `first_step` along the
+    normalized negative gradient in one `select` call.  A start leaves when
+    its gradient vanishes or is not finite, when no halving step gains more
+    than `tol`, or after `max_steps` steps.  Every start gets the bits it
+    would get alone, as long as `objective` scores a row with the same bits
+    at any stack height.
+
+    `probe` maps the (live, n) base points and the (live, 2n, n) stack of
+    their probes (+FD_STEP along each axis, then -FD_STEP) to the (live, 2n)
+    probe values; `select` maps the (live, 24, n) stack of halving
+    candidates to each start's step index and value.  Each must return what
+    its default returns: one objective call on the whole stack, and
+    :func:`argmin_selection` of `objective`.  They may get there with fewer
+    rows: the d >= 3 summand search takes a candidate's value as its
+    maximum over suite rows, and finds that maximum exactly from a subset
+    lower bound and a Lipschitz upper bound per row.  `evals` counts every
+    candidate scored or bounded.  With a `cut`, the first start (in index
+    order) whose final value is at or below it ends the search: every later
+    start is dropped, every earlier one runs to its end.
     """
     project = project or (lambda th: th)
     select = select or argmin_selection(objective)
+    probe = probe or (lambda bases, cands: objective(cands.reshape(-1, cands.shape[2])).reshape(cands.shape[:2]))
     thetas = np.array(thetas, dtype=float)
     k, n = thetas.shape
     values = np.full(k, np.nan)
@@ -293,7 +299,7 @@ def descend(objective, thetas, first_step: float, max_steps: int, tol: float,
     for lo in range(0, k, size):
         part = slice(lo, lo + size)
         thetas[part], values[part], evals[part], stops[part] = _lockstep(
-            objective, thetas[part], first_step, max_steps, tol, project, cut, select)
+            objective, thetas[part], first_step, max_steps, tol, project, cut, select, probe)
         if cut is not None and np.any(values[part] <= cut):
             break
     return Descent(values, thetas, evals, tuple(STOPS[s] for s in stops))
@@ -305,14 +311,14 @@ def _first_hit(value: np.ndarray, cut: float | None) -> int:
     return int(hit[0]) if len(hit) else value.shape[0]
 
 
-def _lockstep(objective, theta, first_step, max_steps, tol, project, cut, select):
+def _lockstep(objective, theta, first_step, max_steps, tol, project, cut, select, probe):
     """:func:`descend` on one chunk of starts; returns (thetas, values, evals, stops)."""
     k, n = theta.shape
     theta = project(theta)
     value = np.array(objective(theta), dtype=float)
     evals = np.ones(k, dtype=int)
     stops = np.full(k, _CAPPED)
-    probe = FD_STEP * np.eye(n)
+    offsets = FD_STEP * np.eye(n)
     steps = first_step * _HALVINGS
     live = np.arange(k)
     for _ in range(max_steps):
@@ -320,8 +326,7 @@ def _lockstep(objective, theta, first_step, max_steps, tol, project, cut, select
         if not live.size:
             break
         th = theta[live]
-        vals = objective(np.concatenate([th[:, None, :] + probe, th[:, None, :] - probe], axis=1)
-                         .reshape(-1, n)).reshape(-1, 2 * n)
+        vals = probe(th, np.concatenate([th[:, None, :] + offsets, th[:, None, :] - offsets], axis=1))
         evals[live] += 2 * n
         grad = (vals[:, :n] - vals[:, n:]) / (2.0 * FD_STEP)
         # the row-wise dot product takes the same BLAS path as np.linalg.norm of one row

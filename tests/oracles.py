@@ -4,9 +4,13 @@ Everything here is deliberately written against plain numpy / math only,
 avoiding the library's own code paths (no shared norm helpers, no shared
 bisection), so that agreement is evidence rather than tautology.
 """
+import decimal
 import math
 
 import numpy as np
+
+#: 60 digits, with exponents wide enough for any float's powers up to 1e300^16
+_DECIMAL = decimal.Context(prec=60, Emin=-10 ** 6, Emax=10 ** 6)
 
 
 def lp_norm_direct(x, p):
@@ -247,3 +251,45 @@ def grid_floor_by_residuals(space, suite, n2, n_xi, n_phi):
         defect = np.abs(n2[:, None] - (f ** 2 + rn ** 2)) / n2[:, None]
         floor = min(floor, float(defect.max(axis=0).min()))
     return floor
+
+
+def norm_decimal(space, x) -> decimal.Decimal:
+    """The exact norm of the row x (floats or decimals) to 60 digits, in decimal arithmetic.
+
+    Knows Lp and Euclid by their exponent (``space.p``, 2 when absent) and a
+    sum of parts by ``space.parts``, the Euclidean length of the parts' norms.
+    """
+    c = _DECIMAL
+    xs = [abs(v if isinstance(v, decimal.Decimal) else decimal.Decimal(float(v))) for v in x]
+    if hasattr(space, "parts"):
+        lo, total = 0, decimal.Decimal(0)
+        for part in space.parts:
+            n = norm_decimal(part, x[lo:lo + part.dim])
+            total = c.add(total, c.multiply(n, n))
+            lo += part.dim
+        return c.sqrt(total)
+    p = getattr(space, "p", 2.0)
+    if math.isinf(p):
+        return max(xs)
+    if p == 1.0:
+        total = decimal.Decimal(0)
+        for v in xs:
+            total = c.add(total, v)
+        return total
+    dp = decimal.Decimal(p)
+    total = decimal.Decimal(0)
+    for v in xs:
+        total = c.add(total, c.power(v, dp) if v else v)
+    return c.power(total, c.divide(1, dp)) if total else total
+
+
+def defect_decimal(space, x, n2, xi, phi) -> decimal.Decimal:
+    """|n2 - f^2 - ||x - f xi||^2| / n2, f = phi(x), for the float rows x, xi, phi and float n2, to 60 digits."""
+    c = _DECIMAL
+    d = [decimal.Decimal(float(v)) for v in x]
+    f = decimal.Decimal(0)
+    for a, b in zip(d, phi):
+        f = c.add(f, c.multiply(a, decimal.Decimal(float(b))))
+    rn = norm_decimal(space, [c.subtract(a, c.multiply(f, decimal.Decimal(float(b)))) for a, b in zip(d, xi)])
+    n = decimal.Decimal(float(n2))
+    return c.divide(abs(c.subtract(c.subtract(n, c.multiply(f, f)), c.multiply(rn, rn))), n)

@@ -551,6 +551,27 @@ def test_bad_block_index_names_its_key(name, key):
         cli.run_campaign(_REJECTED[name])
 
 
+_SCHATTEN = {"kind": "schatten", "p": 3.0, "d": 2}
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"command": "summand", "seed": 0, "summand": {"space": _SCHATTEN}}, "summand.space"),
+    ({"command": "summand", "seed": 0, "summand": {"space": {**_SCHATTEN, "d": 1}}}, "summand.space"),
+    ({"command": "iterate", "seed": 0, "iterate": {"embedding": {"kind": "inclusion", "e0": _SCHATTEN}}},
+     "iterate.embedding.e0"),
+    ({"command": "iterate", "seed": 0, "iterate": {"embedding": {"kind": "counterexample", "e1": _SCHATTEN}}},
+     "iterate.embedding.e1"),
+], ids=["summand", "summand_d1", "iterate_e0", "iterate_e1"])
+def test_isometry_commands_reject_schatten_spaces_by_key(cfg, key, tmp_path, capsys):
+    # the isometry lab is real-only; the reader names the key, where the run
+    # used to exit 2 with numpy's or Python's own text
+    cfg_path = tmp_path / "schatten.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"config error: {key}: expected a real space (lp, euclid or two_sum), "
+                                       f"got schatten\n")
+
+
 _LP4 = {"kind": "lp", "p": 4.0, "d": 2}
 _VALID = [json.loads(p.read_text()) for p in GOLDEN_CONFIGS] + [
     {"command": "verify", "seed": 0, "verify": {"check": check, "space": space, "samples": 10, "tolerance": 1e-9}}

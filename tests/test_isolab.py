@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 import warnings
@@ -21,7 +22,7 @@ from modbanach.isolab import (
     range_intersection_dim,
     two_summand_grid_floor,
 )
-from modbanach.sampling import argmin_selection, descend, rng_stream, stop_counts
+from modbanach.sampling import FD_STEP, argmin_selection, descend, rng_stream, stop_counts
 from modbanach.spaces import Euclid, Lp, TwoSum
 
 
@@ -577,3 +578,165 @@ def test_summand_search_memory(space, budget, seed, limit_kib):
     finally:
         tracemalloc.stop()
     assert peak <= limit_kib * 2 ** 10
+
+
+@settings(max_examples=500, deadline=None)
+@given(space=_SOLIDS, seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-150.0, 150.0))
+def test_defects_are_within_their_stated_bound(space, seed, log_scale):
+    # |computed - exact| <= (16 + 2 kappa) u S^2 / n2 against 60 decimal digits,
+    # S = sqrt(n2) + |f| + ||r|| + d ||x||_2 ||phi||_2, at scales 1e-150 to 1e150
+    d = space.dim
+    rng = rng_stream(seed, 0)
+    x = rng.standard_normal(d) * 10.0 ** log_scale
+    n2 = space.norm_batch(x[None]) ** 2
+    rows, xi, phi = isolab._valid_candidates(space, rng.standard_normal((1, d)), rng.standard_normal((1, d)))
+    if not rows.size:
+        return
+    f = isolab._functional_values(x[None], phi)[0]
+    got = isolab._defects(space, x[:, None], n2, f, xi.T)[0]
+    rn = isolab._residual_norms(space, x[:, None], f, xi.T)[0]
+    scale = math.sqrt(n2[0]) + abs(f[0]) + rn + d * np.linalg.norm(x) * np.linalg.norm(phi[0])
+    exact = oracles.defect_decimal(space, x, n2[0], xi[0], phi[0])
+    bound = (16 + 2 * space.norm_ulps) * 2.0 ** -53 * scale ** 2 / n2[0]
+    assert abs(decimal.Decimal(float(got)) - exact) <= decimal.Decimal(bound)
+
+
+def _probe_stacks(space, seed, starts, step, copies, spoil):
+    """(bases, probes): seeded bases and their +-step probes along each axis, some copied or spoiled."""
+    d = space.dim
+    bases = rng_stream(seed, 1).standard_normal((starts, 2 * d))
+    probes = np.concatenate([bases[:, None] + step * np.eye(2 * d), bases[:, None] - step * np.eye(2 * d)], axis=1)
+    for s, t, u in copies:
+        # a probe copied from another probe of its start, or from its base (u = -1)
+        probes[s % starts, t % (4 * d)] = bases[s % starts] if u < 0 else probes[s % starts, u % (4 * d)]
+    if spoil is not None:
+        kind, i = spoil
+        rows = np.concatenate([bases, probes.reshape(-1, 2 * d)])
+        row = rows[i % len(rows)]
+        if kind == "no_xi":
+            row[:d] = 0.0
+        else:
+            row[d] = kind
+        bases, probes = rows[:starts], rows[starts:].reshape(probes.shape)
+    return bases, probes
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(space=_SOLIDS, seed=st.integers(0, 2 ** 32 - 1), starts=st.integers(1, 60),
+       step=st.one_of(st.just(FD_STEP), st.floats(1e-9, 0.1)),
+       copies=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 19), st.integers(-1, 19)), max_size=12),
+       spoil=st.one_of(st.none(), st.tuples(st.sampled_from(["no_xi", math.inf, math.nan, 1e200]),
+                                            st.integers(0, 60 * 21 - 1))))
+def test_screened_probes_match_the_objective(space, seed, starts, step, copies, spoil):
+    # the same value bits as one objective call on the whole probe stack, on
+    # stacks of one block (plain) and of several (screened), with copied
+    # probes, candidates that score 1e6, non-finite entries and overflowing
+    # squares; and on valid stacks no probe's defect on any row exceeds the
+    # bound the screen gives that row
+    suite, n2 = isolab._nonzero_suite(space, isolab._SUMMAND_SUITE, seed % 8)
+    d = space.dim
+    bases, probes = _probe_stacks(space, seed, starts, step, copies, spoil)
+
+    def objective(stack):
+        return isolab._candidate_violations(space, stack[:, :d], stack[:, d:], suite, n2)
+
+    want = objective(probes.reshape(-1, 2 * d)).reshape(starts, 4 * d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = isolab._pruned_selection(space, suite, n2, objective).probe(bases, probes)
+        assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+        flat = probes.reshape(-1, 2 * d)
+        rows, xi, phi = isolab._valid_candidates(space, flat[:, :d], flat[:, d:])
+        b_rows, xi_b, phi_b = isolab._valid_candidates(space, bases[:, :d], bases[:, d:])
+        if rows.size < len(flat) or b_rows.size < starts:
+            return
+        f, f_b = isolab._functional_values(suite, phi), isolab._functional_values(suite, phi_b)
+        if not all(np.isfinite(a).all() for a in (xi, f, xi_b, f_b)):
+            return
+        xn = np.linalg.norm(suite, axis=1)
+        ceiling = isolab._probe_ceilings(space, suite, n2, xn, (xi_b, phi_b, f_b), (xi, phi))
+        every = np.arange(len(suite))[:, None], np.arange(len(xi))[None]
+        defects = isolab._pair_defects(space, suite, n2, f, xi, *every)
+    assert not np.any(defects.reshape(len(suite), starts, 4 * d) > ceiling[:, :, None])
+
+
+@pytest.mark.parametrize("space", [Lp(3.0, 3), Lp(1.5, 4), Euclid(3), TwoSum((Lp(4.0, 2), Euclid(1)))],
+                         ids=["lp3", "lp1.5_d4", "euclid", "two_sum"])
+def test_screened_probes_keep_rounding_level_ties(space):
+    # structured bases make rows of equal defect, and probes a few ulps away
+    # move them by no more than rounding does: only the slack of
+    # _defect_ceiling keeps the row that holds the maximum (dropping it
+    # mismatches on Euclid(3) at steps of 1e-16)
+    d = space.dim
+    one = np.tile(np.eye(d), 2)
+    bases = np.tile(np.concatenate([one, one + 0.5 * np.eye(d, 2 * d, d), np.ones((d, 2 * d))]), (8, 1))
+    for seed in range(4):
+        suite, n2 = isolab._nonzero_suite(space, isolab._SUMMAND_SUITE, seed)
+
+        def objective(stack):
+            return isolab._candidate_violations(space, stack[:, :d], stack[:, d:], suite, n2)
+
+        probe = isolab._pruned_selection(space, suite, n2, objective).probe
+        for step in (1e-17, 1e-16, 3e-16, 1e-15, 1e-12):
+            probes = np.concatenate([bases[:, None] + step * np.eye(2 * d), bases[:, None] - step * np.eye(2 * d)],
+                                    axis=1)
+            want = objective(probes.reshape(-1, 2 * d)).reshape(len(bases), 4 * d)
+            assert probe(bases, probes).tobytes() == want.tobytes()
+
+
+_SEARCHES = [(Lp(3.0, 3), 16, 0), (Lp(1.5, 4), 16, 1), (Lp(8.0, 5), 12, 2), (Euclid(3), 16, 3),
+             (TwoSum((Lp(4.0, 2), Euclid(1))), 16, 4)]
+
+
+@pytest.mark.parametrize("space, budget, seed", _SEARCHES, ids=["lp3", "lp1.5_d4", "lp8_d5", "euclid", "two_sum"])
+def test_every_screened_probe_call_of_a_search_is_the_objective(monkeypatch, space, budget, seed):
+    # a search's probes sit where its starts have evened out their worst rows,
+    # the ties that random candidates rarely make
+    calls = []
+    pruned = isolab._pruned_selection
+
+    def checked(space, suite, n2, objective):
+        select = pruned(space, suite, n2, objective)
+        probe = select.probe
+
+        def check(bases, cands):
+            got = probe(bases, cands)
+            want = objective(cands.reshape(-1, cands.shape[2])).reshape(cands.shape[:2])
+            calls.append(got.tobytes() == want.tobytes())
+            return got
+
+        select.probe = check
+        return select
+
+    monkeypatch.setattr(isolab, "_pruned_selection", checked)
+    find_one_dim_two_summand(space, budget=budget, seed=seed)
+    assert calls and all(calls)
+
+
+def test_screened_search_norms_under_2_1m_rows(monkeypatch):
+    # the benchmark's lp(3, 3) search with and without the probe screen: the
+    # same residual and stops, from at most 2.1M of the 3.81M rows it normed
+    rows = []
+    norm_batch, pruned = Lp.norm_batch, isolab._pruned_selection
+
+    def counting(space, stack):
+        rows.append(len(stack))
+        return norm_batch(space, stack)
+
+    def unscreened(*args):
+        select = pruned(*args)
+        del select.probe
+        return select
+
+    def search():
+        rows.clear()
+        res = find_one_dim_two_summand(Lp(3.0, 3), budget=64, seed=0)
+        return res.residual.hex(), res.stops, sum(rows)
+
+    monkeypatch.setattr(Lp, "norm_batch", counting)
+    *screened, screened_rows = search()
+    monkeypatch.setattr(isolab, "_pruned_selection", unscreened)
+    *plain, plain_rows = search()
+    assert screened == plain == ["0x1.53ca37ce48130p-3", {"converged": 0, "stalled": 60, "capped": 4, "dropped": 0}]
+    assert plain_rows == 3_813_398
+    assert screened_rows <= 2_100_000

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -224,6 +225,66 @@ def test_scalar_and_batch_norms_agree_at_any_height(kind, d, p, log_scale, seed,
     for i in (0, height - 1):
         assert _bits(space.norm(xs[i])) == _bits(tall[i])
         assert _bits(space.norm_batch(xs[i:i + 1])) == _bits(tall[i:i + 1])
+
+
+_U = 2.0 ** -53
+_SUBNORMAL = 2.0 ** -1074
+
+
+@st.composite
+def _scaled_row(draw, width):
+    """A row of `width` floats from subnormal scales up to 1e300: signed mantissas times 2^e,
+    with e at most 64 below the row's own top exponent, and some zeros."""
+    top = draw(st.integers(-1074, 996))
+    row = []
+    for _ in range(width):
+        mantissa = draw(st.floats(-1.0, 1.0, allow_subnormal=False))
+        row.append(math.ldexp(mantissa, max(-1074, top - draw(st.integers(0, 64)))))
+    return np.array(row)
+
+
+_KERNEL_PS = st.one_of(st.sampled_from([1.0, 2.0, INF]), st.floats(1.0, 16.0))
+
+
+def _within_stated_bound(space, x, parts=1):
+    # relative norm_ulps u, plus (parts + 1) halves of the smallest subnormal
+    exact = oracles.norm_decimal(space, x)
+    got = decimal.Decimal(float(space.norm_batch(x[None])[0]))
+    slack = decimal.Decimal(space.norm_ulps * _U) * exact + decimal.Decimal(_SUBNORMAL) * (parts + 1) / 2
+    return abs(got - exact) <= slack
+
+
+@settings(max_examples=500, deadline=None)
+@given(p=_KERNEL_PS, data=st.data())
+def test_lp_norm_is_within_its_stated_bound(p, data):
+    d = data.draw(st.integers(1, 16))
+    space = Lp(p, d)
+    assert _within_stated_bound(space, data.draw(_scaled_row(d)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_euclid_norm_is_within_its_stated_bound(data):
+    d = data.draw(st.integers(1, 16))
+    assert _within_stated_bound(Euclid(d), data.draw(_scaled_row(d)))
+
+
+_PARTS = st.one_of(st.tuples(_KERNEL_PS, st.integers(1, 5)).map(lambda pd: Lp(*pd)),
+                   st.integers(1, 5).map(Euclid))
+
+
+@settings(max_examples=500, deadline=None)
+@given(parts=st.lists(_PARTS, min_size=1, max_size=4), data=st.data())
+def test_two_sum_norm_is_within_its_stated_bound(parts, data):
+    space = TwoSum(tuple(parts))
+    assert _within_stated_bound(space, data.draw(_scaled_row(space.dim)), parts=len(parts))
+
+
+def test_stated_bounds():
+    assert Lp(3.0, 3).norm_ulps == 4.0 + 4.0 / 3.0
+    assert Lp(INF, 7).norm_ulps == 4.0
+    assert Euclid(3).norm_ulps == 6.0
+    assert TwoSum((Lp(4.0, 2), Euclid(1))).norm_ulps == 5.0 + 2.0
 
 
 @st.composite

@@ -219,9 +219,16 @@ def test_every_public_name_has_a_caller():
     assert names == [], f"public names that no caller reaches: {names}"
 
 
-def _bench_run(implied_kernel_ms: float) -> dict:
-    return {"metrics": {"wall_s": 1.0}, "raw_pass_s": [1.0], "failed": 0, "attempted": 1,
+def _bench_run(implied_kernel_ms: float, raw_pass_s=(1.0,)) -> dict:
+    return {"metrics": {"wall_s": 1.0}, "raw_pass_s": list(raw_pass_s), "failed": 0, "attempted": 1,
             "implied_kernel_ms": implied_kernel_ms}
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    return bench_pairs
 
 
 @pytest.mark.parametrize("change_kernels, mismatch", [
@@ -237,3 +244,12 @@ def test_bench_pairs_flags_a_kernel_mode_mismatch(change_kernels, mismatch):
              for p, c in zip([2.0, 2.05, 2.1, 2.15, 2.2], change_kernels)]
     summary = bench_pairs.summarize(pairs, {"wall_s": "lower"})
     assert summary["kernel_mode_mismatch"] is mismatch
+
+
+def test_bench_pairs_reports_the_raw_pass_median_ratio():
+    # each run's median raw pass: parent 1.0-1.4 s (median 1.2), change 0.9 s throughout
+    pairs = [{"parent": _bench_run(2.0, (t, t + 0.1, t - 0.1)), "change": _bench_run(2.0, (0.9, 0.8, 1.0))}
+             for t in (1.0, 1.1, 1.2, 1.3, 1.4)]
+    raw = _bench_pairs().summarize(pairs, {"wall_s": "lower"})["raw_pass_s_median_per_run"]
+    assert raw["change_faster_pairs"] == "5/5"
+    assert raw["median_ratio_change_over_parent"] == pytest.approx(0.9 / 1.2)
