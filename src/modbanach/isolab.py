@@ -224,12 +224,20 @@ def _worst_defects(space, suite: np.ndarray, n2: np.ndarray, f: np.ndarray,
     """Worst relative defect |n2 - f^2 - ||x - f xi||^2| / n2 over the suite, per column of f.
 
     Column j of f holds phi_j(x) for each suite row x, and column j of the
-    (d, k) xi_cols its direction xi_j.  The search calls it for d >= 3
-    only; in the plane _plane_forms gives the same defects without a
-    residual.
+    (d, k) xi_cols its direction xi_j.  The residuals are normed in blocks
+    of whole columns, of at most _BLOCK_ROWS rows, sliced rather than
+    gathered as _pair_defects would.  The search calls it for d >= 3 only;
+    in the plane _plane_forms gives the same defects without a residual.
     """
     n_s, k = f.shape
-    return _pair_defects(space, suite, n2, f, xi_cols.T, np.arange(n_s)[None], np.arange(k)[:, None]).max(axis=1)
+    # C-ordered, so each block's product reads its directions in order
+    xi_cols = np.ascontiguousarray(xi_cols)
+    out = np.empty(k)
+    step = max(1, _BLOCK_ROWS // n_s)
+    for lo in range(0, k, step):
+        cols = slice(lo, lo + step)
+        out[cols] = _defects(space, suite.T[:, :, None], n2[:, None], f[:, cols], xi_cols[:, None, cols]).max(axis=0)
+    return out
 
 
 def _valid_candidates(space, xi_raw: np.ndarray, phi_raw: np.ndarray) -> tuple:
