@@ -305,8 +305,9 @@ def _defect_ceiling(space, defect: np.ndarray, scale: np.ndarray, n2: np.ndarray
     base and on a probe, 32 + 4 kappa; the Lipschitz terms, below scale^2 /
     n2 in size and computed from products with a relative error under
     (d + kappa + 8) u, twice that; their cross terms with the base's errors,
-    kappa + 10; and the sums that form the bound, 11.  That is under 68 +
-    7 kappa + 2 d, to first order in u.
+    kappa + 10; and the sums that form the bound, 11.  That is 69 + 7 kappa
+    + 2 d to first order in u; the rest of the widening covers the higher
+    orders.
     """
     return defect + (80.0 + 8.0 * space.norm_ulps + 2.0 * space.dim) * 2.0 ** -53 * np.square(scale) / n2
 

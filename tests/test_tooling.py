@@ -237,12 +237,9 @@ def _bench_pairs():
 ])
 def test_bench_pairs_flags_a_kernel_mode_mismatch(change_kernels, mismatch):
     # the parent's implied kernels have the IQR [2.05, 2.15]
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
     pairs = [{"parent": _bench_run(p), "change": _bench_run(c)}
              for p, c in zip([2.0, 2.05, 2.1, 2.15, 2.2], change_kernels)]
-    summary = bench_pairs.summarize(pairs, {"wall_s": "lower"})
+    summary = _bench_pairs().summarize(pairs, {"wall_s": "lower"})
     assert summary["kernel_mode_mismatch"] is mismatch
 
 
