@@ -8,7 +8,8 @@ jobs knob only widens the thread pool over pre-seeded sample batches.
 
 Exit codes: 0 all verdicts hold, 1 a verified inequality was violated,
 2 invalid config, 3 numerical failure (a non-finite modular value, a
-non-Cauchy trace or an ambiguous rank decision).
+non-Cauchy trace or an ambiguous rank decision), 4 an internal error (an
+exception that none of the others covers, a fault of the program).
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .modular import NumericalFailure
 from .nakano import (_EXPONENT_KINDS, _INDEX_MAX, BlockVector, FormulaExponents, nakano_condition_terms,
                      nakano_condition_verdict, nakano_norms, spec_from_dict)
 from .spaces import (_COORDS_MAX, _ELEMENTS_MAX, _SCHATTEN_D, REQUIRED, ConfigError, Schatten, _int_reader,
-                     _list_reader, _read_kind, _read_object, as_real, space_from_dict)
+                     _list_reader, _read_kind, _read_object, _real_space, as_real, space_from_dict)
 
 ENV_OUT = "MODBANACH_OUT"
 
@@ -268,16 +269,7 @@ def _params(run, table):
 
 
 _SPACE = (space_from_dict, REQUIRED)
-
-
-def _real_space(obj, where: str):
-    # the isometry lab's suites, candidates and maps are real vectors
-    space = space_from_dict(obj, where)
-    if isinstance(space, Schatten):
-        raise ConfigError(f"{where}: expected a real space (lp, euclid or two_sum), got schatten")
-    return space
-
-
+# the isometry lab's suites, candidates and maps are real vectors
 _REAL_SPACE = (_real_space, REQUIRED)
 _EXPONENTS = (partial(_read_kind, _EXPONENT_KINDS), REQUIRED)
 _TOLERANCE = (as_real, 1e-10)
@@ -365,6 +357,8 @@ _TOP = {
     "format": (_text("json|csv|both"), "both"),
     "plot": (_text("trace|asymptotics|nakano_terms"), None),
 }
+#: the command whose payload holds each plot's series
+_PLOT_COMMANDS = {"trace": "iterate", "asymptotics": "asymptotics", "nakano_terms": "nakano"}
 _CONFIGS = {cmd: (dict, {**_TOP, cmd: (entry.read, REQUIRED)}) for cmd, entry in _RUNNERS.items()}
 
 
@@ -378,7 +372,11 @@ def validate_config(cfg: dict) -> dict:
     cmd = cfg.get("command") if isinstance(cfg, dict) else None
     if isinstance(cmd, str) and cmd in _RUNNERS and not isinstance(cfg.get(cmd), dict):
         raise ConfigError(f"command {cmd!r} needs a {cmd!r} object with its parameters")
-    return _read_kind(_CONFIGS, cfg, "", tag="command")
+    values = _read_kind(_CONFIGS, cfg, "", tag="command")
+    plot = values["plot"]
+    if plot is not None and _PLOT_COMMANDS[plot] != cmd:
+        raise ConfigError(f"plot: {plot!r} plots the series of {_PLOT_COMMANDS[plot]!r}, not of {cmd!r}")
+    return values
 
 
 def run_campaign(config: dict) -> CampaignResult:
@@ -524,16 +522,17 @@ def main(argv=None) -> int:
 
     try:
         result = run_campaign(config)
+        out_dir = Path(args.out or config.get("out") or os.environ.get(ENV_OUT) or ".")
+        written = _write_outputs(result, out_dir, args.format or config.get("format", "both"))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except NumericalFailure as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-
-    out_dir = Path(args.out or config.get("out") or os.environ.get(ENV_OUT) or ".")
-    fmt = args.format or config.get("format", "both")
-    written = _write_outputs(result, out_dir, fmt)
+    except Exception as e:  # never Python's own exit 1, which would read as a violation
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
     status = "ok"
     code = 0
     if result.numerical_failure:

@@ -25,7 +25,7 @@ import numpy as np
 from .modular import modular_sum_norm_with_scalar
 from .nakano import BlockVector, NakanoModular, NakanoSpec, _unit_block, nakano_norms
 from .sampling import gaussian_batch, rng_stream, structured_pairs
-from .spaces import Lp, Schatten, as_real, space_from_dict, space_to_dict
+from .spaces import Lp, Schatten, _operator_norm_bounds, as_real, space_from_dict, space_to_dict
 
 __all__ = [
     "ViolationReport",
@@ -88,8 +88,34 @@ def _report(check, params, samples, max_violation, witness, tolerance, seed) -> 
     )
 
 
-def _pair_campaign(check, params, space, batch_fn, samples, seed, tolerance, jobs=1):
-    """Worst violation of batch_fn over structured seeds plus Gaussian batches."""
+def _worst_pair(batch_fn, ceiling_fn, x, y) -> tuple:
+    """(k, v): the largest violation v of batch_fn on the stacked pairs (x, y), and the first pair k that has it.
+
+    Where ceiling_fn(x, y) gives upper bounds on the violations, pair by
+    pair, only the pairs that can reach the maximum are scored: first the
+    pair of highest ceiling, then every pair whose ceiling is not below
+    that pair's violation.  Each pair left out lies strictly below the
+    maximum, and a pair's violation has the same bits in a stack of any
+    height, so v and k are np.argmax's over the whole stack.  A stack whose
+    ceiling_fn gives None, or a ceiling that is not finite (a non-finite
+    entry, or a norm out of range), is scored in full.
+    """
+    ceiling = ceiling_fn(x, y)
+    if ceiling is None or not np.isfinite(ceiling).all():
+        v = batch_fn(x, y)
+        k = int(np.argmax(v))
+        return k, float(v[k])
+    top = int(np.argmax(ceiling))
+    reached = batch_fn(x[top:top + 1], y[top:top + 1])[0]
+    # not `>=`: a NaN there keeps every pair
+    keep = np.flatnonzero(~(ceiling < reached))
+    v = batch_fn(x[keep], y[keep])
+    i = int(np.argmax(v))
+    return int(keep[i]), float(v[i])
+
+
+def _pair_campaign(check, params, space, batch_fn, ceiling_fn, samples, seed, tolerance, jobs=1):
+    """Worst violation of batch_fn over structured seeds plus Gaussian batches (see :func:`_worst_pair`)."""
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     tasks = [(-1, 0)]
@@ -112,9 +138,8 @@ def _pair_campaign(check, params, space, batch_fn, samples, seed, tolerance, job
             rng = rng_stream(seed, idx)
             x = gaussian_batch(space, count, rng)
             y = gaussian_batch(space, count, rng)
-        v = batch_fn(x, y)
-        k = int(np.argmax(v))
-        return float(v[k]), (x[k].copy(), y[k].copy())
+        k, v = _worst_pair(batch_fn, ceiling_fn, x, y)
+        return v, (x[k].copy(), y[k].copy())
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -204,6 +229,27 @@ def _schatten_inf_batch(space, params, x, y):
     return (rhs - lhs) / np.maximum(np.abs(rhs), _FLOOR)
 
 
+def _schatten_inf_ceiling(space, params, x, y):
+    """Upper bounds on the violations _schatten_inf_batch computes, pair by pair.
+
+    The batch's own formula, step for step, on bounds of the four computed
+    norms (spaces._operator_norm_bounds): the upper ones where the violation
+    grows with the norm, the lower ones where it falls, and for the
+    denominator the lower bound where the numerator is not negative, else
+    the upper one.  Every step rounds correctly, and correct rounding is
+    monotone, so each ceiling lies at or above its pair's computed
+    violation, with no slack of its own.  None at d = 1, where the norm is
+    |z| and a 4096-pair batch took 2.2 ms scored in full, 7.7 ms screened.
+    """
+    if space.d == 1:
+        return None
+    lo, hi = (b.reshape(4, -1) for b in _operator_norm_bounds(np.concatenate([x, y, x + y, x - y])))
+    rhs = np.maximum(hi[0], hi[1]) ** 2
+    num = rhs - 0.5 * (lo[2] ** 2 + lo[3] ** 2)
+    np.copyto(rhs, np.maximum(lo[0], lo[1]) ** 2, where=num >= 0.0)
+    return num / np.maximum(rhs, _FLOOR)
+
+
 def _endpoint_2_params(space) -> dict:
     p = _space_p(space)
     if p != 2.0:
@@ -217,9 +263,17 @@ def _parallelogram_batch(space, params, x, y):
     return np.abs(lhs - rhs)
 
 
+def _no_ceiling(space, params, x, y):
+    return None
+
+
 class PairCheck(NamedTuple):
     params: Callable   # (space, **options) -> report params; raises on a failed precondition
     batch: Callable    # (space, params, x, y) -> violation on the stacked pairs (x, y)
+    # (space, params, x, y) -> an upper bound on each pair's computed violation, so
+    # that only the pairs near the maximum are scored (_worst_pair), or None to
+    # score every pair
+    ceiling: Callable = _no_ceiling
 
 
 PAIR_CHECKS = {
@@ -236,7 +290,7 @@ PAIR_CHECKS = {
     "two_smooth": PairCheck(_two_smooth_params, _two_smooth_batch),
     # (||x+y||^2 + ||x-y||^2) / 2 >= max(||x||, ||y||)^2 in Schatten(inf, d),
     # the operator norm
-    "schatten_inf": PairCheck(_schatten_inf_params, _schatten_inf_batch),
+    "schatten_inf": PairCheck(_schatten_inf_params, _schatten_inf_batch, _schatten_inf_ceiling),
     # absolute deviation | ||x+y||^2 + ||x-y||^2 - 2(||x||^2 + ||y||^2) |:
     # zero exactly on inner-product spaces; elsewhere the report's witness is
     # a certified non-Hilbert pair
@@ -255,7 +309,8 @@ def verify_pair(check: str, space, samples=10000, seed=0, tolerance=1e-10, jobs=
     entry = PAIR_CHECKS[check]
     params = entry.params(space, **options)
     batch_fn = partial(entry.batch, space, params)
-    return _pair_campaign(check, params, space, batch_fn, samples, seed, tolerance, jobs)
+    ceiling_fn = partial(entry.ceiling, space, params)
+    return _pair_campaign(check, params, space, batch_fn, ceiling_fn, samples, seed, tolerance, jobs)
 
 
 # ---------------------------------------------------------------------------

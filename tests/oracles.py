@@ -293,3 +293,38 @@ def defect_decimal(space, x, n2, xi, phi) -> decimal.Decimal:
     rn = norm_decimal(space, [c.subtract(a, c.multiply(f, decimal.Decimal(float(b)))) for a, b in zip(d, xi)])
     n = decimal.Decimal(float(n2))
     return c.divide(abs(c.subtract(c.subtract(n, c.multiply(f, f)), c.multiply(rn, rn))), n)
+
+
+def gram_below(m, lam: decimal.Decimal) -> bool:
+    """Whether every eigenvalue of m* m lies below lam, for a complex float matrix m, in 60-digit decimal.
+
+    That is whether m* m - lam I is negative definite, which holds exactly
+    when every pivot of its elimination without row exchanges is negative
+    (Sylvester's criterion); elimination stops at the first pivot that is
+    not.  So sigma_max(m) lies in [a, b) exactly when gram_below(m, b^2)
+    holds and gram_below(m, a^2) does not.
+    """
+    c = _DECIMAL
+    d = len(m)
+    re = [[decimal.Decimal(float(v.real)) for v in row] for row in m]
+    im = [[decimal.Decimal(float(v.imag)) for v in row] for row in m]
+    # h = m* m - lam I as real and imaginary parts: h_ij = sum_k conj(m_ki) m_kj
+    hr = [[decimal.Decimal(0)] * d for _ in range(d)]
+    hi = [[decimal.Decimal(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                hr[i][j] = c.add(hr[i][j], c.add(c.multiply(re[k][i], re[k][j]), c.multiply(im[k][i], im[k][j])))
+                hi[i][j] = c.add(hi[i][j], c.subtract(c.multiply(re[k][i], im[k][j]), c.multiply(im[k][i], re[k][j])))
+        hr[i][i] = c.subtract(hr[i][i], lam)
+    for k in range(d):
+        pivot = hr[k][k]
+        if pivot >= 0:
+            return False
+        for i in range(k + 1, d):
+            # row i -= (h_ik / pivot) row k, the pivot being real
+            fr, fi = c.divide(hr[i][k], pivot), c.divide(hi[i][k], pivot)
+            for j in range(k + 1, d):
+                hr[i][j] = c.subtract(hr[i][j], c.subtract(c.multiply(fr, hr[k][j]), c.multiply(fi, hi[k][j])))
+                hi[i][j] = c.subtract(hi[i][j], c.add(c.multiply(fr, hi[k][j]), c.multiply(fi, hr[k][j])))
+    return True

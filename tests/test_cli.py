@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modbanach import cli, geomconst
+from modbanach import cli, geomconst, spaces
 from modbanach import verify as vf
 from modbanach.cli import CampaignResult, ConfigError, emit_plot_data, run_campaign, validate_config
 from modbanach.nakano import BlockVector, nakano_norm, spec_from_dict
@@ -570,6 +570,47 @@ def test_isometry_commands_reject_schatten_spaces_by_key(cfg, key, tmp_path, cap
     assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (f"config error: {key}: expected a real space (lp, euclid or two_sum), "
                                        f"got schatten\n")
+
+
+_SCHATTEN_PART = {"kind": "two_sum", "parts": [_SCHATTEN, {"kind": "euclid", "d": 1}]}
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"command": "jvn", "seed": 0, "jvn": {"space": _SCHATTEN_PART}}, "jvn.space.parts[0]"),
+    ({"command": "verify", "seed": 0, "verify": {"check": "parallelogram", "space": _SCHATTEN_PART}},
+     "verify.space.parts[0]"),
+    ({"command": "summand", "seed": 0, "summand": {"space": _SCHATTEN_PART}}, "summand.space.parts[0]"),
+], ids=["jvn", "verify", "summand"])
+def test_two_sum_rejects_a_schatten_part_by_key(cfg, key, tmp_path, capsys):
+    # a two_sum has real scalars; the reader names the part, where the run
+    # used to exit 2 with "TwoSum parts must use real scalars"
+    cfg_path = tmp_path / "part.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"config error: {key}: expected a real space (lp, euclid or two_sum), "
+                                       f"got schatten\n")
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_an_unmapped_exception_exits_4(tmp_path, monkeypatch, capsys):
+    # a fault of the program is neither a bad config (2) nor a violation (1)
+    def broken(self, xs):
+        raise IndexError("index 3 is out of bounds for axis 0 with size 3")
+
+    monkeypatch.setattr(spaces.Lp, "norm_batch", broken)
+    cfg_path = tmp_path / "norm.json"
+    cfg_path.write_text(json.dumps({"command": "norm", "seed": 0,
+                                    "norm": {"space": {"kind": "lp", "p": 3.0, "d": 2}, "vectors": [[1.0, 2.0]]}}))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "internal error: IndexError: index 3 is out of bounds for axis 0 with size 3\n"
+
+
+def test_a_plot_of_another_command_exits_2(capsys):
+    # the trace plot needs an iterate payload; a jvn run used to finish and
+    # then raise on writing, which Python reported as exit 1
+    cfg = {"command": "jvn", "seed": 0, "plot": "trace", "jvn": {"space": _LP3, "budget": 2}}
+    assert _exit_code(cfg) == 2
+    assert capsys.readouterr().err == "config error: plot: 'trace' plots the series of 'iterate', not of 'jvn'\n"
 
 
 _LP4 = {"kind": "lp", "p": 4.0, "d": 2}

@@ -285,6 +285,54 @@ def test_stated_bounds():
     assert Lp(INF, 7).norm_ulps == 4.0
     assert Euclid(3).norm_ulps == 6.0
     assert TwoSum((Lp(4.0, 2), Euclid(1))).norm_ulps == 5.0 + 2.0
+    assert Schatten(INF, 1).norm_ulps == 4.0
+    assert Schatten(INF, 4).norm_ulps == 19.0
+    assert Schatten(3.0, 4).norm_ulps == INF
+
+
+@st.composite
+def _signed_monomial(draw, d):
+    """(m, sigma_max): diag(s) times a signed permutation times powers of i, whose singular values are |s|.
+
+    Every product is exact, so sigma_max is max |s| exactly: one s_i of
+    size 10^-150 to 10^300, the others up to 2^64 times smaller, or zero.
+    """
+    top = draw(st.integers(-498, 996))
+    s = [math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), top)]
+    s += [draw(st.sampled_from([0.0, 1.0])) * math.ldexp(draw(st.floats(0.5, 1.0)), top - draw(st.integers(0, 64)))
+          for _ in range(d - 1)]
+    s = draw(st.permutations(s))
+    perm = draw(st.permutations(range(d)))
+    m = np.zeros((d, d), dtype=complex)
+    for i, j in enumerate(perm):
+        m[i, j] = s[i] * draw(st.sampled_from([1, -1, 1j, -1j]))
+    return m, max(abs(v) for v in s)
+
+
+def _unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(d=st.integers(1, 5), data=st.data())
+def test_operator_norm_is_within_its_stated_bound(d, data):
+    space = Schatten(INF, d)
+    rel = decimal.Decimal(space.norm_ulps * _U)
+    # a matrix of exactly known singular values
+    m, sigma = data.draw(_signed_monomial(d))
+    got = space.norm_batch(m[None])[0]
+    assert abs(decimal.Decimal(got) - decimal.Decimal(sigma)) <= rel * decimal.Decimal(sigma)
+    # U diag(s) V, U and V random unitary, s spread over up to 12 decades, some
+    # of it repeated, scaled by 10^-150 to 10^300; against the decimal
+    # oracle's bracket of its exact sigma_max
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    s = 10.0 ** -rng.uniform(0.0, data.draw(st.sampled_from([0.0, 1e-8, 1.0, 12.0])), d)
+    s[rng.uniform(size=d) < 0.3] = 1.0
+    m = _unitary(rng, d) @ (s[:, None] * _unitary(rng, d)) * 10.0 ** data.draw(st.floats(-150.0, 300.0))
+    got = decimal.Decimal(space.norm_batch(m[None])[0])
+    assert oracles.gram_below(m, (got / (1 - rel)) ** 2)
+    assert not oracles.gram_below(m, (got / (1 + rel)) ** 2)
 
 
 @st.composite

@@ -250,3 +250,17 @@ def test_bench_pairs_reports_the_raw_pass_median_ratio():
     raw = _bench_pairs().summarize(pairs, {"wall_s": "lower"})["raw_pass_s_median_per_run"]
     assert raw["change_faster_pairs"] == "5/5"
     assert raw["median_ratio_change_over_parent"] == pytest.approx(0.9 / 1.2)
+
+
+def test_op_times_prints_every_op_and_its_share():
+    # one solve pass: a line per op, whose shares add up to the whole pass
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "op_times.py"), "solve", "--seed", "1",
+                          "--passes", "1"], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    head, *lines = out.stdout.splitlines()
+    assert head.startswith(f"solve seed 1, 1 passes, {len(lines)} ops")
+    assert [int(line.split()[0]) for line in lines] == list(range(len(lines)))
+    assert lines[0].split()[1:3] == ["norm", "nakano"]
+    shares = [float(next(w for w in line.split() if w.endswith("%"))[:-1]) for line in lines]
+    # each share is rounded to 0.05 at most
+    assert sum(shares) == pytest.approx(100.0, abs=0.05 * len(shares))

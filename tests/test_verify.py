@@ -1,5 +1,6 @@
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 
 from modbanach.modular import modular_sum_norm_with_scalar
 from modbanach.nakano import BlockVector, ExplicitExponents, FormulaExponents, NakanoModular, NakanoSpec, nakano_norm
+from modbanach.sampling import structured_pairs
+from modbanach.spaces import _operator_norm_bounds
 from modbanach.verify import (
     PAIR_CHECKS,
+    _worst_pair,
     clarkson_rhs,
     far_block_limit_gaps,
     reevaluate_witness,
@@ -113,6 +117,118 @@ def test_schatten_inf_holds():
     assert rep.verdict == "holds"
     rep3 = verify_pair("schatten_inf", Schatten(math.inf, 3), samples=500, seed=1)
     assert rep3.verdict == "holds"
+    # two batches and a part, so the screen runs on full batches
+    rep4 = verify_pair("schatten_inf", Schatten(math.inf, 4), samples=9000, seed=2)
+    assert rep4.verdict == "holds"
+
+
+def test_schatten_inf_scores_few_pairs_exactly(monkeypatch):
+    # each 4096-pair batch scores exactly its pair of highest ceiling and the
+    # pairs that can reach that pair's violation: under 1% of it, where 10%
+    # is the bound; and the report is the one that scores every pair
+    entry = PAIR_CHECKS["schatten_inf"]
+    scored = []
+
+    def counted(space, params, x, y):
+        scored.append(len(x))
+        return entry.batch(space, params, x, y)
+
+    space = Schatten(math.inf, 4)
+    plain = verify_pair("schatten_inf", space, samples=3 * 4096, seed=7)
+    monkeypatch.setitem(PAIR_CHECKS, "schatten_inf", entry._replace(batch=counted))
+    screened = verify_pair("schatten_inf", space, samples=3 * 4096, seed=7)
+    assert json.dumps(screened.to_dict()) == json.dumps(plain.to_dict())
+    # two calls per batch, the structured one first: the top pair, then the kept ones
+    assert len(scored) == 8 and scored[::2] == [1] * 4
+    assert all(n <= 41 for n in scored[3::2]), scored
+    monkeypatch.setitem(PAIR_CHECKS, "schatten_inf", entry._replace(batch=counted, ceiling=lambda space, params, x, y: None))
+    scored.clear()
+    unscreened = verify_pair("schatten_inf", space, samples=3 * 4096, seed=7)
+    assert scored == [len(structured_pairs(space))] + [4096] * 3
+    assert json.dumps(unscreened.to_dict()) == json.dumps(plain.to_dict())
+
+
+@st.composite
+def _operator_pairs(draw):
+    """(space, x, y): 1-5000 pairs in Schatten(inf, d), d = 1-5, at scales 1e-150 to 1e150.
+
+    Gaussian pairs, with rows made zero, rank-one or a scaled matrix unit,
+    y made 0 or +-x, pairs copied to later rows, the structured pairs, and
+    some non-finite entries.
+    """
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def gaussian():
+        m = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+        return m * 10.0 ** rng.uniform(-150.0, 150.0, (n, 1, 1))
+
+    x, y = gaussian(), gaussian()
+    same = rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    y[same] *= np.abs(x[same, :1, :1]) / np.maximum(np.abs(y[same, :1, :1]), 1e-300)
+
+    def rows(share):
+        return np.flatnonzero(rng.uniform(size=n) < share)
+
+    for m in (x, y):
+        m[rows(draw(st.sampled_from([0.0, 0.05])))] = 0.0
+        r = rows(draw(st.sampled_from([0.0, 0.1])))
+        m[r] = (rng.standard_normal((len(r), d, 1)) + 1j * rng.standard_normal((len(r), d, 1))) * (
+            rng.standard_normal((len(r), 1, d)) * 10.0 ** rng.uniform(-150.0, 150.0, (len(r), 1, 1)))
+        r = rows(draw(st.sampled_from([0.0, 0.1, 0.5])))
+        m[r] = 0.0
+        m[r, rng.integers(d, size=len(r)), rng.integers(d, size=len(r))] = (
+            rng.choice([1, -1, 1j, -1j], size=len(r)) * 10.0 ** rng.uniform(-150.0, 150.0, len(r)))
+    r = rows(draw(st.sampled_from([0.0, 0.05])))
+    y[r] = 0.0
+    r = rows(draw(st.sampled_from([0.0, 0.1])))
+    y[r] = rng.choice([1.0, -1.0], size=(len(r), 1, 1)) * x[r]
+    if n > 1 and draw(st.booleans()):
+        src = rng.integers(n - 1, size=n // 4 + 1)
+        dst = src + 1 + rng.integers(n - 1 - src)
+        x[dst], y[dst] = x[src], y[src]
+    space = Schatten(math.inf, d)
+    if draw(st.booleans()):
+        pairs = structured_pairs(space)[:n]
+        x[:len(pairs)] = [p[0] for p in pairs]
+        y[:len(pairs)] = [p[1] for p in pairs]
+    if draw(st.integers(0, 9)) == 0:
+        bad = rng.integers(n, size=2)
+        x[bad[0], 0, d - 1] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        y[bad[1], d - 1, 0] = draw(st.sampled_from([np.nan, np.inf]))
+    return space, x, y
+
+
+@settings(max_examples=100, deadline=None)
+@given(_operator_pairs())
+def test_screened_worst_pair_is_the_argmax(case):
+    # the screen leaves out only pairs below the maximum, so it finds
+    # np.argmax's pair and value, bit for bit
+    space, x, y = case
+    entry = PAIR_CHECKS["schatten_inf"]
+    params = entry.params(space)
+    screened = partial(_worst_pair, partial(entry.batch, space, params), partial(entry.ceiling, space, params))
+    with np.errstate(all="ignore"):
+        # d = 1 scores every pair, as if no pair had a finite ceiling
+        ceiling = entry.ceiling(space, params, x, y)
+        ceiling = np.full(len(x), np.nan) if ceiling is None else ceiling
+        lo, hi = _operator_norm_bounds(x)
+        try:
+            v = entry.batch(space, params, x, y)
+        except np.linalg.LinAlgError:
+            # eigvalsh refuses a NaN, and the screen then fails as the plain batch does
+            assert not np.isfinite(ceiling).all()
+            with pytest.raises(np.linalg.LinAlgError):
+                screened(x, y)
+            return
+        k, worst = screened(x, y)
+        norms = space.norm_batch(x)
+    assert (k, float.hex(worst)) == (int(np.argmax(v)), float.hex(float(v[np.argmax(v)])))
+    finite = np.isfinite(ceiling)
+    assert np.all(v[finite] <= ceiling[finite])
+    bounded = np.isfinite(lo) & np.isfinite(hi) & np.isfinite(norms)
+    assert np.all(lo[bounded] <= norms[bounded]) and np.all(norms[bounded] <= hi[bounded])
 
 
 def test_beckner_grid():
