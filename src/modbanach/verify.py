@@ -243,10 +243,10 @@ def _schatten_inf_ceiling(space, params, x, y):
     """
     if space.d == 1:
         return None
-    lo, hi = (b.reshape(4, -1) for b in _operator_norm_bounds(np.concatenate([x, y, x + y, x - y])))
-    rhs = np.maximum(hi[0], hi[1]) ** 2
-    num = rhs - 0.5 * (lo[2] ** 2 + lo[3] ** 2)
-    np.copyto(rhs, np.maximum(lo[0], lo[1]) ** 2, where=num >= 0.0)
+    (lo_x, hi_x), (lo_y, hi_y), (lo_s, _), (lo_d, _) = map(_operator_norm_bounds, (x, y, x + y, x - y))
+    rhs = np.maximum(hi_x, hi_y) ** 2
+    num = rhs - 0.5 * (lo_s ** 2 + lo_d ** 2)
+    np.copyto(rhs, np.maximum(lo_x, lo_y) ** 2, where=num >= 0.0)
     return num / np.maximum(rhs, _FLOOR)
 
 

@@ -141,7 +141,8 @@ def test_schatten_inf_scores_few_pairs_exactly(monkeypatch):
     # two calls per batch, the structured one first: the top pair, then the kept ones
     assert len(scored) == 8 and scored[::2] == [1] * 4
     assert all(n <= 41 for n in scored[3::2]), scored
-    monkeypatch.setitem(PAIR_CHECKS, "schatten_inf", entry._replace(batch=counted, ceiling=lambda space, params, x, y: None))
+    no_ceiling = entry._replace(batch=counted, ceiling=lambda space, params, x, y: None)
+    monkeypatch.setitem(PAIR_CHECKS, "schatten_inf", no_ceiling)
     scored.clear()
     unscreened = verify_pair("schatten_inf", space, samples=3 * 4096, seed=7)
     assert scored == [len(structured_pairs(space))] + [4096] * 3
