@@ -124,8 +124,8 @@ def test_schatten_inf_holds():
 
 def test_schatten_inf_scores_few_pairs_exactly(monkeypatch):
     # each 4096-pair batch scores exactly its pair of highest ceiling and the
-    # pairs that can reach that pair's violation: under 1% of it, where 10%
-    # is the bound; and the report is the one that scores every pair
+    # pairs that can reach that pair's violation: here at most 41 (1%), where
+    # 10% is the bound; and the report is the one that scores every pair
     entry = PAIR_CHECKS["schatten_inf"]
     scored = []
 
